@@ -294,8 +294,7 @@ def iter_covers(cx: SquareComplex, degree: int,
                                      budget=budget):
         if connected and not perm.is_transitive(assignment, degree):
             continue
-        if up_to_conjugacy and assignment and \
-                perm.canonical_under_relabeling(assignment) != assignment:
+        if up_to_conjugacy and not perm.is_canonical(assignment):
             continue
         yield cover_from_assignment(cx, pres, degree, assignment)
 

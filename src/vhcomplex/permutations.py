@@ -69,6 +69,25 @@ def canonical_under_relabeling(perms: Sequence[tuple]) -> tuple:
                for s in all_permutations(d))
 
 
+def is_canonical(perms: Sequence[tuple]) -> bool:
+    """Whether canonical_under_relabeling(perms) == perms.
+
+    Each relabeling is compared with perms one permutation at a time,
+    and the test fails at the first relabeling that is smaller.  The
+    identity, which comes first, is skipped.
+    """
+    if not perms:
+        return True
+    for s in itertools.islice(all_permutations(len(perms[0])), 1, None):
+        for p in perms:
+            q = relabel(p, s)
+            if q != p:
+                if q < p:
+                    return False
+                break
+    return True
+
+
 def orbit(perms: Iterable[tuple], start: int) -> frozenset:
     perms = list(perms)
     seen = {start}
@@ -131,6 +150,18 @@ class NodeBudget:
         return True
 
 
+def _holds(word, images, points) -> bool:
+    """Whether every point, carried through the word's letters, comes
+    back to itself; stops at the first point that does not."""
+    for x in points:
+        y = x
+        for letter in word:
+            y = images[letter][y]
+        if y != x:
+            return False
+    return True
+
+
 def iter_homs(num_gens: int, relators: Sequence[Sequence[int]], d: int,
               first_images: Optional[Sequence[tuple]] = None,
               budget: Optional[NodeBudget] = None):
@@ -139,41 +170,50 @@ def iter_homs(num_gens: int, relators: Sequence[Sequence[int]], d: int,
 
     Relators are words of signed 1-based generator indices.  A relator is
     checked as soon as every generator it mentions has an image, which
-    prunes most of the tree early.  `first_images` restricts the images
-    tried for generator 1 (the partitioning hook for parallel search).
-    `budget`, when given, is spent once per visited partial assignment;
-    enumeration stops quietly when it runs out, leaving budget.cap_hit set.
+    prunes most of the tree early.  It holds when every point of
+    {0..d-1}, carried through its letters, comes back to itself.
+    `first_images` restricts the images tried for generator 1 (the
+    partitioning hook for parallel search).  `budget`, when given, is
+    spent once per visited partial assignment; enumeration stops quietly
+    at the first node it refuses, leaving budget.cap_hit set.  The search
+    keeps one iterator per assigned generator on an explicit stack, so
+    the number of generators is not bounded by the recursion limit.
     """
-    relators = [tuple(r) for r in relators]
     if num_gens == 0:
         # words over no generators are empty, hence satisfied
         yield ()
         return
-    support = [max((abs(x) for x in r), default=0) for r in relators]
     check_at = [[] for _ in range(num_gens + 1)]
-    for ridx, s in enumerate(support):
-        check_at[max(s, 1)].append(ridx)
+    inverted = [False] * (num_gens + 1)
+    for r in relators:
+        check_at[max((abs(x) for x in r), default=1)].append(r)
+        for x in r:
+            if x < 0:
+                inverted[-x] = True
+    # images[g] is generator g's image and images[-g] its inverse:
+    # negative indices count from the end of the list, so a signed
+    # letter indexes its permutation directly.
+    images = [None] * (2 * num_gens + 1)
+    points = range(d)
     perms = all_permutations(d)
-    images = {}
-
-    def level(k):
-        if budget is not None and not budget.spend():
-            return
-        if k > num_gens:
-            yield tuple(images[i] for i in range(1, num_gens + 1))
-            return
-        choices = first_images if (k == 1 and first_images is not None) else perms
-        for p in choices:
+    if budget is not None and not budget.spend():
+        return
+    stack = [iter(first_images if first_images is not None else perms)]
+    while stack:
+        k = len(stack)
+        for p in stack[-1]:
             images[k] = p
-            ok = True
-            for ridx in check_at[k]:
-                if word_image(relators[ridx], images, d) != identity(d):
-                    ok = False
+            if inverted[k]:
+                images[-k] = inverse(p)
+            for word in check_at[k]:
+                if not _holds(word, images, points):
                     break
-            if ok:
-                yield from level(k + 1)
-            if budget is not None and budget.cap_hit:
-                break
-        images.pop(k, None)
-
-    yield from level(1)
+            else:
+                if budget is not None and not budget.spend():
+                    return
+                if k < num_gens:
+                    stack.append(iter(perms))
+                    break
+                yield tuple(images[1:k + 1])
+        else:
+            stack.pop()

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import permutations as perm
-from .complexes import EdgePath, SquareComplex, free_reduce, trace
+from .complexes import (EdgePath, SquareComplex, free_reduce,
+                        structural_violations, trace)
 from .constructions import DoubledComplex
 from .covers import (Cover, cover_from_assignment, is_connected, iter_covers,
                      preimage_hyperplane_components, pullback_cover,
@@ -49,6 +50,12 @@ class SearchBudget:
     max_nodes: Optional[int] = None
     deterministic: bool = False
     workers: Optional[int] = None
+
+    def __post_init__(self):
+        if self.max_degree < 0:
+            raise ValueError("max_degree must not be negative")
+        if self.max_nodes is not None and self.max_nodes < 0:
+            raise ValueError("max_nodes must not be negative")
 
     def effective_workers(self) -> int:
         if self.deterministic:
@@ -170,6 +177,12 @@ def _scan_degree(num_gens, relators, d, predicate, budget: SearchBudget,
     return None, sum(tried)
 
 
+def _require_structure(cx: SquareComplex):
+    if structural_violations(cx):
+        raise ValueError("complex is structurally invalid; "
+                         "run validate for details")
+
+
 def _as_word(word, pres: GroupPresentation) -> tuple:
     if isinstance(word, str):
         return parse_word(word, pres.generators)
@@ -261,7 +274,9 @@ def loop_survives(cx: SquareComplex, loop: EdgePath,
     Equivalent to the loop's class surviving in some finite quotient of
     the fundamental group; the witness is returned as an actual cover
     with identity tree edges, plus a sheet its transport moves.
+    Raises ValueError on a structurally invalid complex.
     """
+    _require_structure(cx)
     pres = pi1_presentation(cx, loop.start)
     word = pres.loop_word(loop)
     stats = SearchStats()
@@ -306,8 +321,10 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
     one representative per conjugacy class.  In "each" mode a cover with
     a clean component but dirty siblings promotes to its regular closure,
     whose homogeneity usually cleans every component; the closure is
-    checked honestly and only reported if it passes.
+    checked honestly and only reported if it passes.  Raises ValueError
+    on a structurally invalid complex.
     """
+    _require_structure(cx)
     mode = mode.lower()
     if mode not in ("some", "each"):
         raise ValueError("mode must be 'some' or 'each'")

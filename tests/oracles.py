@@ -12,6 +12,8 @@ injectively on vertices and edges.
 
 import itertools
 
+from vhcomplex import permutations as perm
+
 
 def _in_end(d):
     return 1 if d > 0 else 0
@@ -153,3 +155,51 @@ def oracle_torus_cover_count(d):
             reps.add(min((_conjugate(p, s), _conjugate(q, s))
                          for s in perms))
     return len(reps)
+
+
+# ---------------------------------------------------------------------------
+# homomorphism enumeration, relator by relator through word_image
+
+
+def reference_iter_homs(num_gens, relators, d, first_images=None,
+                        budget=None):
+    """The recursive enumerator permutations.iter_homs replaced.
+
+    It checks each relator by composing whole permutations with
+    word_image, and it spends the budget, stops on the cap and orders
+    its yields as iter_homs must.
+    """
+    relators = [tuple(r) for r in relators]
+    if num_gens == 0:
+        yield ()
+        return
+    support = [max((abs(x) for x in r), default=0) for r in relators]
+    check_at = [[] for _ in range(num_gens + 1)]
+    for ridx, s in enumerate(support):
+        check_at[max(s, 1)].append(ridx)
+    perms = perm.all_permutations(d)
+    images = {}
+
+    def level(k):
+        if budget is not None and not budget.spend():
+            return
+        if k > num_gens:
+            yield tuple(images[i] for i in range(1, num_gens + 1))
+            return
+        choices = first_images if (k == 1 and first_images is not None) \
+            else perms
+        for p in choices:
+            images[k] = p
+            ok = True
+            for ridx in check_at[k]:
+                if perm.word_image(relators[ridx], images, d) \
+                        != perm.identity(d):
+                    ok = False
+                    break
+            if ok:
+                yield from level(k + 1)
+            if budget is not None and budget.cap_hit:
+                break
+        images.pop(k, None)
+
+    yield from level(1)

@@ -98,18 +98,28 @@ def test_criterion_03_cleanness_agrees_with_carrier_oracle():
           % checked)
 
 
+def _sigma(n):
+    return sum(k for k in range(1, n + 1) if n % k == 0)
+
+
 def test_criterion_04_torus_cover_census():
-    expected = {2: 3, 3: 4, 4: 7, 5: 6}
+    # connected degree-d covers of the torus up to isomorphism are the
+    # index-d subgroups of Z^2, and there are sigma(d) of them
+    expected = {2: 3, 3: 4, 4: 7, 5: 6, 6: 12}
     t = helpers.load_complex("torus")
     started = time.monotonic()
     for d, count in expected.items():
+        assert _sigma(d) == count, d
         assert len(enumerate_covers(t, d, connected=True,
                                     up_to_conjugacy=True)) == count, d
-        assert oracles.oracle_torus_cover_count(d) == count, d
+        if d <= 5:
+            # the oracle's d!-way conjugacy scan takes seconds at d = 6,
+            # where sigma(d) alone is the check
+            assert oracles.oracle_torus_cover_count(d) == count, d
     elapsed = time.monotonic() - started
     assert elapsed < 60.0
-    print("PASS criterion 4: torus census 3,4,7,6 for degrees 2-5 "
-          "(package and oracle, %.1fs)" % elapsed)
+    print("PASS criterion 4: torus census 3,4,7,6,12 for degrees 2-6 "
+          "(package and sigma(d); oracle to degree 5, %.1fs)" % elapsed)
 
 
 def test_criterion_05_regular_closures_are_normal():

@@ -342,6 +342,30 @@ def test_cli_search_loop_survival(tmp_path, capsys):
     assert code == 1 and json.loads(out)["status"] == "EXHAUSTED"
 
 
+@pytest.mark.parametrize("name", ["bad_closure", "bad_length"])
+def test_cli_search_rejects_structurally_invalid_complex(capsys, name):
+    code = console_main(["search", "loop-survival",
+                         "--complex", helpers.fixture_path(name),
+                         "--loop", helpers.fixture_path("loop_a"),
+                         "--max-degree", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: complex is structurally invalid; "
+                            "run validate for details\n")
+
+
+@pytest.mark.parametrize("bound", [["--max-degree", "-3"],
+                                   ["--max-degree", "3", "--max-nodes", "-1"]])
+def test_cli_search_rejects_negative_budget(capsys, bound):
+    code = console_main(["search", "loop-survival",
+                         "--complex", helpers.fixture_path("torus"),
+                         "--loop", helpers.fixture_path("loop_a")] + bound)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") \
+        and captured.err.count("\n") == 1
+
+
 def test_cli_search_profinite_probe(capsys):
     code, out = run_cli(capsys, "search", "profinite-probe",
                         "--presentation",

@@ -1,6 +1,7 @@
 import pytest
 
-from vhcomplex import (Cover, EdgePath, GroupPresentation, LoopWitness,
+from vhcomplex import (Cover, EdgePath, GroupPresentation, Hyperplane,
+                       LoopWitness,
                        QuotientWitness, SearchBudget, VCleanWitness,
                        clean_cover_from_survival, double_along_loop,
                        element_survives, hyperplane_of_edge, hyperplanes,
@@ -55,6 +56,14 @@ def test_budget_cap_reports_honestly():
                            SearchBudget(max_degree=6, max_nodes=2))
     assert not out.found
     assert out.stats.cap_hit and out.stats.nodes <= 3
+
+
+def test_budget_rejects_negative_bounds():
+    with pytest.raises(ValueError):
+        SearchBudget(max_degree=-3)
+    with pytest.raises(ValueError):
+        SearchBudget(max_degree=2, max_nodes=-1)
+    assert SearchBudget(max_degree=0, max_nodes=0).max_nodes == 0
 
 
 def test_deterministic_outcome_ignores_worker_request():
@@ -154,6 +163,16 @@ def test_vclean_input_checks():
     k = helpers.load_complex("klein")
     with pytest.raises(ValueError):
         semi_decide_virtually_clean(k, h, "some", SearchBudget(2))
+
+
+@pytest.mark.parametrize("name", ["bad_closure", "bad_length"])
+def test_searches_reject_structurally_invalid_complexes(name):
+    cx = helpers.load_complex(name)
+    with pytest.raises(ValueError, match="structurally invalid"):
+        loop_survives(cx, EdgePath(0, (1,)), SearchBudget(2))
+    h = Hyperplane(cx, frozenset([1]), ())
+    with pytest.raises(ValueError, match="structurally invalid"):
+        semi_decide_virtually_clean(cx, h, "some", SearchBudget(2))
 
 
 def test_certificate_round_trip_on_klein_double():
