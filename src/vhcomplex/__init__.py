@@ -23,9 +23,9 @@ from .constructions import (CrushMap, DoubledComplex, PairItem,
 from .covers import (Cover, RegularClosure, TotalSpace,
                      cover_from_assignment, enumerate_covers, is_connected,
                      is_normal, iter_covers, lift_dart, lift_path, monodromy,
-                     preimage_hyperplane_components, pullback_cover,
-                     regular_closure, total_space, transport, trivial_cover,
-                     validate_cover)
+                     preimage_cleanness, preimage_hyperplane_components,
+                     pullback_cover, regular_closure, total_space, transport,
+                     trivial_cover, validate_cover)
 from .hyperplanes import (CleanlinessReport, Hyperplane, PushingMap,
                           TwoSidedness, hyperplane_of_edge, hyperplanes,
                           inter_osculates, is_clean, is_complex_clean,

@@ -356,30 +356,34 @@ def enumerate_simple_loops(cx: SquareComplex, basepoint: int,
     for v in out_darts:
         out_darts[v].sort(key=lambda d: (abs(d), 0 if d > 0 else 1))
 
+    # depth-first on an explicit stack: one dart iterator per vertex of
+    # the current path, so long cycles do not hit the recursion limit
     found = []
     word = []
     used_edges = set()
     visited = set()
-
-    def extend(at):
-        for d in out_darts.get(at, ()):
-            if abs(d) in used_edges:
-                continue
-            to = cx.dart_head(d)
-            if to == basepoint:
-                found.append(EdgePath(basepoint, tuple(word) + (d,)))
-                continue
-            if to in visited:
-                continue
-            visited.add(to)
-            used_edges.add(abs(d))
-            word.append(d)
-            extend(to)
-            word.pop()
-            used_edges.discard(abs(d))
-            visited.discard(to)
-
-    extend(basepoint)
+    stack = [iter(out_darts.get(basepoint, ()))]
+    while stack:
+        d = next(stack[-1], None)
+        if d is None:
+            stack.pop()
+            if word:
+                last = word.pop()
+                used_edges.discard(abs(last))
+                visited.discard(cx.dart_head(last))
+            continue
+        if abs(d) in used_edges:
+            continue
+        to = cx.dart_head(d)
+        if to == basepoint:
+            found.append(EdgePath(basepoint, tuple(word) + (d,)))
+            continue
+        if to in visited:
+            continue
+        visited.add(to)
+        used_edges.add(abs(d))
+        word.append(d)
+        stack.append(iter(out_darts.get(to, ())))
     return tuple(sorted(found, key=lambda p: (len(p.word), p.word)))
 
 

@@ -59,10 +59,33 @@ def transport(c: Cover, word: Sequence[int]) -> tuple:
 
 def validate_cover(c: Cover) -> bool:
     """True iff every square boundary transports to the identity.
-    Malformed permutation data raises instead."""
+    Malformed permutation data raises instead.
+
+    Each square is checked point by point: every sheet is carried through
+    the square's darts and must come back, and each edge's inverse is
+    computed once, when a dart first crosses it backwards.
+    """
     _check_shape(c)
-    ident = perm.identity(c.degree)
-    return all(transport(c, w) == ident for w in c.base.squares)
+    perms = c.perms
+    inverses = {}
+    sheets = range(c.degree)
+    for w in c.base.squares:
+        maps = []
+        for dart in w:
+            if dart < 0:
+                q = inverses.get(dart)
+                if q is None:
+                    q = inverses[dart] = perm.inverse(perms[-dart - 1])
+            else:
+                q = perms[dart - 1]
+            maps.append(q)
+        for s in sheets:
+            t = s
+            for q in maps:
+                t = q[t]
+            if t != s:
+                return False
+    return True
 
 
 def trivial_cover(cx: SquareComplex) -> Cover:
@@ -247,6 +270,108 @@ def preimage_hyperplane_components(c: Cover, y: Hyperplane):
         if base_eid in y.dual_edges:
             out.append(h)
     return tuple(out)
+
+
+def preimage_cleanness(c: Cover, y: Hyperplane) -> tuple:
+    """((component id, clean), ...) for the components of the preimage of
+    a base hyperplane, sorted by id, from the permutations alone.
+
+    Agrees with is_clean on preimage_hyperplane_components(c, y) without
+    realizing the total space.  Lifted edge (e, s) has id (e-1)*d+s+1 as
+    in total_space, and a component's id is its least lifted edge.  One
+    parity union-find over the lifted dual edges gives the components:
+    a lifted midcube keeps its base midcube's parity, because lifting
+    keeps dart signs, and a parity conflict makes a component one-sided.
+    Each class is co-oriented by its parity to the root; flipping a whole
+    class only swaps its two sides, so the pushing collisions are the
+    ones is_clean finds.  Raises ValueError on a non-cover.
+    """
+    if y.complex != c.base:
+        raise ValueError("hyperplane is not from this cover's base")
+    if not validate_cover(c):
+        raise ValueError("square relations fail; not a cover")
+    base, d, perms = c.base, c.degree, c.perms
+    sheets = range(d)
+    inverses = {}
+    parent = list(range(base.num_edges * d + 1))
+    rel = [0] * len(parent)    # parity between an edge and its parent
+
+    def find(x):
+        path = []
+        while parent[x] != x:
+            path.append(x)
+            x = parent[x]
+        par = 0
+        for node in reversed(path):
+            par ^= rel[node]
+            rel[node] = par
+            parent[node] = x
+        return x
+
+    pairs_at = {}
+    for i, pair in y.midcubes:
+        pairs_at.setdefault(i, []).append(pair)
+    lifted = []      # (base word, lifted edge ids, pairs in y)
+    conflicts = []
+    for i, pairs in pairs_at.items():
+        w = base.squares[i]
+        for s in sheets:
+            t = s
+            ids = []
+            for dart in w:
+                if dart > 0:
+                    ids.append((dart - 1) * d + t + 1)
+                    t = perms[dart - 1][t]
+                else:
+                    q = inverses.get(dart)
+                    if q is None:
+                        q = inverses[dart] = perm.inverse(perms[-dart - 1])
+                    t = q[t]
+                    ids.append((-dart - 1) * d + t + 1)
+            lifted.append((w, ids, pairs))
+            for pair in pairs:
+                a, b = ids[pair], ids[pair + 2]
+                p = 1 if (w[pair] > 0) == (w[pair + 2] > 0) else 0
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[ra] = rb
+                    rel[ra] = rel[a] ^ rel[b] ^ p
+                elif rel[a] ^ rel[b] != p:
+                    conflicts.append(a)
+    dirty = {find(a) for a in conflicts}
+    for w, ids, pairs in lifted:
+        if len(pairs) == 2 and find(ids[0]) == find(ids[1]):
+            dirty.add(find(ids[0]))
+
+    # pushing maps: with parity 0, side 0 is at the tail of an edge
+    edges = base.edges
+    component_id = {}
+    pushed = set()
+    for e in sorted(y.dual_edges):
+        edge, q = edges[e - 1], perms[e - 1]
+        for s in sheets:
+            x = (e - 1) * d + s + 1
+            r = find(x)
+            component_id.setdefault(r, x)
+            tail, head = edge.tail * d + s, edge.head * d + q[s]
+            near, far = (tail, head) if rel[x] == 0 else (head, tail)
+            for key in ((r, 0, near), (r, 1, far)):
+                if key in pushed:
+                    dirty.add(r)
+                pushed.add(key)
+    pushed.clear()
+    for w, ids, pairs in lifted:
+        for pair in pairs:
+            r = find(ids[pair])
+            before, after = ids[(pair + 3) % 4], ids[(pair + 1) % 4]
+            if (rel[ids[pair]] == 0) != (w[pair] > 0):
+                before, after = after, before
+            for key in ((r, 0, before), (r, 1, after)):
+                if key in pushed:
+                    dirty.add(r)
+                pushed.add(key)
+    return tuple(sorted((x, r not in dirty)
+                        for r, x in component_id.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -275,7 +275,8 @@ def inter_osculates(h1: Hyperplane, h2: Hyperplane) -> bool:
     if h1.dual_edges == h2.dual_edges:
         raise ValueError("inter-osculation needs two distinct hyperplanes")
     return (_crosses(h1, h2) and
-            _osculation_witness(h1, h2) is not None)
+            _osculation_witness(_ends_by_vertex(h1), _ends_by_vertex(h2),
+                                _corners_at(h1.complex)) is not None)
 
 
 def _crosses(h1: Hyperplane, h2: Hyperplane) -> bool:
@@ -288,27 +289,41 @@ def _crosses(h1: Hyperplane, h2: Hyperplane) -> bool:
     return False
 
 
-def _osculation_witness(h1: Hyperplane, h2: Hyperplane):
-    """A vertex contact of the two hyperplanes spanning no square corner,
-    as (vertex, node1, node2), or None."""
-    cx = h1.complex
+def _corners_at(cx: SquareComplex) -> dict:
+    """Vertex -> the set of node pairs that some square corner joins."""
     corners_at = {}
     for i in range(cx.num_squares):
         for v, pair in square_corners(cx, i):
             corners_at.setdefault(v, set()).add(pair)
+    return corners_at
+
+
+def _ends_by_vertex(h: Hyperplane) -> dict:
+    """Vertex -> the dual edge ends (edge id, end) of h at it."""
+    cx = h.complex
+    ends = {}
+    for e in h.dual_edges:
+        edge = cx.edge(e)
+        ends.setdefault(edge.tail, []).append((e, 0))
+        ends.setdefault(edge.head, []).append((e, 1))
+    return ends
+
+
+def _osculation_witness(ends1: dict, ends2: dict, corners_at: dict):
+    """The least vertex contact of two hyperplanes, given their ends by
+    vertex, that spans no square corner, as (vertex, node1, node2), or
+    None.  Only vertices both hyperplanes reach are compared."""
     found = []
-    for e1 in sorted(h1.dual_edges):
-        edge1 = cx.edge(e1)
-        for end1, v1 in ((0, edge1.tail), (1, edge1.head)):
-            for e2 in sorted(h2.dual_edges):
-                edge2 = cx.edge(e2)
-                for end2, v2 in ((0, edge2.tail), (1, edge2.head)):
-                    if v1 != v2:
-                        continue
-                    n1, n2 = (e1, end1), (e2, end2)
-                    pair = (n1, n2) if n1 <= n2 else (n2, n1)
-                    if pair not in corners_at.get(v1, ()):
-                        found.append((v1, n1, n2))
+    for v, nodes1 in ends1.items():
+        nodes2 = ends2.get(v)
+        if not nodes2:
+            continue
+        corners = corners_at.get(v, ())
+        for n1 in nodes1:
+            for n2 in nodes2:
+                pair = (n1, n2) if n1 <= n2 else (n2, n1)
+                if pair not in corners:
+                    found.append((v, n1, n2))
     return min(found) if found else None
 
 
@@ -317,11 +332,23 @@ def is_complex_clean(cx: SquareComplex) -> bool:
 
 
 def is_special(cx: SquareComplex) -> bool:
-    """Clean and free of inter-osculating pairs."""
+    """Clean and free of inter-osculating pairs.
+
+    Only crossing pairs can inter-osculate, and every crossing shows in
+    one square, so the pairs come from the squares; the corner table and
+    each hyperplane's ends are built once.
+    """
     hyps = hyperplanes(cx)
     if not all(is_clean(h).clean for h in hyps):
         return False
-    for h1, h2 in combinations(hyps, 2):
-        if inter_osculates(h1, h2):
-            return False
-    return True
+    index = {e: k for k, h in enumerate(hyps) for e in h.dual_edges}
+    crossing = set()
+    for w in cx.squares:
+        a, b = index[abs(w[0])], index[abs(w[1])]
+        if a != b:
+            crossing.add((min(a, b), max(a, b)))
+    corners_at = _corners_at(cx)
+    ends = [_ends_by_vertex(h) for h in hyps]
+    return not any(
+        _osculation_witness(ends[a], ends[b], corners_at) is not None
+        for a, b in sorted(crossing))

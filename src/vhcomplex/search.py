@@ -32,8 +32,9 @@ from .complexes import (EdgePath, SquareComplex, free_reduce,
                         structural_violations, trace)
 from .constructions import DoubledComplex
 from .covers import (Cover, cover_from_assignment, is_connected, iter_covers,
-                     preimage_hyperplane_components, pullback_cover,
-                     regular_closure, transport, validate_cover)
+                     preimage_cleanness, preimage_hyperplane_components,
+                     pullback_cover, regular_closure, transport,
+                     validate_cover)
 from .hyperplanes import Hyperplane, is_clean
 from .presentations import GroupPresentation, parse_word, pi1_presentation
 
@@ -62,7 +63,12 @@ class SearchBudget:
             return 1
         w = self.workers
         if w is None:
-            w = int(os.environ.get(WORKERS_ENV, "1"))
+            raw = os.environ.get(WORKERS_ENV, "1")
+            try:
+                w = int(raw)
+            except ValueError:
+                raise ValueError("%s must be an integer worker count, "
+                                 "not %r" % (WORKERS_ENV, raw)) from None
         return max(1, w)
 
 
@@ -321,8 +327,12 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
     one representative per conjugacy class.  In "each" mode a cover with
     a clean component but dirty siblings promotes to its regular closure,
     whose homogeneity usually cleans every component; the closure is
-    checked honestly and only reported if it passes.  Raises ValueError
-    on a structurally invalid complex.
+    checked honestly and only reported if it passes.  Components are
+    checked from the permutations by preimage_cleanness, never by
+    realizing a total space; revalidate_vclean_witness does realize the
+    witness cover.  homs_tried counts the covers checked, and
+    covers_realized counts those plus the closures checked.  Raises
+    ValueError on a structurally invalid complex.
     """
     _require_structure(cx)
     mode = mode.lower()
@@ -334,27 +344,27 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
     n = len(pres.generators)
     stats = SearchStats()
     node_budget = _SharedBudget(budget.max_nodes)
+    tried = [0]
     realized = [0]
     lock = threading.Lock()
 
     def check(cover):
         with lock:
+            tried[0] += 1
             realized[0] += 1
-        comps = preimage_hyperplane_components(cover, h)
-        reports = [is_clean(c) for c in comps]
+        comps = preimage_cleanness(cover, h)
         if mode == "some":
-            for comp, rep in zip(comps, reports):
-                if rep.clean:
-                    return VCleanWitness(mode, h.id, cover, comp.id)
+            for cid, clean in comps:
+                if clean:
+                    return VCleanWitness(mode, h.id, cover, cid)
             return None
-        if all(rep.clean for rep in reports):
+        if all(clean for _, clean in comps):
             return VCleanWitness(mode, h.id, cover, None)
-        if any(rep.clean for rep in reports):
+        if any(clean for _, clean in comps):
             closure = regular_closure(cover).cover
             with lock:
                 realized[0] += 1
-            ccomps = preimage_hyperplane_components(closure, h)
-            if all(is_clean(c).clean for c in ccomps):
+            if all(clean for _, clean in preimage_cleanness(closure, h)):
                 return VCleanWitness(mode, h.id, closure, None)
         return None
 
@@ -377,6 +387,7 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
         else:
             with ThreadPoolExecutor(max_workers=len(parts)) as ex:
                 list(ex.map(run, range(len(parts))))
+        stats.homs_tried = tried[0]
         stats.covers_realized = realized[0]
         stats.nodes = node_budget.nodes
         stats.cap_hit = node_budget.cap_hit

@@ -13,6 +13,8 @@ injectively on vertices and edges.
 import itertools
 
 from vhcomplex import permutations as perm
+from vhcomplex.complexes import square_corners
+from vhcomplex.covers import _check_shape, transport
 
 
 def _in_end(d):
@@ -203,3 +205,80 @@ def reference_iter_homs(num_gens, relators, d, first_images=None,
         images.pop(k, None)
 
     yield from level(1)
+
+
+# ---------------------------------------------------------------------------
+# replaced implementations, kept as slow paths
+
+
+def reference_validate_cover(c):
+    """The transport-based check covers.validate_cover replaced: compose
+    each square's boundary into one permutation and compare it with the
+    identity.  Malformed permutation data raises the same errors."""
+    _check_shape(c)
+    ident = perm.identity(c.degree)
+    return all(transport(c, w) == ident for w in c.base.squares)
+
+
+def reference_osculation_witness(h1, h2):
+    """The per-pair contact search is_special replaced: rebuild the
+    corner table, then compare every end of one hyperplane with every
+    end of the other.  Returns the least (vertex, node1, node2) that no
+    square corner joins, or None."""
+    cx = h1.complex
+    corners_at = {}
+    for i in range(cx.num_squares):
+        for v, pair in square_corners(cx, i):
+            corners_at.setdefault(v, set()).add(pair)
+    found = []
+    for e1 in sorted(h1.dual_edges):
+        edge1 = cx.edge(e1)
+        for end1, v1 in ((0, edge1.tail), (1, edge1.head)):
+            for e2 in sorted(h2.dual_edges):
+                edge2 = cx.edge(e2)
+                for end2, v2 in ((0, edge2.tail), (1, edge2.head)):
+                    if v1 != v2:
+                        continue
+                    n1, n2 = (e1, end1), (e2, end2)
+                    pair = (n1, n2) if n1 <= n2 else (n2, n1)
+                    if pair not in corners_at.get(v1, ()):
+                        found.append((v1, n1, n2))
+    return min(found) if found else None
+
+
+def reference_simple_loops(cx, basepoint, labels=None):
+    """The recursive enumerator constructions.enumerate_simple_loops
+    replaced, as (start, word) pairs in its output order."""
+    out_darts = {}
+    for eid, e in enumerate(cx.edges, start=1):
+        if labels is not None and e.label not in labels:
+            continue
+        out_darts.setdefault(e.tail, []).append(eid)
+        out_darts.setdefault(e.head, []).append(-eid)
+    for v in out_darts:
+        out_darts[v].sort(key=lambda d: (abs(d), 0 if d > 0 else 1))
+    found = []
+    word = []
+    used_edges = set()
+    visited = set()
+
+    def extend(at):
+        for d in out_darts.get(at, ()):
+            if abs(d) in used_edges:
+                continue
+            to = cx.dart_head(d)
+            if to == basepoint:
+                found.append(tuple(word) + (d,))
+                continue
+            if to in visited:
+                continue
+            visited.add(to)
+            used_edges.add(abs(d))
+            word.append(d)
+            extend(to)
+            word.pop()
+            used_edges.discard(abs(d))
+            visited.discard(to)
+
+    extend(basepoint)
+    return [(basepoint, w) for w in sorted(found, key=lambda w: (len(w), w))]

@@ -1,15 +1,17 @@
 import itertools
+import random
 
 import pytest
 
-from vhcomplex import (EdgePath, GroupPresentation, attach_loop,
-                       attach_relators, crush_word, double_along_loop,
-                       enumerate_simple_loops, hyperplanes, is_clean,
-                       is_two_sided, pair_enumerator, pointed_pair,
-                       presentation_complex, subdivide_edges, trace,
-                       validate, validate_cellular_map)
+from vhcomplex import (Edge, EdgePath, GroupPresentation, SquareComplex,
+                       attach_loop, attach_relators, crush_word,
+                       double_along_loop, enumerate_simple_loops,
+                       hyperplanes, is_clean, is_two_sided, pair_enumerator,
+                       pointed_pair, presentation_complex, subdivide_edges,
+                       trace, validate, validate_cellular_map)
 
 import helpers
+import oracles
 
 
 def make(gens, rels):
@@ -185,6 +187,28 @@ def test_enumerate_simple_loops():
     assert [p.word for p in v_loops] == [(-2, -1), (1, 2)]
     with pytest.raises(ValueError):
         enumerate_simple_loops(theta, 5)
+
+
+def test_enumerate_simple_loops_matches_recursive_reference():
+    rng = random.Random(8)
+    complexes = [helpers.load_complex(name)
+                 for name in helpers.GOOD_FIXTURES + ("bad_vh",)]
+    complexes += [helpers.random_vh_complex(rng) for _ in range(40)]
+    for cx in complexes:
+        for v in range(cx.num_vertices):
+            for labels in (None, frozenset(["V"]), frozenset(["H"])):
+                got = [(p.start, p.word)
+                       for p in enumerate_simple_loops(cx, v, labels)]
+                assert got == oracles.reference_simple_loops(cx, v, labels)
+
+
+def test_enumerate_simple_loops_on_a_long_cycle():
+    n = 1100
+    cycle = SquareComplex(n, tuple(Edge(i, (i + 1) % n, "V")
+                                   for i in range(n)), ())
+    loops = enumerate_simple_loops(cycle, 0)
+    assert [p.word for p in loops] == [tuple(range(-n, 0)),
+                                       tuple(range(1, n + 1))]
 
 
 def test_pair_enumerator_diagonal_order():

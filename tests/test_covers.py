@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from vhcomplex import (Cover, EdgePath, cover_from_assignment,
-                       enumerate_covers, hyperplane_of_edge, hyperplanes,
-                       identity_map, is_connected, is_normal, iter_covers,
-                       lift_path, monodromy, pi1_presentation,
+from vhcomplex import (Cover, Edge, EdgePath, SquareComplex,
+                       cover_from_assignment, enumerate_covers,
+                       hyperplane_of_edge, hyperplanes, identity_map,
+                       is_clean, is_connected, is_normal,
+                       iter_covers, lift_path, monodromy, pair_enumerator,
+                       pi1_presentation, preimage_cleanness,
                        preimage_hyperplane_components, pullback_cover,
                        regular_closure, subdivide_edges, total_space,
                        transport, trivial_cover, validate,
@@ -13,6 +15,10 @@ from vhcomplex import (Cover, EdgePath, cover_from_assignment,
 from vhcomplex import permutations as perm
 
 import helpers
+import oracles
+
+# fixtures that pass the structural checks, so their covers realize
+VALID_FIXTURES = helpers.GOOD_FIXTURES + ("bad_vh",)
 
 
 def torus_cover(pa, pb):
@@ -190,3 +196,128 @@ def test_random_covers_validate_and_realize():
             ts = total_space(c)
             assert validate(ts.complex).all_ok
             assert validate_cellular_map(ts.projection) == []
+
+
+def test_validate_cover_matches_transport_check():
+    rng = random.Random(2026)
+    checked = {True: 0, False: 0}
+    names = VALID_FIXTURES + ("bad_closure", "bad_length")
+    for name in names:
+        cx = helpers.load_complex(name)
+        for d in range(1, 5):
+            candidates = [Cover(cx, d, tuple(helpers.random_permutation(rng, d)
+                                             for _ in range(cx.num_edges)))
+                          for _ in range(40)]
+            if name in VALID_FIXTURES:
+                candidates += list(iter_covers(cx, d))[:40]
+            for c in candidates:
+                expected = oracles.reference_validate_cover(c)
+                assert validate_cover(c) == expected
+                checked[expected] += 1
+        # malformed data: the same errors from both
+        for d, perms in ((2, ()), (2, ((0, 0),) * cx.num_edges),
+                         (0, ((),) * cx.num_edges)):
+            c = Cover(cx, d, perms)
+            with pytest.raises(ValueError) as slow:
+                oracles.reference_validate_cover(c)
+            with pytest.raises(ValueError) as fast:
+                validate_cover(c)
+            assert str(fast.value) == str(slow.value)
+    assert checked[True] > 100 and checked[False] > 100
+
+
+def realized_cleanness(c, y):
+    """The realize-and-check answer that preimage_cleanness reproduces."""
+    return tuple((h.id, is_clean(h).clean)
+                 for h in preimage_hyperplane_components(c, y))
+
+
+def bigon_complex():
+    """Two squares sharing three sides, so links have a doubled corner.
+    Its V hyperplane pushes two midcubes onto one edge on side 1 only,
+    and its H hyperplane collides on edges as well as midcubes."""
+    edges = (Edge(0, 1, "V"), Edge(1, 2, "H"), Edge(3, 2, "V"),
+             Edge(0, 3, "H"), Edge(0, 3, "H"))
+    return SquareComplex(4, edges, ((1, 2, -3, -4), (-1, 5, 3, -2)))
+
+
+def test_preimage_cleanness_on_fixture_covers():
+    seen = set()
+    complexes = [helpers.load_complex(name) for name in VALID_FIXTURES]
+    for cx in complexes + [bigon_complex()]:
+        for d in range(1, 4):
+            for c in iter_covers(cx, d):
+                for y in hyperplanes(cx):
+                    assert preimage_cleanness(c, y) \
+                        == realized_cleanness(c, y), (cx, c.perms, y.id)
+                    for h in preimage_hyperplane_components(c, y):
+                        rep = is_clean(h)
+                        seen.add((rep.two_sided, rep.self_crossing,
+                                  bool(rep.self_osculation_witnesses)))
+    # one-sided, self-crossing, self-osculating and clean components
+    assert {(False, False, False), (True, True, True), (True, False, True),
+            (True, False, False)} <= seen
+
+
+def doubled_complex():
+    """The double of the torus along its vertical loop that the pair
+    enumerator gives first for the trivial group."""
+    item = next(pair_enumerator([helpers.load_presentation("trivial_group")],
+                                helpers.load_complex("torus"),
+                                EdgePath(0, (1,))))
+    return item.double.complex
+
+
+def test_preimage_cleanness_on_doubled_complex():
+    cx = doubled_complex()
+    assert (cx.num_vertices, cx.num_edges, cx.num_squares) == (22, 68, 42)
+    hyps = hyperplanes(cx)
+    edge_to_base = {e: y.id for y in hyps for e in y.dual_edges}
+    count = 0
+    for d in (1, 2):
+        for c in iter_covers(cx, d):
+            # one total space per cover, split by base hyperplane
+            upstairs = {y.id: [] for y in hyps}
+            for h in hyperplanes(total_space(c).complex):
+                upstairs[edge_to_base[(h.id - 1) // d + 1]].append(
+                    (h.id, is_clean(h).clean))
+            for y in hyps:
+                assert preimage_cleanness(c, y) == tuple(upstairs[y.id])
+            count += 1
+    assert count == 513
+    # the split above is the one preimage_hyperplane_components makes
+    y = hyps[0]
+    assert preimage_cleanness(c, y) == realized_cleanness(c, y)
+
+
+def test_preimage_cleanness_on_regular_closures():
+    rng = random.Random(41)
+    samples = []
+    for name in ("klein", "theta", "wedge2"):
+        cx = helpers.load_complex(name)
+        samples += [helpers.random_connected_cover(rng, cx, rng.randint(2, 3))
+                    for _ in range(4)]
+    d_covers = list(iter_covers(doubled_complex(), 3, connected=True,
+                                up_to_conjugacy=True,
+                                budget=perm.NodeBudget(3000)))
+    samples += rng.sample(d_covers, 3)
+    degrees = set()
+    for c in samples:
+        closure = regular_closure(c).cover
+        degrees.add(closure.degree)
+        for y in hyperplanes(c.base):
+            assert preimage_cleanness(closure, y) \
+                == realized_cleanness(closure, y)
+    assert max(degrees) == 6
+
+
+def test_preimage_cleanness_rejects_non_covers():
+    t = helpers.load_complex("torus")
+    y = hyperplanes(t)[0]
+    with pytest.raises(ValueError, match="not a cover"):
+        preimage_cleanness(torus_cover([1, 2, 0], [1, 0, 2]), y)
+    with pytest.raises(ValueError):
+        preimage_cleanness(Cover(t, 2, ((0, 0), (0, 1))), y)
+    with pytest.raises(ValueError):
+        preimage_cleanness(torus_cover([1, 0], [0, 1]),
+                           hyperplanes(helpers.load_complex("klein"))[0])

@@ -366,6 +366,18 @@ def test_cli_search_rejects_negative_budget(capsys, bound):
         and captured.err.count("\n") == 1
 
 
+def test_cli_search_rejects_bad_worker_variable(capsys, monkeypatch):
+    monkeypatch.setenv("VHCOMPLEX_WORKERS", "abc")
+    code = console_main(["search", "loop-survival",
+                         "--complex", helpers.fixture_path("torus"),
+                         "--loop", helpers.fixture_path("loop_a"),
+                         "--max-degree", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: VHCOMPLEX_WORKERS must be an integer "
+                            "worker count, not 'abc'\n")
+
+
 def test_cli_search_profinite_probe(capsys):
     code, out = run_cli(capsys, "search", "profinite-probe",
                         "--presentation",

@@ -1,11 +1,14 @@
+import itertools
 import random
 
 import pytest
 
-from vhcomplex import (Edge, SquareComplex, hyperplane_of_edge, hyperplanes,
-                       inter_osculates, is_clean, is_complex_clean,
-                       is_special, is_two_sided, pushing_map, self_crossing)
-from vhcomplex.hyperplanes import midcube_dual_pair
+from vhcomplex import (Cover, Edge, SquareComplex, hyperplane_of_edge,
+                       hyperplanes, inter_osculates, is_clean,
+                       is_complex_clean, is_special, is_two_sided,
+                       iter_covers, pushing_map, self_crossing, total_space)
+from vhcomplex.hyperplanes import (_corners_at, _crosses, _ends_by_vertex,
+                                   _osculation_witness, midcube_dual_pair)
 
 import helpers
 import oracles
@@ -142,3 +145,63 @@ def test_agreement_with_boundary_oracle():
                 == oracles.oracle_two_sided(cx, h.dual_edges)
             assert is_clean(h).clean \
                 == oracles.oracle_clean(cx, h.dual_edges)
+
+
+def _grid_torus(m, n):
+    """Total space of the m x n grid cover of the one-square torus."""
+    v = tuple(((i + 1) % m) * n + j for i in range(m) for j in range(n))
+    h = tuple(i * n + (j + 1) % n for i in range(m) for j in range(n))
+    return total_space(Cover(helpers.load_complex("torus"), m * n,
+                             (v, h))).complex
+
+
+def _pairwise_special(cx):
+    """is_special as a scan of every hyperplane pair with the oracle."""
+    hyps = hyperplanes(cx)
+    return all(is_clean(h).clean for h in hyps) and not any(
+        _crosses(h1, h2) and
+        oracles.reference_osculation_witness(h1, h2) is not None
+        for h1, h2 in itertools.combinations(hyps, 2))
+
+
+def _assert_contacts_agree(cx, pairs):
+    corners_at = _corners_at(cx)
+    for h1, h2 in pairs:
+        expected = oracles.reference_osculation_witness(h1, h2)
+        assert _osculation_witness(_ends_by_vertex(h1), _ends_by_vertex(h2),
+                                   corners_at) == expected
+        assert inter_osculates(h1, h2) == (_crosses(h1, h2)
+                                           and expected is not None)
+
+
+def test_contacts_by_vertex_match_pairwise_oracle():
+    complexes = [helpers.load_complex(name)
+                 for name in helpers.GOOD_FIXTURES + ("bad_vh",)]
+    for name in ("theta", "klein"):
+        base = helpers.load_complex(name)
+        complexes += [total_space(c).complex for c in iter_covers(base, 2)]
+    rng = random.Random(1)
+    complexes += [helpers.random_vh_complex(rng) for _ in range(60)]
+    osculating = 0
+    for cx in complexes:
+        pairs = list(itertools.combinations(hyperplanes(cx), 2))
+        _assert_contacts_agree(cx, pairs)
+        osculating += sum(inter_osculates(h1, h2) for h1, h2 in pairs)
+        assert is_special(cx) == _pairwise_special(cx)
+    assert osculating > 0
+    assert any(is_special(cx) for cx in complexes)
+    # clean yet not special: the pair scan itself says no
+    assert any(is_complex_clean(cx) and not is_special(cx)
+               for cx in complexes)
+
+
+def test_special_grid_tori():
+    rng = random.Random(5)
+    for m, n in ((24, 24), (32, 16)):
+        cx = _grid_torus(m, n)
+        hyps = hyperplanes(cx)
+        assert len(hyps) == m + n
+        assert is_special(cx)
+        # the oracle rebuilds the corner table per pair; sample the pairs
+        pairs = list(itertools.combinations(hyps, 2))
+        _assert_contacts_agree(cx, rng.sample(pairs, 40))

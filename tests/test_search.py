@@ -9,6 +9,8 @@ from vhcomplex import (Cover, EdgePath, GroupPresentation, Hyperplane,
                        probe_profinite_triviality, revalidate_witness,
                        semi_decide_virtually_clean,
                        survival_from_clean_cover, transport)
+from vhcomplex import search as search_module
+from vhcomplex.covers import enumerate_covers
 
 import helpers
 
@@ -24,6 +26,10 @@ def test_effective_workers(monkeypatch):
     monkeypatch.setenv("VHCOMPLEX_WORKERS", "5")
     assert SearchBudget(4).effective_workers() == 5
     assert SearchBudget(4, workers=0).effective_workers() == 1
+    monkeypatch.setenv("VHCOMPLEX_WORKERS", "abc")
+    with pytest.raises(ValueError, match="VHCOMPLEX_WORKERS must be an "
+                                         "integer worker count, not 'abc'"):
+        SearchBudget(4).effective_workers()
 
 
 def test_element_survives_in_free_group():
@@ -153,6 +159,39 @@ def test_vclean_klein_one_sided_base():
     out = semi_decide_virtually_clean(k, h, "some", SearchBudget(4))
     assert out.found and out.witness.cover.degree == 2
     assert revalidate_witness(out.witness, complex=k, hyperplane=h)
+
+
+def _count_checked_covers(monkeypatch):
+    """Count the covers the vclean scan is handed, one per yield."""
+    checked = [0]
+    real = search_module.iter_covers
+
+    def counting(*args, **kwargs):
+        for cover in real(*args, **kwargs):
+            checked[0] += 1
+            yield cover
+    monkeypatch.setattr(search_module, "iter_covers", counting)
+    return checked
+
+
+def test_vclean_counts_covers_checked(monkeypatch):
+    checked = _count_checked_covers(monkeypatch)
+    t = helpers.load_complex("torus")
+    h = hyperplane_of_edge(hyperplanes(t), 1)
+    out = semi_decide_virtually_clean(t, h, "some", SearchBudget(2))
+    assert out.found
+    assert out.stats.homs_tried == checked[0] == 1
+    assert out.stats.covers_realized == 1
+
+    # an exhausted scan checks every connected cover up to conjugacy
+    checked[0] = 0
+    cx = helpers.load_complex("bad_vh")
+    h = hyperplanes(cx)[0]
+    out = semi_decide_virtually_clean(cx, h, "some", SearchBudget(3))
+    assert not out.found
+    assert out.stats.homs_tried == checked[0] == sum(
+        len(enumerate_covers(cx, d, connected=True, up_to_conjugacy=True))
+        for d in range(1, 4)) == 11
 
 
 def test_vclean_input_checks():
