@@ -16,7 +16,7 @@ from . import formats
 from .complexes import pointed_pair, validate
 from .constructions import attach_relators, double_along_loop
 from .covers import enumerate_covers
-from .hyperplanes import hyperplanes, is_clean, is_special
+from .hyperplanes import _no_inter_osculation, hyperplanes, is_clean
 from .search import (SearchBudget, element_survives, loop_survives,
                      probe_profinite_triviality,
                      semi_decide_virtually_clean)
@@ -49,7 +49,7 @@ def _cmd_hyperplanes(args):
     hyps = hyperplanes(cx)
     reports = [is_clean(h) for h in hyps]
     all_clean = all(r.clean for r in reports)
-    special = all_clean and is_special(cx)
+    special = all_clean and _no_inter_osculation(cx, hyps)
     _emit({
         "hyperplanes": [formats.cleanliness_to_doc(r) for r in reports],
         "all_clean": all_clean,

@@ -40,10 +40,17 @@ def _check_shape(c: Cover):
     if len(c.perms) != c.base.num_edges:
         raise ValueError("%d permutations for %d edges"
                          % (len(c.perms), c.base.num_edges))
+    checked = set()    # each distinct permutation is checked once
     for eid, p in enumerate(c.perms, start=1):
+        try:
+            if p in checked:
+                continue
+        except TypeError:
+            pass    # unhashable entries, which is_permutation rejects
         if not perm.is_permutation(p, c.degree):
             raise ValueError("edge %d: %r is not a permutation of %d sheets"
                              % (eid, p, c.degree))
+        checked.add(p)
 
 
 def transport(c: Cover, word: Sequence[int]) -> tuple:
@@ -62,8 +69,9 @@ def validate_cover(c: Cover) -> bool:
     Malformed permutation data raises instead.
 
     Each square is checked point by point: every sheet is carried through
-    the square's darts and must come back, and each edge's inverse is
-    computed once, when a dart first crosses it backwards.
+    the square's darts and must come back, and each distinct permutation
+    is inverted once, when a dart first crosses an edge carrying it
+    backwards.
     """
     _check_shape(c)
     perms = c.perms
@@ -73,9 +81,10 @@ def validate_cover(c: Cover) -> bool:
         maps = []
         for dart in w:
             if dart < 0:
-                q = inverses.get(dart)
+                p = perms[-dart - 1]
+                q = inverses.get(p)
                 if q is None:
-                    q = inverses[dart] = perm.inverse(perms[-dart - 1])
+                    q = inverses[p] = perm.inverse(p)
             else:
                 q = perms[dart - 1]
             maps.append(q)
@@ -323,9 +332,10 @@ def preimage_cleanness(c: Cover, y: Hyperplane) -> tuple:
                     ids.append((dart - 1) * d + t + 1)
                     t = perms[dart - 1][t]
                 else:
-                    q = inverses.get(dart)
+                    p = perms[-dart - 1]
+                    q = inverses.get(p)
                     if q is None:
-                        q = inverses[dart] = perm.inverse(perms[-dart - 1])
+                        q = inverses[p] = perm.inverse(p)
                     t = q[t]
                     ids.append((-dart - 1) * d + t + 1)
             lifted.append((w, ids, pairs))
@@ -403,17 +413,29 @@ def iter_covers(cx: SquareComplex, degree: int,
     """Stream of degree-d covers with identity on a spanning tree.
 
     Every cover of a connected complex is isomorphic to one of these.
-    Enumeration backtracks over generators in id order with images in
-    lexicographic order; `up_to_conjugacy` keeps an assignment only when
-    it is the least among its simultaneous sheet relabelings, which picks
-    one representative per isomorphism class of (unbased) covers.
-    `first_images` and `budget` pass through to the underlying relator
-    search.
+    Connected covers up to conjugacy, one per isomorphism class of
+    (unbased) connected covers, come from perm.iter_low_index: each is
+    the least standard coset table of its class, in the order that
+    search finds them.  Every other mode backtracks over generators in
+    id order with images in lexicographic order (perm.iter_homs);
+    `up_to_conjugacy` then keeps an assignment only when it is the least
+    among its simultaneous sheet relabelings.  `budget` passes through
+    to the underlying search, and `first_images` to perm.iter_homs; the
+    low-index search takes no `first_images` and raises ValueError.
     """
     if degree < 1:
         raise ValueError("degree must be positive")
     if pres is None:
         pres = pi1_presentation(cx, basepoint)
+    if connected and up_to_conjugacy:
+        if first_images is not None:
+            raise ValueError("first_images does not apply to connected "
+                             "covers up to conjugacy")
+        for assignment in perm.iter_low_index(len(pres.generators),
+                                              pres.relators, degree,
+                                              budget=budget):
+            yield cover_from_assignment(cx, pres, degree, assignment)
+        return
     for assignment in perm.iter_homs(len(pres.generators), pres.relators,
                                      degree, first_images=first_images,
                                      budget=budget):

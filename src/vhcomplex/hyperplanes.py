@@ -332,15 +332,21 @@ def is_complex_clean(cx: SquareComplex) -> bool:
 
 
 def is_special(cx: SquareComplex) -> bool:
-    """Clean and free of inter-osculating pairs.
+    """Clean and free of inter-osculating pairs."""
+    hyps = hyperplanes(cx)
+    if not all(is_clean(h).clean for h in hyps):
+        return False
+    return _no_inter_osculation(cx, hyps)
+
+
+def _no_inter_osculation(cx: SquareComplex, hyps) -> bool:
+    """Whether no two of the complex's hyperplanes, given as
+    hyperplanes(cx), inter-osculate.
 
     Only crossing pairs can inter-osculate, and every crossing shows in
     one square, so the pairs come from the squares; the corner table and
     each hyperplane's ends are built once.
     """
-    hyps = hyperplanes(cx)
-    if not all(is_clean(h).clean for h in hyps):
-        return False
     index = {e: k for k, h in enumerate(hyps) for e in h.dual_edges}
     crossing = set()
     for w in cx.squares:

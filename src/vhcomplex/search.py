@@ -11,12 +11,16 @@ by transporting the certified loop, a cleanness witness by realizing the
 cover and re-running the cleanness test.  The revalidate_* functions do
 exactly that and nothing else.
 
-Worker parallelism partitions the image of the first generator round
-robin.  Every worker scans its slice in ascending order and keeps its
-first find, and the reported witness is the least find across workers,
-so the witness does not depend on the worker count.  Deterministic mode
-forces a single sequential scan; only the visit statistics can differ
-between the modes.
+The quotient and loop searches scan homomorphisms in lexicographic
+order.  Their worker parallelism partitions the image of the first
+generator round robin.  Every worker scans its slice in ascending order
+and keeps its first find, and the reported witness is the least find
+across workers, so the witness does not depend on the worker count.
+Deterministic mode forces a single sequential scan; only the visit
+statistics can differ between the modes.  The virtual-cleanness search
+scans connected covers up to conjugacy with Sims' low-index search,
+sequentially whatever the worker count, one class at a time in the
+order that search finds them.
 """
 
 from __future__ import annotations
@@ -324,7 +328,10 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
     mode "some": a connected cover where some component of the
     hyperplane's preimage is clean.  mode "each": one where every
     component is clean.  Covers are scanned by ascending degree from 1,
-    one representative per conjugacy class.  In "each" mode a cover with
+    one representative per conjugacy class, as covers.iter_covers gives
+    them: the least standard coset table of each class, in the low-index
+    search's order.  The budget's nodes are that search's definitions,
+    and its worker count is ignored.  In "each" mode a cover with
     a clean component but dirty siblings promotes to its regular closure,
     whose homogeneity usually cleans every component; the closure is
     checked honestly and only reported if it passes.  Components are
@@ -341,17 +348,12 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
     if h.complex != cx:
         raise ValueError("hyperplane is not from this complex")
     pres = pi1_presentation(cx, 0)
-    n = len(pres.generators)
     stats = SearchStats()
-    node_budget = _SharedBudget(budget.max_nodes)
-    tried = [0]
-    realized = [0]
-    lock = threading.Lock()
+    node_budget = perm.NodeBudget(budget.max_nodes)
 
     def check(cover):
-        with lock:
-            tried[0] += 1
-            realized[0] += 1
+        stats.homs_tried += 1
+        stats.covers_realized += 1
         comps = preimage_cleanness(cover, h)
         if mode == "some":
             for cid, clean in comps:
@@ -362,41 +364,22 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
             return VCleanWitness(mode, h.id, cover, None)
         if any(clean for _, clean in comps):
             closure = regular_closure(cover).cover
-            with lock:
-                realized[0] += 1
+            stats.covers_realized += 1
             if all(clean for _, clean in preimage_cleanness(closure, h)):
                 return VCleanWitness(mode, h.id, closure, None)
         return None
 
     for d in range(1, budget.max_degree + 1):
-        parts = _partitions(d, budget.effective_workers(), n)
-        results = [None] * len(parts)
-
-        def run(w):
-            for cover in iter_covers(cx, d, connected=True,
-                                     up_to_conjugacy=True, pres=pres,
-                                     first_images=parts[w],
-                                     budget=node_budget):
-                witness = check(cover)
-                if witness is not None:
-                    results[w] = (cover.perms, witness)
-                    return
-
-        if len(parts) == 1:
-            run(0)
-        else:
-            with ThreadPoolExecutor(max_workers=len(parts)) as ex:
-                list(ex.map(run, range(len(parts))))
-        stats.homs_tried = tried[0]
-        stats.covers_realized = realized[0]
-        stats.nodes = node_budget.nodes
-        stats.cap_hit = node_budget.cap_hit
-        finds = [r for r in results if r is not None]
-        if finds:
-            _, witness = min(finds, key=lambda r: r[0])
-            return SearchOutcome(FOUND, witness, budget, stats)
+        for cover in iter_covers(cx, d, connected=True, up_to_conjugacy=True,
+                                 pres=pres, budget=node_budget):
+            witness = check(cover)
+            if witness is not None:
+                stats.nodes = node_budget.nodes
+                return SearchOutcome(FOUND, witness, budget, stats)
         if node_budget.cap_hit:
             break
+    stats.nodes = node_budget.nodes
+    stats.cap_hit = node_budget.cap_hit
     return SearchOutcome(EXHAUSTED, None, budget, stats)
 
 

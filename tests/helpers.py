@@ -2,8 +2,8 @@
 
 import os
 
-from vhcomplex import (Edge, GroupPresentation, SquareComplex, pi1_presentation,
-                       validate)
+from vhcomplex import (Edge, EdgePath, GroupPresentation, SquareComplex,
+                       pair_enumerator, pi1_presentation, validate)
 from vhcomplex.covers import Cover, cover_from_assignment, is_connected
 from vhcomplex import formats
 from vhcomplex.permutations import identity, word_image
@@ -25,6 +25,15 @@ def load_complex(name) -> SquareComplex:
 
 def load_presentation(name) -> GroupPresentation:
     return formats.presentation_from_doc(formats.read_doc(fixture_path(name)))
+
+
+def doubled_complex() -> SquareComplex:
+    """The double of the torus along its vertical loop that the pair
+    enumerator gives first for the trivial group: 22 vertices, 68 edges,
+    42 squares, and 47 generators and 42 relators in its pi1."""
+    item = next(pair_enumerator([load_presentation("trivial_group")],
+                                load_complex("torus"), EdgePath(0, (1,))))
+    return item.double.complex
 
 
 def golden_text(name) -> str:

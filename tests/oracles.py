@@ -14,7 +14,8 @@ import itertools
 
 from vhcomplex import permutations as perm
 from vhcomplex.complexes import square_corners
-from vhcomplex.covers import _check_shape, transport
+from vhcomplex.covers import cover_from_assignment, transport
+from vhcomplex.presentations import pi1_presentation
 
 
 def _in_end(d):
@@ -211,11 +212,25 @@ def reference_iter_homs(num_gens, relators, d, first_images=None,
 # replaced implementations, kept as slow paths
 
 
+def reference_check_shape(c):
+    """The shape check covers.validate_cover made before it checked each
+    distinct permutation once: every edge's permutation, in edge order."""
+    if c.degree < 1:
+        raise ValueError("degree must be positive")
+    if len(c.perms) != c.base.num_edges:
+        raise ValueError("%d permutations for %d edges"
+                         % (len(c.perms), c.base.num_edges))
+    for eid, p in enumerate(c.perms, start=1):
+        if not perm.is_permutation(p, c.degree):
+            raise ValueError("edge %d: %r is not a permutation of %d sheets"
+                             % (eid, p, c.degree))
+
+
 def reference_validate_cover(c):
     """The transport-based check covers.validate_cover replaced: compose
     each square's boundary into one permutation and compare it with the
     identity.  Malformed permutation data raises the same errors."""
-    _check_shape(c)
+    reference_check_shape(c)
     ident = perm.identity(c.degree)
     return all(transport(c, w) == ident for w in c.base.squares)
 
@@ -282,3 +297,53 @@ def reference_simple_loops(cx, basepoint, labels=None):
 
     extend(basepoint)
     return [(basepoint, w) for w in sorted(found, key=lambda w: (len(w), w))]
+
+
+# ---------------------------------------------------------------------------
+# connected covers up to conjugacy
+
+
+def reference_connected_covers(cx, d):
+    """The brute-force path iter_covers(connected=True,
+    up_to_conjugacy=True) replaced: every relator-respecting assignment
+    in lexicographic order, kept when transitive and least among its d!
+    simultaneous relabelings."""
+    pres = pi1_presentation(cx, 0)
+    return [cover_from_assignment(cx, pres, d, a)
+            for a in perm.iter_homs(len(pres.generators), pres.relators, d)
+            if perm.is_transitive(a, d) and perm.is_canonical(a)]
+
+
+def _standard_table(perms, base):
+    """The row-major coset table of the permutations with columns p_1,
+    p_1 inverse, p_2, ..., renumbered from `base` by first appearance."""
+    d = len(perms[0])
+    cols = []
+    for p in perms:
+        inv = [0] * d
+        for i, x in enumerate(p):
+            inv[x] = i
+        cols += [p, inv]
+    label = {base: 0}
+    order = [base]
+    table = []
+    for row in order:
+        for col in cols:
+            if col[row] not in label:
+                label[col[row]] = len(order)
+                order.append(col[row])
+            table.append(label[col[row]])
+    return table
+
+
+def is_least_standard_table(perms):
+    """Whether the permutations, read as a coset table, are in standard
+    form and no other base sheet renumbers them into a smaller table."""
+    if not perms:
+        return True
+    d = len(perms[0])
+    own = _standard_table(perms, 0)
+    flat = [x for row in range(d) for p in perms
+            for x in (p[row], list(p).index(row))]
+    return own == flat and all(own <= _standard_table(perms, b)
+                               for b in range(1, d))

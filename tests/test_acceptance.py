@@ -105,7 +105,7 @@ def _sigma(n):
 def test_criterion_04_torus_cover_census():
     # connected degree-d covers of the torus up to isomorphism are the
     # index-d subgroups of Z^2, and there are sigma(d) of them
-    expected = {2: 3, 3: 4, 4: 7, 5: 6, 6: 12}
+    expected = {2: 3, 3: 4, 4: 7, 5: 6, 6: 12, 7: 8, 8: 15, 9: 13, 10: 18}
     t = helpers.load_complex("torus")
     started = time.monotonic()
     for d, count in expected.items():
@@ -118,8 +118,9 @@ def test_criterion_04_torus_cover_census():
             assert oracles.oracle_torus_cover_count(d) == count, d
     elapsed = time.monotonic() - started
     assert elapsed < 60.0
-    print("PASS criterion 4: torus census 3,4,7,6,12 for degrees 2-6 "
-          "(package and sigma(d); oracle to degree 5, %.1fs)" % elapsed)
+    print("PASS criterion 4: torus census 3,4,7,6,12,8,15,13,18 for "
+          "degrees 2-10 (package and sigma(d); oracle to degree 5, %.1fs)"
+          % elapsed)
 
 
 def test_criterion_05_regular_closures_are_normal():

@@ -6,7 +6,7 @@ from vhcomplex import (Cover, Edge, EdgePath, SquareComplex,
                        cover_from_assignment, enumerate_covers,
                        hyperplane_of_edge, hyperplanes, identity_map,
                        is_clean, is_connected, is_normal,
-                       iter_covers, lift_path, monodromy, pair_enumerator,
+                       iter_covers, lift_path, monodromy,
                        pi1_presentation, preimage_cleanness,
                        preimage_hyperplane_components, pullback_cover,
                        regular_closure, subdivide_edges, total_space,
@@ -175,6 +175,31 @@ def test_iter_covers_budget_and_first_images():
     assert fixed and all(c.perms[0] == (1, 0) for c in fixed)
     with pytest.raises(ValueError):
         next(iter_covers(t, 0))
+    # the low-index search has no first-image slices
+    with pytest.raises(ValueError, match="first_images"):
+        next(iter_covers(t, 2, connected=True, up_to_conjugacy=True,
+                         first_images=[(1, 0)]))
+
+
+def _classes(covers):
+    return {perm.canonical_under_relabeling(c.perms) for c in covers}
+
+
+def test_connected_covers_up_to_conjugacy_match_brute_force():
+    cases = [(helpers.load_complex(name), range(1, 6))
+             for name in VALID_FIXTURES]
+    cases.append((helpers.doubled_complex(), (1, 2)))
+    for cx, degrees in cases:
+        for d in degrees:
+            got = list(iter_covers(cx, d, connected=True,
+                                   up_to_conjugacy=True))
+            want = oracles.reference_connected_covers(cx, d)
+            assert len(got) == len(want) == len(_classes(got)), (cx, d)
+            assert _classes(got) == _classes(want), (cx, d)
+            for c in got:
+                assert validate_cover(c) and is_connected(c)
+    # D's index-2 subgroups: H1(D; Z/2) has rank 9
+    assert len(want) == 511
 
 
 def test_pullback_along_identity():
@@ -216,7 +241,10 @@ def test_validate_cover_matches_transport_check():
                 checked[expected] += 1
         # malformed data: the same errors from both
         for d, perms in ((2, ()), (2, ((0, 0),) * cx.num_edges),
-                         (0, ((),) * cx.num_edges)):
+                         (0, ((),) * cx.num_edges),
+                         (2, (([0], [1]),) * cx.num_edges),
+                         (2, ((0, 1),) * (cx.num_edges - 1)
+                          + (([1], [0]),))):
             c = Cover(cx, d, perms)
             with pytest.raises(ValueError) as slow:
                 oracles.reference_validate_cover(c)
@@ -259,17 +287,8 @@ def test_preimage_cleanness_on_fixture_covers():
             (True, False, False)} <= seen
 
 
-def doubled_complex():
-    """The double of the torus along its vertical loop that the pair
-    enumerator gives first for the trivial group."""
-    item = next(pair_enumerator([helpers.load_presentation("trivial_group")],
-                                helpers.load_complex("torus"),
-                                EdgePath(0, (1,))))
-    return item.double.complex
-
-
 def test_preimage_cleanness_on_doubled_complex():
-    cx = doubled_complex()
+    cx = helpers.doubled_complex()
     assert (cx.num_vertices, cx.num_edges, cx.num_squares) == (22, 68, 42)
     hyps = hyperplanes(cx)
     edge_to_base = {e: y.id for y in hyps for e in y.dual_edges}
@@ -297,7 +316,7 @@ def test_preimage_cleanness_on_regular_closures():
         cx = helpers.load_complex(name)
         samples += [helpers.random_connected_cover(rng, cx, rng.randint(2, 3))
                     for _ in range(4)]
-    d_covers = list(iter_covers(doubled_complex(), 3, connected=True,
+    d_covers = list(iter_covers(helpers.doubled_complex(), 3, connected=True,
                                 up_to_conjugacy=True,
                                 budget=perm.NodeBudget(3000)))
     samples += rng.sample(d_covers, 3)
