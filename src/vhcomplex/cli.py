@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import formats
-from .complexes import pointed_pair, validate
+from .complexes import pointed_pair, require_structure, validate
 from .constructions import attach_relators, double_along_loop
 from .covers import enumerate_covers
 from .hyperplanes import _no_inter_osculation, hyperplanes, is_clean
@@ -42,10 +42,7 @@ def _cmd_validate(args):
 
 def _cmd_hyperplanes(args):
     cx = _load_complex(args.file)
-    report = validate(cx)
-    if not report.ok:
-        raise ValueError("complex is structurally invalid; "
-                         "run validate for details")
+    require_structure(cx)
     hyps = hyperplanes(cx)
     reports = [is_clean(h) for h in hyps]
     all_clean = all(r.clean for r in reports)
@@ -64,6 +61,7 @@ def _cmd_hyperplanes(args):
 
 def _cmd_covers(args):
     cx = _load_complex(args.file)
+    require_structure(cx)
     covers = enumerate_covers(cx, args.degree, connected=args.connected,
                               up_to_conjugacy=args.up_to_conjugacy)
     if args.out_dir:
@@ -125,9 +123,7 @@ def _cmd_construct_xn(args):
 
 def _budget_from_args(args) -> SearchBudget:
     return SearchBudget(max_degree=args.max_degree,
-                        max_nodes=args.max_nodes,
-                        deterministic=args.deterministic,
-                        workers=args.workers)
+                        max_nodes=args.max_nodes)
 
 
 def _finish_search(outcome, args, pres=None):
@@ -168,8 +164,6 @@ def _cmd_search_profinite_probe(args):
 def _add_budget_options(sub):
     sub.add_argument("--max-degree", type=int, required=True)
     sub.add_argument("--max-nodes", type=int, default=None)
-    sub.add_argument("--deterministic", action="store_true")
-    sub.add_argument("--workers", type=int, default=None)
     sub.add_argument("--out", default=None,
                      help="also write the outcome document here")
 

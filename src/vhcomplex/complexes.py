@@ -129,6 +129,13 @@ def structural_violations(cx: SquareComplex) -> list:
     return out
 
 
+def require_structure(cx: SquareComplex):
+    """Raise ValueError unless structural_violations finds nothing."""
+    if structural_violations(cx):
+        raise ValueError("complex is structurally invalid; "
+                         "run validate for details")
+
+
 def check_vh(cx: SquareComplex):
     """Label alternation around every square.
 

@@ -299,6 +299,13 @@ def preimage_cleanness(c: Cover, y: Hyperplane) -> tuple:
         raise ValueError("hyperplane is not from this cover's base")
     if not validate_cover(c):
         raise ValueError("square relations fail; not a cover")
+    return _preimage_cleanness(c, y)
+
+
+def _preimage_cleanness(c: Cover, y: Hyperplane) -> tuple:
+    """preimage_cleanness without its checks, for a cover of y's complex
+    known to satisfy every square relator, such as one iter_covers
+    built."""
     base, d, perms = c.base, c.degree, c.perms
     sheets = range(d)
     inverses = {}
@@ -408,7 +415,6 @@ def iter_covers(cx: SquareComplex, degree: int,
                 up_to_conjugacy: bool = False,
                 basepoint: int = 0,
                 pres: Optional[Pi1Presentation] = None,
-                first_images: Optional[Sequence[tuple]] = None,
                 budget: Optional[perm.NodeBudget] = None):
     """Stream of degree-d covers with identity on a spanning tree.
 
@@ -420,25 +426,20 @@ def iter_covers(cx: SquareComplex, degree: int,
     id order with images in lexicographic order (perm.iter_homs);
     `up_to_conjugacy` then keeps an assignment only when it is the least
     among its simultaneous sheet relabelings.  `budget` passes through
-    to the underlying search, and `first_images` to perm.iter_homs; the
-    low-index search takes no `first_images` and raises ValueError.
+    to the underlying search.
     """
     if degree < 1:
         raise ValueError("degree must be positive")
     if pres is None:
         pres = pi1_presentation(cx, basepoint)
     if connected and up_to_conjugacy:
-        if first_images is not None:
-            raise ValueError("first_images does not apply to connected "
-                             "covers up to conjugacy")
         for assignment in perm.iter_low_index(len(pres.generators),
                                               pres.relators, degree,
                                               budget=budget):
             yield cover_from_assignment(cx, pres, degree, assignment)
         return
     for assignment in perm.iter_homs(len(pres.generators), pres.relators,
-                                     degree, first_images=first_images,
-                                     budget=budget):
+                                     degree, budget=budget):
         if connected and not perm.is_transitive(assignment, degree):
             continue
         if up_to_conjugacy and not perm.is_canonical(assignment):

@@ -223,22 +223,18 @@ def cleanliness_to_doc(report: CleanlinessReport) -> dict:
 
 
 def budget_to_doc(budget: SearchBudget) -> dict:
-    # the worker count that was actually used, so deterministic runs
-    # serialize identically however much parallelism was requested
     return {
         "max_degree": budget.max_degree,
         "max_nodes": budget.max_nodes,
-        "deterministic": budget.deterministic,
-        "workers": budget.effective_workers(),
     }
 
 
 def budget_from_doc(doc) -> SearchBudget:
+    # documents written when searches had worker threads also carry
+    # "deterministic" and "workers"; neither affects a search any more
     return SearchBudget(
         max_degree=_need(doc, "max_degree", int, "budget"),
         max_nodes=doc.get("max_nodes"),
-        deterministic=bool(doc.get("deterministic", False)),
-        workers=doc.get("workers"),
     )
 
 

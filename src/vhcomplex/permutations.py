@@ -1,6 +1,7 @@
 """Permutations of {0..d-1} as tuples, plus the relator-respecting
-homomorphism enumerator used by cover enumeration and quotient search,
-and Sims' low-index search for transitive actions up to conjugacy.
+homomorphism enumerator behind the all-homomorphism cover modes, and
+Sims' low-index search for transitive actions up to conjugacy, which
+drives every search.
 
 Composition is in diagram order: compose(p, q) applies p first, then q.
 This matches reading a word left to right and transporting a sheet along
@@ -166,7 +167,6 @@ def _holds(word, images, points) -> bool:
 
 
 def iter_homs(num_gens: int, relators: Sequence[Sequence[int]], d: int,
-              first_images: Optional[Sequence[tuple]] = None,
               budget: Optional[NodeBudget] = None):
     """All assignments of permutations in S_d to generators 1..num_gens
     satisfying every relator, in lexicographic order.
@@ -175,12 +175,11 @@ def iter_homs(num_gens: int, relators: Sequence[Sequence[int]], d: int,
     checked as soon as every generator it mentions has an image, which
     prunes most of the tree early.  It holds when every point of
     {0..d-1}, carried through its letters, comes back to itself.
-    `first_images` restricts the images tried for generator 1 (the
-    partitioning hook for parallel search).  `budget`, when given, is
-    spent once per visited partial assignment; enumeration stops quietly
-    at the first node it refuses, leaving budget.cap_hit set.  The search
-    keeps one iterator per assigned generator on an explicit stack, so
-    the number of generators is not bounded by the recursion limit.
+    `budget`, when given, is spent once per visited partial assignment;
+    enumeration stops quietly at the first node it refuses, leaving
+    budget.cap_hit set.  The search keeps one iterator per assigned
+    generator on an explicit stack, so the number of generators is not
+    bounded by the recursion limit.
     """
     if num_gens == 0:
         # words over no generators are empty, hence satisfied
@@ -201,7 +200,7 @@ def iter_homs(num_gens: int, relators: Sequence[Sequence[int]], d: int,
     perms = all_permutations(d)
     if budget is not None and not budget.spend():
         return
-    stack = [iter(first_images if first_images is not None else perms)]
+    stack = [iter(perms)]
     while stack:
         k = len(stack)
         for p in stack[-1]:

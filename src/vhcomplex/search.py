@@ -11,69 +11,52 @@ by transporting the certified loop, a cleanness witness by realizing the
 cover and re-running the cleanness test.  The revalidate_* functions do
 exactly that and nothing else.
 
-The quotient and loop searches scan homomorphisms in lexicographic
-order.  Their worker parallelism partitions the image of the first
-generator round robin.  Every worker scans its slice in ascending order
-and keeps its first find, and the reported witness is the least find
-across workers, so the witness does not depend on the worker count.
-Deterministic mode forces a single sequential scan; only the visit
-statistics can differ between the modes.  The virtual-cleanness search
-scans connected covers up to conjugacy with Sims' low-index search,
-sequentially whatever the worker count, one class at a time in the
-order that search finds them.
+Every search scans Sims' low-index search (perm.iter_low_index) in
+one thread through one loop, _scan: by ascending degree, one
+transitive action per conjugacy class, each as its least standard coset
+table, in the order that search completes them.  The budget's nodes
+are its definitions, and homs_tried counts the classes checked.  The
+quotient and loop searches start at degree 2, and scanning only
+transitive actions changes none of their verdicts or least degrees: a
+word with nontrivial image in some action of degree d moves a point of
+some orbit, so it acts nontrivially in a transitive action of degree at
+most d, and every transitive action of degree 2 or more has a generator
+that is not the identity.  The virtual-cleanness
+search starts at degree 1 and scans the covers covers.iter_covers
+builds from the same classes.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from . import permutations as perm
 from .complexes import (EdgePath, SquareComplex, free_reduce,
-                        structural_violations, trace)
+                        require_structure, trace)
 from .constructions import DoubledComplex
-from .covers import (Cover, cover_from_assignment, is_connected, iter_covers,
-                     preimage_cleanness, preimage_hyperplane_components,
-                     pullback_cover, regular_closure, transport,
-                     validate_cover)
+from .covers import (Cover, _preimage_cleanness, cover_from_assignment,
+                     is_connected, iter_covers, preimage_cleanness,
+                     preimage_hyperplane_components, pullback_cover,
+                     regular_closure, transport, validate_cover)
 from .hyperplanes import Hyperplane, is_clean
 from .presentations import GroupPresentation, parse_word, pi1_presentation
 
 FOUND = "FOUND"
 EXHAUSTED = "EXHAUSTED"
 
-WORKERS_ENV = "VHCOMPLEX_WORKERS"
-
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Degree bound, optional node cap, and scan discipline."""
+    """Degree bound and optional node cap."""
     max_degree: int
     max_nodes: Optional[int] = None
-    deterministic: bool = False
-    workers: Optional[int] = None
 
     def __post_init__(self):
         if self.max_degree < 0:
             raise ValueError("max_degree must not be negative")
         if self.max_nodes is not None and self.max_nodes < 0:
             raise ValueError("max_nodes must not be negative")
-
-    def effective_workers(self) -> int:
-        if self.deterministic:
-            return 1
-        w = self.workers
-        if w is None:
-            raw = os.environ.get(WORKERS_ENV, "1")
-            try:
-                w = int(raw)
-            except ValueError:
-                raise ValueError("%s must be an integer worker count, "
-                                 "not %r" % (WORKERS_ENV, raw)) from None
-        return max(1, w)
 
 
 @dataclass
@@ -124,18 +107,6 @@ class SearchOutcome:
         return self.status == FOUND
 
 
-class _SharedBudget(perm.NodeBudget):
-    """Node budget safe to spend from several worker threads."""
-
-    def __init__(self, cap):
-        super().__init__(cap)
-        self._lock = threading.Lock()
-
-    def spend(self):
-        with self._lock:
-            return super().spend()
-
-
 def _first_moved(p) -> Optional[int]:
     for i, x in enumerate(p):
         if x != i:
@@ -143,54 +114,40 @@ def _first_moved(p) -> Optional[int]:
     return None
 
 
-def _partitions(d: int, workers: int, num_gens: int):
-    """Slices of the first generator's image set, one per worker.
+def _scan(candidates: Callable[[int, perm.NodeBudget], Iterable],
+          check: Callable, first_degree: int, budget: SearchBudget,
+          stats: SearchStats) -> SearchOutcome:
+    """Check candidates degree by degree, from first_degree up to the
+    bound, until check returns a witness.
 
-    None means an unrestricted scan; with no generators there is nothing
-    to split, so a single worker covers the one empty assignment.
+    candidates(d, node_budget) yields the degree-d candidates and spends
+    the node budget; check(d, candidate) returns a witness or None.  The
+    scan stops after the degree where the node cap is hit.  homs_tried
+    counts the candidates checked.
     """
-    if workers <= 1 or num_gens == 0:
-        return [None]
-    ap = perm.all_permutations(d)
-    parts = [ap[w::workers] for w in range(workers)]
-    return [p for p in parts if p] or [None]
+    node_budget = perm.NodeBudget(budget.max_nodes)
+    witness = None
+    for d in range(first_degree, budget.max_degree + 1):
+        for c in candidates(d, node_budget):
+            stats.homs_tried += 1
+            witness = check(d, c)
+            if witness is not None:
+                break
+        if witness is not None or node_budget.cap_hit:
+            break
+    stats.nodes = node_budget.nodes
+    stats.cap_hit = node_budget.cap_hit
+    return SearchOutcome(EXHAUSTED if witness is None else FOUND, witness,
+                         budget, stats)
 
 
-def _scan_degree(num_gens, relators, d, predicate, budget: SearchBudget,
-                 node_budget):
-    """One degree level of a quotient scan.
-
-    Returns ((assignment, payload) or None, homs tried).  The assignment
-    returned is the lexicographically least one any worker accepted.
-    """
-    parts = _partitions(d, budget.effective_workers(), num_gens)
-    tried = [0] * len(parts)
-    results = [None] * len(parts)
-
-    def run(w):
-        for a in perm.iter_homs(num_gens, relators, d,
-                                first_images=parts[w], budget=node_budget):
-            tried[w] += 1
-            payload = predicate(a)
-            if payload is not None:
-                results[w] = (a, payload)
-                return
-
-    if len(parts) == 1:
-        run(0)
-    else:
-        with ThreadPoolExecutor(max_workers=len(parts)) as ex:
-            list(ex.map(run, range(len(parts))))
-    finds = [r for r in results if r is not None]
-    if finds:
-        return min(finds, key=lambda r: r[0]), sum(tried)
-    return None, sum(tried)
-
-
-def _require_structure(cx: SquareComplex):
-    if structural_violations(cx):
-        raise ValueError("complex is structurally invalid; "
-                         "run validate for details")
+def _quotients(pres: GroupPresentation):
+    """Candidates for _scan: one transitive action of each degree per
+    conjugacy class, as a tuple of generator images."""
+    def candidates(d, node_budget):
+        return perm.iter_low_index(len(pres.generators), pres.relators, d,
+                                   budget=node_budget)
+    return candidates
 
 
 def _as_word(word, pres: GroupPresentation) -> tuple:
@@ -203,38 +160,21 @@ def element_survives(pres: GroupPresentation, word,
                      budget: SearchBudget) -> SearchOutcome:
     """Look for a finite quotient where the word has nontrivial image.
 
-    Scans homomorphisms to symmetric groups of degree 2 up to the bound.
-    FOUND proves the word is nontrivial in the group; EXHAUSTED says
-    nothing beyond the bound.
+    Scans transitive actions of degree 2 up to the bound, one per
+    conjugacy class.  FOUND proves the word is nontrivial in the group;
+    EXHAUSTED says nothing beyond the bound.
     """
     word = _as_word(word, pres)
-    stats = SearchStats()
-    node_budget = _SharedBudget(budget.max_nodes)
-    if free_reduce(word):
-        n = pres.num_generators
-        for d in range(2, budget.max_degree + 1):
-            ident = perm.identity(d)
 
-            def predicate(a):
-                images = dict(enumerate(a, start=1))
-                if perm.word_image(word, images, d) != ident:
-                    return True
-                return None
+    def check(d, a):
+        images = dict(enumerate(a, start=1))
+        if perm.word_image(word, images, d) != perm.identity(d):
+            return QuotientWitness(d, a, word)
+        return None
 
-            find, tried = _scan_degree(n, pres.relators, d, predicate,
-                                       budget, node_budget)
-            stats.homs_tried += tried
-            stats.nodes = node_budget.nodes
-            stats.cap_hit = node_budget.cap_hit
-            if find is not None:
-                a, _ = find
-                return SearchOutcome(FOUND, QuotientWitness(d, a, word),
-                                     budget, stats)
-            if node_budget.cap_hit:
-                break
-    stats.nodes = node_budget.nodes
-    stats.cap_hit = node_budget.cap_hit
-    return SearchOutcome(EXHAUSTED, None, budget, stats)
+    if not free_reduce(word):
+        return SearchOutcome(EXHAUSTED, None, budget, SearchStats())
+    return _scan(_quotients(pres), check, 2, budget, SearchStats())
 
 
 def probe_profinite_triviality(pres: GroupPresentation, word=None,
@@ -243,38 +183,21 @@ def probe_profinite_triviality(pres: GroupPresentation, word=None,
 
     FOUND exhibits a quotient where some generator survives, certifying
     the group is nontrivial.  With a word, this is element_survives for
-    that word.  EXHAUSTED means every homomorphism to S_d within the
-    budget kills everything, which is evidence, never proof, of
-    triviality.
+    that word.  EXHAUSTED means no transitive action of degree 2 up to
+    the bound exists, so every homomorphism to S_d within the budget
+    kills everything, which is evidence, never proof, of triviality.
     """
     if word is not None:
         return element_survives(pres, word, budget)
-    stats = SearchStats()
-    node_budget = _SharedBudget(budget.max_nodes)
-    n = pres.num_generators
-    for d in range(2, budget.max_degree + 1):
+
+    def check(d, a):
         ident = perm.identity(d)
+        for k, p in enumerate(a, start=1):
+            if p != ident:
+                return QuotientWitness(d, a, (k,))
+        return None
 
-        def predicate(a):
-            for k, p in enumerate(a, start=1):
-                if p != ident:
-                    return k
-            return None
-
-        find, tried = _scan_degree(n, pres.relators, d, predicate,
-                                   budget, node_budget)
-        stats.homs_tried += tried
-        stats.nodes = node_budget.nodes
-        stats.cap_hit = node_budget.cap_hit
-        if find is not None:
-            a, k = find
-            return SearchOutcome(FOUND, QuotientWitness(d, a, (k,)),
-                                 budget, stats)
-        if node_budget.cap_hit:
-            break
-    stats.nodes = node_budget.nodes
-    stats.cap_hit = node_budget.cap_hit
-    return SearchOutcome(EXHAUSTED, None, budget, stats)
+    return _scan(_quotients(pres), check, 2, budget, SearchStats())
 
 
 def loop_survives(cx: SquareComplex, loop: EdgePath,
@@ -286,39 +209,23 @@ def loop_survives(cx: SquareComplex, loop: EdgePath,
     with identity tree edges, plus a sheet its transport moves.
     Raises ValueError on a structurally invalid complex.
     """
-    _require_structure(cx)
+    require_structure(cx)
     pres = pi1_presentation(cx, loop.start)
     word = pres.loop_word(loop)
     stats = SearchStats()
-    node_budget = _SharedBudget(budget.max_nodes)
-    if word:
-        n = len(pres.generators)
-        for d in range(2, budget.max_degree + 1):
-            ident = perm.identity(d)
 
-            def predicate(a):
-                images = dict(enumerate(a, start=1))
-                img = perm.word_image(word, images, d)
-                if img != ident:
-                    return _first_moved(img)
-                return None
+    def check(d, a):
+        images = dict(enumerate(a, start=1))
+        sheet = _first_moved(perm.word_image(word, images, d))
+        if sheet is None:
+            return None
+        stats.covers_realized += 1
+        return LoopWitness(cover_from_assignment(cx, pres, d, a), loop,
+                           sheet)
 
-            find, tried = _scan_degree(n, pres.relators, d, predicate,
-                                       budget, node_budget)
-            stats.homs_tried += tried
-            stats.nodes = node_budget.nodes
-            stats.cap_hit = node_budget.cap_hit
-            if find is not None:
-                a, sheet = find
-                cover = cover_from_assignment(cx, pres, d, a)
-                stats.covers_realized += 1
-                return SearchOutcome(FOUND, LoopWitness(cover, loop, sheet),
-                                     budget, stats)
-            if node_budget.cap_hit:
-                break
-    stats.nodes = node_budget.nodes
-    stats.cap_hit = node_budget.cap_hit
-    return SearchOutcome(EXHAUSTED, None, budget, stats)
+    if not word:
+        return SearchOutcome(EXHAUSTED, None, budget, stats)
+    return _scan(_quotients(pres), check, 2, budget, stats)
 
 
 def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
@@ -330,18 +237,19 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
     component is clean.  Covers are scanned by ascending degree from 1,
     one representative per conjugacy class, as covers.iter_covers gives
     them: the least standard coset table of each class, in the low-index
-    search's order.  The budget's nodes are that search's definitions,
-    and its worker count is ignored.  In "each" mode a cover with
-    a clean component but dirty siblings promotes to its regular closure,
-    whose homogeneity usually cleans every component; the closure is
-    checked honestly and only reported if it passes.  Components are
-    checked from the permutations by preimage_cleanness, never by
-    realizing a total space; revalidate_vclean_witness does realize the
-    witness cover.  homs_tried counts the covers checked, and
-    covers_realized counts those plus the closures checked.  Raises
-    ValueError on a structurally invalid complex.
+    search's order.  The budget's nodes are that search's definitions.
+    In "each" mode a cover with a clean component but dirty siblings
+    promotes to its regular closure, whose homogeneity usually cleans
+    every component; the closure is checked honestly and only reported
+    if it passes.  Components are checked from the permutations, never
+    by realizing a total space; the scanned covers satisfy every square
+    relator by construction, so only closures are validated first.
+    revalidate_vclean_witness does realize the witness cover.
+    homs_tried counts the covers checked, and covers_realized counts
+    those plus the closures checked.  Raises ValueError on a
+    structurally invalid complex.
     """
-    _require_structure(cx)
+    require_structure(cx)
     mode = mode.lower()
     if mode not in ("some", "each"):
         raise ValueError("mode must be 'some' or 'each'")
@@ -349,12 +257,14 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
         raise ValueError("hyperplane is not from this complex")
     pres = pi1_presentation(cx, 0)
     stats = SearchStats()
-    node_budget = perm.NodeBudget(budget.max_nodes)
 
-    def check(cover):
-        stats.homs_tried += 1
+    def candidates(d, node_budget):
+        return iter_covers(cx, d, connected=True, up_to_conjugacy=True,
+                           pres=pres, budget=node_budget)
+
+    def check(d, cover):
         stats.covers_realized += 1
-        comps = preimage_cleanness(cover, h)
+        comps = _preimage_cleanness(cover, h)
         if mode == "some":
             for cid, clean in comps:
                 if clean:
@@ -369,18 +279,7 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
                 return VCleanWitness(mode, h.id, closure, None)
         return None
 
-    for d in range(1, budget.max_degree + 1):
-        for cover in iter_covers(cx, d, connected=True, up_to_conjugacy=True,
-                                 pres=pres, budget=node_budget):
-            witness = check(cover)
-            if witness is not None:
-                stats.nodes = node_budget.nodes
-                return SearchOutcome(FOUND, witness, budget, stats)
-        if node_budget.cap_hit:
-            break
-    stats.nodes = node_budget.nodes
-    stats.cap_hit = node_budget.cap_hit
-    return SearchOutcome(EXHAUSTED, None, budget, stats)
+    return _scan(candidates, check, 1, budget, stats)
 
 
 # ---------------------------------------------------------------------------

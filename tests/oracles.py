@@ -13,9 +13,10 @@ injectively on vertices and edges.
 import itertools
 
 from vhcomplex import permutations as perm
-from vhcomplex.complexes import square_corners
+from vhcomplex.complexes import free_reduce, square_corners
 from vhcomplex.covers import cover_from_assignment, transport
 from vhcomplex.presentations import pi1_presentation
+from vhcomplex.search import LoopWitness, QuotientWitness
 
 
 def _in_end(d):
@@ -164,8 +165,7 @@ def oracle_torus_cover_count(d):
 # homomorphism enumeration, relator by relator through word_image
 
 
-def reference_iter_homs(num_gens, relators, d, first_images=None,
-                        budget=None):
+def reference_iter_homs(num_gens, relators, d, budget=None):
     """The recursive enumerator permutations.iter_homs replaced.
 
     It checks each relator by composing whole permutations with
@@ -189,9 +189,7 @@ def reference_iter_homs(num_gens, relators, d, first_images=None,
         if k > num_gens:
             yield tuple(images[i] for i in range(1, num_gens + 1))
             return
-        choices = first_images if (k == 1 and first_images is not None) \
-            else perms
-        for p in choices:
+        for p in perms:
             images[k] = p
             ok = True
             for ridx in check_at[k]:
@@ -347,3 +345,71 @@ def is_least_standard_table(perms):
             for x in (p[row], list(p).index(row))]
     return own == flat and all(own <= _standard_table(perms, b)
                                for b in range(1, d))
+
+
+# ---------------------------------------------------------------------------
+# quotient and loop searches over every homomorphism
+
+
+def _reference_scan(num_gens, relators, max_degree, check):
+    """The scan the quotient and loop searches made before they ran on
+    the low-index search: every relator-respecting assignment of degree
+    2 up to the bound, in lexicographic order (perm.iter_homs), until
+    check(d, assignment) returns a witness.  None when nothing does."""
+    for d in range(2, max_degree + 1):
+        for a in perm.iter_homs(num_gens, relators, d):
+            witness = check(d, a)
+            if witness is not None:
+                return witness
+    return None
+
+
+def reference_element_survives(pres, word, max_degree):
+    """The lexicographically least quotient witness for the word, as
+    search.element_survives found it by scanning homomorphisms."""
+    word = tuple(word)
+
+    def check(d, a):
+        images = dict(enumerate(a, start=1))
+        if perm.word_image(word, images, d) != perm.identity(d):
+            return QuotientWitness(d, a, word)
+        return None
+
+    if not free_reduce(word):
+        return None
+    return _reference_scan(pres.num_generators, pres.relators, max_degree,
+                           check)
+
+
+def reference_probe(pres, max_degree):
+    """The lexicographically least homomorphism with a non-identity
+    generator, as search.probe_profinite_triviality found it."""
+    def check(d, a):
+        for k, p in enumerate(a, start=1):
+            if p != perm.identity(d):
+                return QuotientWitness(d, a, (k,))
+        return None
+
+    return _reference_scan(pres.num_generators, pres.relators, max_degree,
+                           check)
+
+
+def reference_loop_survives(cx, loop, max_degree):
+    """The lexicographically least cover where the loop lifts
+    non-closed, with the least sheet it moves, as search.loop_survives
+    found it."""
+    pres = pi1_presentation(cx, loop.start)
+    word = pres.loop_word(loop)
+
+    def check(d, a):
+        img = perm.word_image(word, dict(enumerate(a, start=1)), d)
+        for sheet, x in enumerate(img):
+            if x != sheet:
+                return LoopWitness(cover_from_assignment(cx, pres, d, a),
+                                   loop, sheet)
+        return None
+
+    if not word:
+        return None
+    return _reference_scan(len(pres.generators), pres.relators, max_degree,
+                           check)

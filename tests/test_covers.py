@@ -166,19 +166,13 @@ def test_enumeration_counts_low_degrees():
     assert len(enumerate_covers(t, 1)) == 1
 
 
-def test_iter_covers_budget_and_first_images():
+def test_iter_covers_budget():
     t = helpers.load_complex("torus")
     budget = perm.NodeBudget(3)
     got = list(iter_covers(t, 2, budget=budget))
     assert budget.cap_hit and len(got) < 4
-    fixed = list(iter_covers(t, 2, first_images=[(1, 0)]))
-    assert fixed and all(c.perms[0] == (1, 0) for c in fixed)
     with pytest.raises(ValueError):
         next(iter_covers(t, 0))
-    # the low-index search has no first-image slices
-    with pytest.raises(ValueError, match="first_images"):
-        next(iter_covers(t, 2, connected=True, up_to_conjugacy=True,
-                         first_images=[(1, 0)]))
 
 
 def _classes(covers):

@@ -99,14 +99,25 @@ def test_cover_round_trip_omits_identity():
         formats.cover_from_doc(bad)
 
 
-def test_budget_doc_records_effective_workers():
-    b = SearchBudget(max_degree=4, max_nodes=10, deterministic=True,
-                     workers=8)
+def test_budget_doc_round_trip():
+    b = SearchBudget(max_degree=4, max_nodes=10)
     doc = formats.budget_to_doc(b)
-    assert doc["workers"] == 1          # deterministic forces one worker
-    back = formats.budget_from_doc(doc)
-    assert back.max_degree == 4 and back.max_nodes == 10
-    assert back.deterministic and back.workers == 1
+    assert doc == {"max_degree": 4, "max_nodes": 10}
+    assert formats.budget_from_doc(doc) == b
+    b = SearchBudget(max_degree=3)
+    assert formats.budget_from_doc(formats.budget_to_doc(b)) == b
+
+
+def test_old_budget_document_still_loads():
+    # written when the searches could split a scan across worker threads
+    old = {"max_degree": 4, "max_nodes": None, "deterministic": True,
+           "workers": 2}
+    assert formats.budget_from_doc(old) == SearchBudget(max_degree=4)
+    t = helpers.load_complex("torus")
+    w = loop_survives(t, EdgePath(0, (1,)), SearchBudget(4)).witness
+    doc = formats.witness_to_doc(w, budget=formats.budget_from_doc(old))
+    doc["budget"] = old
+    assert formats.witness_from_doc(doc, complex=t) == w
 
 
 def test_quotient_witness_round_trip():
@@ -158,10 +169,10 @@ def test_witness_from_doc_rejects_junk():
 
 def test_outcome_doc_shape():
     t = helpers.load_complex("torus")
-    out = loop_survives(t, EdgePath(0, (1,)), SearchBudget(4, workers=2))
+    out = loop_survives(t, EdgePath(0, (1,)), SearchBudget(4))
     doc = formats.outcome_to_doc(out)
     assert doc["status"] == "FOUND"
-    assert doc["budget"]["workers"] == 2
+    assert doc["budget"] == {"max_degree": 4, "max_nodes": None}
     assert doc["stats"]["homs_tried"] == out.stats.homs_tried
     assert doc["witness"]["budget"] == doc["budget"]
 
@@ -279,6 +290,18 @@ def test_cli_covers(tmp_path, capsys):
         assert c.base == t and c.degree == 2
 
 
+@pytest.mark.parametrize("name", ["bad_closure", "bad_length"])
+@pytest.mark.parametrize("flags", [[], ["--connected", "--up-to-conjugacy"]])
+def test_cli_covers_rejects_structurally_invalid_complex(capsys, name,
+                                                         flags):
+    code = console_main(["covers", helpers.fixture_path(name),
+                         "--degree", "2"] + flags)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: complex is structurally invalid; "
+                            "run validate for details\n")
+
+
 def test_cli_construct_jp(tmp_path, capsys):
     pres_file = tmp_path / "pres.json"
     pres_file.write_text(json.dumps(
@@ -366,16 +389,28 @@ def test_cli_search_rejects_negative_budget(capsys, bound):
         and captured.err.count("\n") == 1
 
 
-def test_cli_search_rejects_bad_worker_variable(capsys, monkeypatch):
-    monkeypatch.setenv("VHCOMPLEX_WORKERS", "abc")
-    code = console_main(["search", "loop-survival",
-                         "--complex", helpers.fixture_path("torus"),
-                         "--loop", helpers.fixture_path("loop_a"),
-                         "--max-degree", "2"])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err == ("error: VHCOMPLEX_WORKERS must be an integer "
-                            "worker count, not 'abc'\n")
+def test_cli_deterministic_output_is_worker_independent(capsys,
+                                                        monkeypatch):
+    # searches run in one thread: VHCOMPLEX_WORKERS, even a bad value,
+    # changes nothing, and --workers and --deterministic are gone
+    argv = ["search", "loop-survival",
+            "--complex", helpers.fixture_path("torus"),
+            "--loop", helpers.fixture_path("loop_a"), "--max-degree", "4"]
+    outs = set()
+    for value in (None, "1", "4", "abc"):
+        if value is None:
+            monkeypatch.delenv("VHCOMPLEX_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("VHCOMPLEX_WORKERS", value)
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        outs.add(out)
+    assert len(outs) == 1
+    for flag in (["--workers", "2"], ["--deterministic"]):
+        with pytest.raises(SystemExit) as exc:
+            console_main(argv + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_search_profinite_probe(capsys):
@@ -412,18 +447,6 @@ def test_cli_search_vclean(capsys):
                       "--hyperplane", "9", "--mode", "some",
                       "--max-degree", "2")
     assert code == 2
-
-
-def test_cli_deterministic_output_is_worker_independent(capsys):
-    outs = []
-    for workers in ("1", "4"):
-        _, out = run_cli(capsys, "search", "loop-survival",
-                         "--complex", helpers.fixture_path("torus"),
-                         "--loop", helpers.fixture_path("loop_a"),
-                         "--max-degree", "4", "--deterministic",
-                         "--workers", workers)
-        outs.append(out)
-    assert outs[0] == outs[1]
 
 
 PYPROJECT = os.path.join(os.path.dirname(os.path.dirname(__file__)),

@@ -14,10 +14,10 @@ import helpers
 import oracles
 
 
-def _run(enumerate_homs, pres, d, first_images=None, cap=None, take=None):
+def _run(enumerate_homs, pres, d, cap=None, take=None):
     budget = perm.NodeBudget(cap)
     homs = enumerate_homs(pres.num_generators, pres.relators, d,
-                          first_images=first_images, budget=budget)
+                          budget=budget)
     homs = list(itertools.islice(homs, take))
     return homs, budget.nodes, budget.cap_hit
 
@@ -27,10 +27,7 @@ def test_iter_homs_matches_reference():
     for _ in range(60):
         pres = helpers.random_presentation(rng)
         for d in range(1, 5):
-            ap = perm.all_permutations(d)
             for kwargs in ({}, {"cap": 1}, {"cap": 7}, {"cap": 50},
-                           {"first_images": ap[1::2]},
-                           {"first_images": ap[::3], "cap": 7},
                            {"take": 3}):
                 got = _run(perm.iter_homs, pres, d, **kwargs)
                 want = _run(oracles.reference_iter_homs, pres, d, **kwargs)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from vhcomplex import (Cover, EdgePath, GroupPresentation, Hyperplane,
@@ -10,26 +12,14 @@ from vhcomplex import (Cover, EdgePath, GroupPresentation, Hyperplane,
                        semi_decide_virtually_clean,
                        survival_from_clean_cover, transport)
 from vhcomplex import search as search_module
+from vhcomplex.constructions import enumerate_simple_loops
 from vhcomplex.covers import enumerate_covers
 
 import helpers
+import oracles
 
 
 FREE2 = GroupPresentation.make(["a", "b"], [])
-
-
-def test_effective_workers(monkeypatch):
-    assert SearchBudget(4).effective_workers() == 1
-    assert SearchBudget(4, workers=3).effective_workers() == 3
-    assert SearchBudget(4, workers=3, deterministic=True) \
-        .effective_workers() == 1
-    monkeypatch.setenv("VHCOMPLEX_WORKERS", "5")
-    assert SearchBudget(4).effective_workers() == 5
-    assert SearchBudget(4, workers=0).effective_workers() == 1
-    monkeypatch.setenv("VHCOMPLEX_WORKERS", "abc")
-    with pytest.raises(ValueError, match="VHCOMPLEX_WORKERS must be an "
-                                         "integer worker count, not 'abc'"):
-        SearchBudget(4).effective_workers()
 
 
 def test_element_survives_in_free_group():
@@ -38,8 +28,9 @@ def test_element_survives_in_free_group():
     w = out.witness
     assert isinstance(w, QuotientWitness)
     assert w.degree == 2 and w.word == (1,)
-    assert w.images == ((1, 0), (0, 1))       # lexicographically least
-    assert out.stats.homs_tried == 3
+    assert w.images == ((1, 0), (0, 1))
+    # the classes at degree 2 are (id, swap), then (swap, id)
+    assert out.stats.homs_tried == 2
     assert revalidate_witness(w, pres=FREE2)
 
 
@@ -57,11 +48,16 @@ def test_empty_word_is_exhausted_without_scanning():
 
 
 def test_budget_cap_reports_honestly():
-    pres = GroupPresentation.make(["a"], ["a"])
-    out = element_survives(pres, "a",
-                           SearchBudget(max_degree=6, max_nodes=2))
-    assert not out.found
-    assert out.stats.cap_hit and out.stats.nodes <= 3
+    # the trivial group's presentation survives the Tietze moves, so
+    # the low-index search spends definitions on it at every degree
+    pres = helpers.load_presentation("trivial_group")
+    for cap in (0, 2, 50):
+        out = element_survives(pres, "a",
+                               SearchBudget(max_degree=6, max_nodes=cap))
+        assert not out.found
+        assert out.stats.cap_hit and out.stats.nodes <= cap + 1
+    out = element_survives(pres, "a", SearchBudget(max_degree=6))
+    assert not out.found and not out.stats.cap_hit and out.stats.nodes > 50
 
 
 def test_budget_rejects_negative_bounds():
@@ -72,27 +68,12 @@ def test_budget_rejects_negative_bounds():
     assert SearchBudget(max_degree=0, max_nodes=0).max_nodes == 0
 
 
-def test_deterministic_outcome_ignores_worker_request():
-    b1 = SearchBudget(max_degree=3, deterministic=True, workers=1)
-    b4 = SearchBudget(max_degree=3, deterministic=True, workers=4)
-    o1 = element_survives(FREE2, "ab", b1)
-    o4 = element_survives(FREE2, "ab", b4)
-    assert o1.witness == o4.witness
-    assert o1.stats == o4.stats
-
-
-def test_parallel_witness_matches_sequential():
-    seq = element_survives(FREE2, "ab", SearchBudget(max_degree=3))
-    par = element_survives(FREE2, "ab", SearchBudget(max_degree=3, workers=4))
-    assert par.witness == seq.witness
-
-
 def test_probe_profinite_triviality():
     tg = helpers.load_presentation("trivial_group")
     out = probe_profinite_triviality(tg, budget=SearchBudget(max_degree=4))
     assert not out.found
-    # the only surviving homomorphism per degree is the trivial one
-    assert out.stats.homs_tried == 3
+    # no transitive action of degree 2 or more exists
+    assert out.stats.homs_tried == 0
 
     z2 = helpers.load_presentation("z_squared")
     out = probe_profinite_triviality(z2, budget=SearchBudget(max_degree=4))
@@ -117,8 +98,68 @@ def test_loop_survives_on_torus():
     assert isinstance(w, LoopWitness)
     assert w.cover.degree == 2 and w.sheet == 0
     assert w.cover.perms == ((1, 0), (0, 1))
-    assert out.stats.homs_tried == 3 and out.stats.covers_realized == 1
+    # the classes at degree 2 are (id, swap), then (swap, id)
+    assert out.stats.homs_tried == 2 and out.stats.covers_realized == 1
     assert revalidate_witness(w, complex=t)
+
+
+def _degree(witness):
+    if witness is None:
+        return None
+    if isinstance(witness, QuotientWitness):
+        return witness.degree
+    return witness.cover.degree
+
+
+def _assert_matches_reference(outcome, reference, **context):
+    """Same verdict and least degree as the homomorphism scan, and a
+    witness that revalidates."""
+    assert outcome.found == (reference is not None)
+    assert _degree(outcome.witness) == _degree(reference)
+    if outcome.found:
+        assert revalidate_witness(outcome.witness, **context)
+
+
+def test_quotient_searches_match_homomorphism_scan():
+    rng = random.Random(6)
+    presentations = [helpers.load_presentation(name)
+                     for name in ("trivial_group", "z_squared")]
+    # least degrees 3, 5 and 5 (A_5 has no transitive action on fewer
+    # than five points), and BS(1, 2)
+    presentations += [GroupPresentation.make(gens, rels) for gens, rels in (
+        (["a"], ["aaa"]), (["a"], ["aaaaa"]),
+        (["a", "b"], ["aa", "bbb", "ababababab"]),
+        (["a", "b"], ["baBAA"]))]
+    presentations += [helpers.random_presentation(rng, max_generators=2)
+                      for _ in range(60)]
+    for pres in presentations:
+        n = pres.num_generators
+        out = probe_profinite_triviality(pres, budget=SearchBudget(5))
+        _assert_matches_reference(out, oracles.reference_probe(pres, 5),
+                                  pres=pres)
+        # each generator, each relator (trivial in the group) and two
+        # random words
+        words = [(k,) for k in range(1, n + 1)] + list(pres.relators)
+        words += [tuple(rng.choice((1, -1)) * rng.randint(1, n)
+                        for _ in range(rng.randint(1, 5)))
+                  for _ in range(2)]
+        for word in words:
+            out = element_survives(pres, word, SearchBudget(5))
+            ref = oracles.reference_element_survives(pres, word, 5)
+            _assert_matches_reference(out, ref, pres=pres)
+
+
+def test_loop_survival_matches_homomorphism_scan():
+    for name in helpers.GOOD_FIXTURES + ("bad_vh",):
+        cx = helpers.load_complex(name)
+        loops = [loop for v in range(cx.num_vertices)
+                 for loop in enumerate_simple_loops(cx, v)]
+        loops += [EdgePath(cx.dart_tail(w[0]), w) for w in cx.squares]
+        assert loops
+        for loop in loops:
+            out = loop_survives(cx, loop, SearchBudget(4))
+            ref = oracles.reference_loop_survives(cx, loop, 4)
+            _assert_matches_reference(out, ref, complex=cx)
 
 
 def test_relator_loop_never_survives():
