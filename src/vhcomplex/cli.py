@@ -1,8 +1,9 @@
 """Command line interface.
 
 Exit codes are uniform across subcommands: 0 for success or FOUND, 1
-for a failed check or an EXHAUSTED search, 2 for unusable input.  All
-structured output is canonical JSON on stdout.
+for a failed check or an EXHAUSTED search, 2 for unusable input, and 3
+for an internal error, with its traceback on stderr.  All structured
+output is canonical JSON on stdout.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from . import formats
 from .complexes import pointed_pair, require_structure, validate
@@ -24,6 +26,7 @@ from .search import (SearchBudget, element_survives, loop_survives,
 OK = 0
 FAILED = 1
 BAD_INPUT = 2
+INTERNAL_ERROR = 3
 
 
 def _emit(doc):
@@ -253,6 +256,10 @@ def console_main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return BAD_INPUT
+    except Exception:
+        # a bug, not bad input: keep 1 meaning "check failed"
+        traceback.print_exc()
+        return INTERNAL_ERROR
 
 
 def main():

@@ -302,10 +302,22 @@ def preimage_cleanness(c: Cover, y: Hyperplane) -> tuple:
     return _preimage_cleanness(c, y)
 
 
+def _carrier_edges(y: Hyperplane) -> tuple:
+    """The edges of y's carrier, sorted: its dual edges and every edge
+    of the squares it crosses.  _preimage_cleanness reads the cover's
+    permutations on these edges and on no others."""
+    squares = y.complex.squares
+    edges = set(y.dual_edges)
+    for i, _ in y.midcubes:
+        edges.update(abs(dart) for dart in squares[i])
+    return tuple(sorted(edges))
+
+
 def _preimage_cleanness(c: Cover, y: Hyperplane) -> tuple:
     """preimage_cleanness without its checks, for a cover of y's complex
     known to satisfy every square relator, such as one iter_covers
-    built."""
+    built.  The result depends only on the degree and the permutations
+    on _carrier_edges(y)."""
     base, d, perms = c.base, c.degree, c.perms
     sheets = range(d)
     inverses = {}

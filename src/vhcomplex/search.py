@@ -21,9 +21,13 @@ transitive actions changes none of their verdicts or least degrees: a
 word with nontrivial image in some action of degree d moves a point of
 some orbit, so it acts nontrivially in a transitive action of degree at
 most d, and every transitive action of degree 2 or more has a generator
-that is not the identity.  The virtual-cleanness
-search starts at degree 1 and scans the covers covers.iter_covers
-builds from the same classes.
+that is not the identity.  The virtual-cleanness search starts at degree
+1 and reads each class as a cover with identity tree edges.  Whether a
+preimage component of the hyperplane is clean depends only on the
+permutations on the hyperplane's carrier edges, and far fewer carrier
+restrictions occur than classes, so the search memoizes the cleanness
+of the preimage per carrier restriction and builds a Cover only on a
+miss, for a witness, or for a regular closure.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from . import permutations as perm
 from .complexes import (EdgePath, SquareComplex, free_reduce,
                         require_structure, trace)
 from .constructions import DoubledComplex
-from .covers import (Cover, _preimage_cleanness, cover_from_assignment,
-                     is_connected, iter_covers, preimage_cleanness,
+from .covers import (Cover, _carrier_edges, _preimage_cleanness,
+                     cover_from_assignment, is_connected, preimage_cleanness,
                      preimage_hyperplane_components, pullback_cover,
                      regular_closure, transport, validate_cover)
 from .hyperplanes import Hyperplane, is_clean
@@ -123,8 +127,10 @@ def _scan(candidates: Callable[[int, perm.NodeBudget], Iterable],
     candidates(d, node_budget) yields the degree-d candidates and spends
     the node budget; check(d, candidate) returns a witness or None.  The
     scan stops after the degree where the node cap is hit.  homs_tried
-    counts the candidates checked.
+    counts the candidates checked.  Raises ValueError without a budget.
     """
+    if budget is None:
+        raise ValueError("a search needs a SearchBudget, not None")
     node_budget = perm.NodeBudget(budget.max_nodes)
     witness = None
     for d in range(first_degree, budget.max_degree + 1):
@@ -141,6 +147,12 @@ def _scan(candidates: Callable[[int, perm.NodeBudget], Iterable],
                          budget, stats)
 
 
+def _no_candidates(d, node_budget):
+    """Candidates for _scan when a trivial word or loop leaves nothing
+    to look for."""
+    return ()
+
+
 def _quotients(pres: GroupPresentation):
     """Candidates for _scan: one transitive action of each degree per
     conjugacy class, as a tuple of generator images."""
@@ -153,7 +165,13 @@ def _quotients(pres: GroupPresentation):
 def _as_word(word, pres: GroupPresentation) -> tuple:
     if isinstance(word, str):
         return parse_word(word, pres.generators)
-    return tuple(word)
+    word = tuple(word)
+    n = pres.num_generators
+    for x in word:
+        if not (isinstance(x, int) and 1 <= abs(x) <= n):
+            raise ValueError("letter %r is not a signed generator index "
+                             "in 1..%d" % (x, n))
+    return word
 
 
 def element_survives(pres: GroupPresentation, word,
@@ -172,9 +190,8 @@ def element_survives(pres: GroupPresentation, word,
             return QuotientWitness(d, a, word)
         return None
 
-    if not free_reduce(word):
-        return SearchOutcome(EXHAUSTED, None, budget, SearchStats())
-    return _scan(_quotients(pres), check, 2, budget, SearchStats())
+    candidates = _quotients(pres) if free_reduce(word) else _no_candidates
+    return _scan(candidates, check, 2, budget, SearchStats())
 
 
 def probe_profinite_triviality(pres: GroupPresentation, word=None,
@@ -223,9 +240,8 @@ def loop_survives(cx: SquareComplex, loop: EdgePath,
         return LoopWitness(cover_from_assignment(cx, pres, d, a), loop,
                            sheet)
 
-    if not word:
-        return SearchOutcome(EXHAUSTED, None, budget, stats)
-    return _scan(_quotients(pres), check, 2, budget, stats)
+    candidates = _quotients(pres) if word else _no_candidates
+    return _scan(candidates, check, 2, budget, stats)
 
 
 def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
@@ -235,19 +251,25 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
     mode "some": a connected cover where some component of the
     hyperplane's preimage is clean.  mode "each": one where every
     component is clean.  Covers are scanned by ascending degree from 1,
-    one representative per conjugacy class, as covers.iter_covers gives
-    them: the least standard coset table of each class, in the low-index
-    search's order.  The budget's nodes are that search's definitions.
-    In "each" mode a cover with a clean component but dirty siblings
-    promotes to its regular closure, whose homogeneity usually cleans
-    every component; the closure is checked honestly and only reported
-    if it passes.  Components are checked from the permutations, never
-    by realizing a total space; the scanned covers satisfy every square
-    relator by construction, so only closures are validated first.
+    one representative per conjugacy class, as perm.iter_low_index
+    gives them: the least standard coset table of each class, in that
+    search's order, with identity tree edges.  The budget's nodes are
+    that search's definitions.  In "each" mode a cover with a clean
+    component but dirty siblings promotes to its regular closure, whose
+    homogeneity usually cleans every component; the closure is checked
+    honestly and only reported if it passes.
+
+    Components are checked from the permutations, never by realizing a
+    total space.  Their cleanness depends only on the permutations on
+    the hyperplane's carrier edges, so one call keeps each verdict under
+    the tuple of images on the sorted carrier edges, and builds a Cover
+    only when that key is new, to report a witness, or to take a regular
+    closure.  The scanned covers satisfy every square relator by
+    construction, so only closures are validated first.
     revalidate_vclean_witness does realize the witness cover.
     homs_tried counts the covers checked, and covers_realized counts
-    those plus the closures checked.  Raises ValueError on a
-    structurally invalid complex.
+    those plus the closures checked, whether or not a Cover was
+    built.  Raises ValueError on a structurally invalid complex.
     """
     require_structure(cx)
     mode = mode.lower()
@@ -257,29 +279,37 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
         raise ValueError("hyperplane is not from this complex")
     pres = pi1_presentation(cx, 0)
     stats = SearchStats()
+    # carrier edge -> its generator's position in an assignment, or
+    # None for a tree edge, whose image is the identity
+    gen_pos = {eid: k for k, eid in enumerate(pres.generators)}
+    key_pos = [gen_pos.get(eid) for eid in _carrier_edges(h)]
+    verdicts = {}    # carrier key -> ((component id, clean), ...)
 
-    def candidates(d, node_budget):
-        return iter_covers(cx, d, connected=True, up_to_conjugacy=True,
-                           pres=pres, budget=node_budget)
-
-    def check(d, cover):
+    def check(d, a):
         stats.covers_realized += 1
-        comps = _preimage_cleanness(cover, h)
-        if mode == "some":
-            for cid, clean in comps:
-                if clean:
-                    return VCleanWitness(mode, h.id, cover, cid)
+        ident = perm.identity(d)
+        key = tuple(ident if k is None else a[k] for k in key_pos)
+        cover = None
+        comps = verdicts.get(key)
+        if comps is None:
+            cover = cover_from_assignment(cx, pres, d, a)
+            comps = verdicts[key] = _preimage_cleanness(cover, h)
+        if not any(clean for _, clean in comps):
             return None
+        if cover is None:
+            cover = cover_from_assignment(cx, pres, d, a)
+        if mode == "some":
+            cid = next(cid for cid, clean in comps if clean)
+            return VCleanWitness(mode, h.id, cover, cid)
         if all(clean for _, clean in comps):
             return VCleanWitness(mode, h.id, cover, None)
-        if any(clean for _, clean in comps):
-            closure = regular_closure(cover).cover
-            stats.covers_realized += 1
-            if all(clean for _, clean in preimage_cleanness(closure, h)):
-                return VCleanWitness(mode, h.id, closure, None)
+        closure = regular_closure(cover).cover
+        stats.covers_realized += 1
+        if all(clean for _, clean in preimage_cleanness(closure, h)):
+            return VCleanWitness(mode, h.id, closure, None)
         return None
 
-    return _scan(candidates, check, 1, budget, stats)
+    return _scan(_quotients(pres), check, 1, budget, stats)
 
 
 # ---------------------------------------------------------------------------

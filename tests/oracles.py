@@ -14,9 +14,11 @@ import itertools
 
 from vhcomplex import permutations as perm
 from vhcomplex.complexes import free_reduce, square_corners
-from vhcomplex.covers import cover_from_assignment, transport
+from vhcomplex.covers import (cover_from_assignment, iter_covers,
+                              preimage_cleanness, regular_closure, transport)
 from vhcomplex.presentations import pi1_presentation
-from vhcomplex.search import LoopWitness, QuotientWitness
+from vhcomplex.search import (EXHAUSTED, FOUND, LoopWitness, QuotientWitness,
+                              SearchOutcome, SearchStats, VCleanWitness)
 
 
 def _in_end(d):
@@ -413,3 +415,44 @@ def reference_loop_survives(cx, loop, max_degree):
         return None
     return _reference_scan(len(pres.generators), pres.relators, max_degree,
                            check)
+
+
+# ---------------------------------------------------------------------------
+# virtual cleanness, one cleanness check per cover
+
+
+def reference_vclean(cx, h, mode, budget):
+    """The scan search.semi_decide_virtually_clean made before it kept
+    verdicts per carrier restriction: every connected cover up to
+    conjugacy from iter_covers, degree 1 up to the bound, each realized
+    as a Cover and checked with preimage_cleanness; in "each" mode a
+    cover with a clean component but not all promotes to its regular
+    closure.  Returns the whole SearchOutcome, stats included."""
+    pres = pi1_presentation(cx, 0)
+    stats = SearchStats()
+    node_budget = perm.NodeBudget(budget.max_nodes)
+    witness = None
+    for d in range(1, budget.max_degree + 1):
+        for cover in iter_covers(cx, d, connected=True, up_to_conjugacy=True,
+                                 pres=pres, budget=node_budget):
+            stats.homs_tried += 1
+            stats.covers_realized += 1
+            comps = preimage_cleanness(cover, h)
+            clean = [cid for cid, ok in comps if ok]
+            if mode == "some" and clean:
+                witness = VCleanWitness(mode, h.id, cover, clean[0])
+            elif mode == "each" and len(clean) == len(comps):
+                witness = VCleanWitness(mode, h.id, cover, None)
+            elif mode == "each" and clean:
+                closure = regular_closure(cover).cover
+                stats.covers_realized += 1
+                if all(ok for _, ok in preimage_cleanness(closure, h)):
+                    witness = VCleanWitness(mode, h.id, closure, None)
+            if witness is not None:
+                break
+        if witness is not None or node_budget.cap_hit:
+            break
+    stats.nodes = node_budget.nodes
+    stats.cap_hit = node_budget.cap_hit
+    return SearchOutcome(EXHAUSTED if witness is None else FOUND, witness,
+                         budget, stats)

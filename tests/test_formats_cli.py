@@ -11,7 +11,7 @@ from vhcomplex import (Cover, EdgePath, LoopWitness, SearchBudget,
                        is_clean, loop_survives, pointed_pair,
                        probe_profinite_triviality, validate)
 import vhcomplex
-from vhcomplex import formats
+from vhcomplex import cli, formats
 from vhcomplex.cli import console_main
 
 import helpers
@@ -387,6 +387,17 @@ def test_cli_search_rejects_negative_budget(capsys, bound):
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") \
         and captured.err.count("\n") == 1
+
+
+def test_cli_internal_error_exits_3_with_traceback(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("broken subcommand")
+    monkeypatch.setattr(cli, "_cmd_validate", broken)
+    code = console_main(["validate", helpers.fixture_path("torus")])
+    captured = capsys.readouterr()
+    assert code == cli.INTERNAL_ERROR == 3 and captured.out == ""
+    assert captured.err.startswith("Traceback (most recent call last):")
+    assert captured.err.endswith("RuntimeError: broken subcommand\n")
 
 
 def test_cli_deterministic_output_is_worker_independent(capsys,

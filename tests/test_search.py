@@ -11,9 +11,10 @@ from vhcomplex import (Cover, EdgePath, GroupPresentation, Hyperplane,
                        probe_profinite_triviality, revalidate_witness,
                        semi_decide_virtually_clean,
                        survival_from_clean_cover, transport)
-from vhcomplex import search as search_module
+from vhcomplex import permutations as perm
 from vhcomplex.constructions import enumerate_simple_loops
 from vhcomplex.covers import enumerate_covers
+from vhcomplex.formats import canonical_json, outcome_to_doc
 
 import helpers
 import oracles
@@ -58,6 +59,27 @@ def test_budget_cap_reports_honestly():
         assert out.stats.cap_hit and out.stats.nodes <= cap + 1
     out = element_survives(pres, "a", SearchBudget(max_degree=6))
     assert not out.found and not out.stats.cap_hit and out.stats.nodes > 50
+
+
+def test_searches_reject_a_missing_budget():
+    t = helpers.load_complex("torus")
+    h = hyperplane_of_edge(hyperplanes(t), 1)
+    calls = [lambda: element_survives(FREE2, "a", None),
+             lambda: element_survives(FREE2, "aA", None),
+             lambda: probe_profinite_triviality(FREE2),
+             lambda: loop_survives(t, EdgePath(0, (1,)), None),
+             lambda: loop_survives(t, EdgePath(0, (1, -1)), None),
+             lambda: semi_decide_virtually_clean(t, h, "some", None)]
+    for call in calls:
+        with pytest.raises(ValueError, match="SearchBudget"):
+            call()
+
+
+def test_element_survives_rejects_letters_outside_the_generators():
+    for word, letter in (((3,), "3"), ((1, -3), "-3"), ((0,), "0"),
+                         (("a",), "'a'")):
+        with pytest.raises(ValueError, match="letter %s is not" % letter):
+            element_survives(FREE2, word, SearchBudget(3))
 
 
 def test_budget_rejects_negative_bounds():
@@ -203,15 +225,16 @@ def test_vclean_klein_one_sided_base():
 
 
 def _count_checked_covers(monkeypatch):
-    """Count the covers the vclean scan is handed, one per yield."""
+    """Count the covers the vclean scan is handed, one per class the
+    low-index search yields."""
     checked = [0]
-    real = search_module.iter_covers
+    real = perm.iter_low_index
 
     def counting(*args, **kwargs):
-        for cover in real(*args, **kwargs):
+        for assignment in real(*args, **kwargs):
             checked[0] += 1
-            yield cover
-    monkeypatch.setattr(search_module, "iter_covers", counting)
+            yield assignment
+    monkeypatch.setattr(perm, "iter_low_index", counting)
     return checked
 
 
@@ -230,9 +253,32 @@ def test_vclean_counts_covers_checked(monkeypatch):
     h = hyperplanes(cx)[0]
     out = semi_decide_virtually_clean(cx, h, "some", SearchBudget(3))
     assert not out.found
-    assert out.stats.homs_tried == checked[0] == sum(
+    seen = checked[0]    # enumerate_covers below also counts
+    assert out.stats.homs_tried == seen == sum(
         len(enumerate_covers(cx, d, connected=True, up_to_conjugacy=True))
         for d in range(1, 4)) == 11
+
+
+def test_vclean_matches_per_cover_scan():
+    """Keeping verdicts per carrier restriction changes no outcome
+    document, statistics included."""
+    cases = [(helpers.load_complex(name), 4)
+             for name in helpers.GOOD_FIXTURES + ("bad_vh",)]
+    cases.append((helpers.doubled_complex(), 2))
+    tasks = 0
+    for cx, max_degree in cases:
+        for h in hyperplanes(cx):
+            for mode in ("some", "each"):
+                budget = SearchBudget(max_degree)
+                out = semi_decide_virtually_clean(cx, h, mode, budget)
+                ref = oracles.reference_vclean(cx, h, mode, budget)
+                assert (canonical_json(outcome_to_doc(out))
+                        == canonical_json(outcome_to_doc(ref)))
+                if out.found:
+                    assert revalidate_witness(out.witness, complex=cx,
+                                              hyperplane=h)
+                tasks += 1
+    assert tasks == 46
 
 
 def test_vclean_input_checks():
