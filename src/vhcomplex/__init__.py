@@ -22,7 +22,7 @@ from .constructions import (CrushMap, DoubledComplex, PairItem,
                             pair_enumerator, presentation_complex)
 from .covers import (Cover, RegularClosure, TotalSpace,
                      cover_from_assignment, enumerate_covers, is_connected,
-                     is_normal, iter_covers, lift_dart, lift_path, monodromy,
+                     is_normal, iter_covers, lift_path, monodromy,
                      preimage_cleanness, preimage_hyperplane_components,
                      pullback_cover, regular_closure, total_space, transport,
                      trivial_cover, validate_cover)

@@ -7,7 +7,7 @@ are boundary words: tuples of darts tracing the attaching cycle, length 4
 in a structurally valid complex.
 
 Everything here is immutable and all operations are pure functions, so
-values can be shared freely across threads.
+values can be shared freely.
 """
 
 from __future__ import annotations
@@ -173,32 +173,6 @@ def square_corners(cx: SquareComplex, i: int):
         pair = (a, b) if a <= b else (b, a)
         corners.append((cx.dart_tail(cur), pair))
     return corners
-
-
-@dataclass(frozen=True)
-class VertexLink:
-    vertex: int
-    nodes: tuple    # (edge id, end) incident at the vertex
-    corners: tuple  # ((node, node), (square index, corner position))
-
-
-def vertex_link(cx: SquareComplex, v: int) -> VertexLink:
-    if not (0 <= v < cx.num_vertices):
-        raise ValueError("no vertex %r" % (v,))
-    nodes = []
-    for eid, e in enumerate(cx.edges, start=1):
-        if e.tail == v:
-            nodes.append((eid, 0))
-        if e.head == v:
-            nodes.append((eid, 1))
-    corners = []
-    for i in range(cx.num_squares):
-        if len(cx.squares[i]) != 4:
-            continue
-        for j, (vert, pair) in enumerate(square_corners(cx, i)):
-            if vert == v:
-                corners.append((pair, (i, j)))
-    return VertexLink(v, tuple(sorted(nodes)), tuple(sorted(corners)))
 
 
 def check_npc(cx: SquareComplex):

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from . import permutations as perm
 from .complexes import (CellularMap, DisjointSet, Edge, EdgePath,
-                        SquareComplex, is_connected_complex, trace)
+                        SquareComplex, trace)
 from .hyperplanes import Hyperplane, hyperplanes
 from .presentations import Pi1Presentation, pi1_presentation
 
@@ -51,6 +51,13 @@ def _check_shape(c: Cover):
             raise ValueError("edge %d: %r is not a permutation of %d sheets"
                              % (eid, p, c.degree))
         checked.add(p)
+    # _dart_maps tables index darts from both ends: a dart outside
+    # +-1..num_edges would read another edge's map instead of failing
+    for i, w in enumerate(c.base.squares):
+        for dart in w:
+            if not 0 < abs(dart) <= c.base.num_edges:
+                raise ValueError("square %d: dart %r is not a signed edge id"
+                                 % (i, dart))
 
 
 def transport(c: Cover, word: Sequence[int]) -> tuple:
@@ -64,37 +71,42 @@ def transport(c: Cover, word: Sequence[int]) -> tuple:
     return p
 
 
+def _dart_maps(c: Cover) -> list:
+    """maps[e] is edge e's permutation and maps[-e] its inverse: negative
+    indices count from the end of the list, so a signed dart indexes its
+    map directly.  Each distinct permutation is inverted once."""
+    inverses = {p: perm.inverse(p) for p in set(c.perms)}
+    return [None, *c.perms, *(inverses[p] for p in reversed(c.perms))]
+
+
+def _lift(maps: list, d: int, word: Sequence[int], sheet: int):
+    """Carry `sheet` along a dart word of the degree-d cover whose
+    _dart_maps table is `maps`.  Returns (lifted darts, end sheet); the
+    copy of edge e whose tail is on sheet s has id (e-1)*d+s+1, as in
+    total_space."""
+    lifted = []
+    for dart in word:
+        if dart > 0:
+            lifted.append((dart - 1) * d + sheet + 1)
+            sheet = maps[dart][sheet]
+        else:
+            sheet = maps[dart][sheet]
+            lifted.append((dart + 1) * d - sheet - 1)
+    return lifted, sheet
+
+
 def validate_cover(c: Cover) -> bool:
     """True iff every square boundary transports to the identity.
     Malformed permutation data raises instead.
 
-    Each square is checked point by point: every sheet is carried through
-    the square's darts and must come back, and each distinct permutation
-    is inverted once, when a dart first crosses an edge carrying it
-    backwards.
+    Each square is checked point by point: every sheet is carried
+    through the square's darts by _lift, on one _dart_maps table for the
+    whole cover, and must come back.
     """
     _check_shape(c)
-    perms = c.perms
-    inverses = {}
-    sheets = range(c.degree)
-    for w in c.base.squares:
-        maps = []
-        for dart in w:
-            if dart < 0:
-                p = perms[-dart - 1]
-                q = inverses.get(p)
-                if q is None:
-                    q = inverses[p] = perm.inverse(p)
-            else:
-                q = perms[dart - 1]
-            maps.append(q)
-        for s in sheets:
-            t = s
-            for q in maps:
-                t = q[t]
-            if t != s:
-                return False
-    return True
+    maps, d = _dart_maps(c), c.degree
+    return all(_lift(maps, d, w, s)[1] == s
+               for w in c.base.squares for s in range(d))
 
 
 def trivial_cover(cx: SquareComplex) -> Cover:
@@ -117,9 +129,6 @@ class TotalSpace:
     def edge_index(self, eid: int, sheet: int) -> int:
         return (eid - 1) * self.cover.degree + sheet + 1
 
-    def square_index(self, i: int, sheet: int) -> int:
-        return i * self.cover.degree + sheet
-
     def vertex_fiber(self, zv: int) -> tuple:
         return divmod(zv, self.cover.degree)
 
@@ -128,39 +137,28 @@ class TotalSpace:
         return e + 1, s
 
 
-def lift_dart(c: Cover, d: int, sheet: int):
-    """(edge copy index within the fiber, lifted dart sign, next sheet)."""
-    p = c.perms[abs(d) - 1]
-    if d > 0:
-        return sheet, 1, p[sheet]
-    u = perm.inverse(p)[sheet]
-    return u, -1, u
-
-
 def total_space(c: Cover) -> TotalSpace:
     """Realize the covering complex with d copies of every cell.
 
     Vertex (v, s) gets index v*d+s, edge (e, s) gets id (e-1)*d+s+1, and
     square (i, s) index i*d+s, where s is the sheet at the cell's start.
+    Lifting the squares checks the cover: each lift must close up.
     """
-    if not validate_cover(c):
-        raise ValueError("square relations fail; not a cover")
+    _check_shape(c)
     base, d = c.base, c.degree
-    verts = base.num_vertices * d
-    edges = []
-    for e in base.edges:
-        p = c.perms[len(edges) // d]
-        for s in range(d):
-            edges.append(Edge(e.tail * d + s, e.head * d + p[s], e.label))
+    maps = _dart_maps(c)
     squares = []
     for w in base.squares:
         for s in range(d):
-            t = s
-            lifted = []
-            for dart in w:
-                copy, sign, t = lift_dart(c, dart, t)
-                lifted.append(sign * ((abs(dart) - 1) * d + copy + 1))
+            lifted, t = _lift(maps, d, w, s)
+            if t != s:
+                raise ValueError("square relations fail; not a cover")
             squares.append(tuple(lifted))
+    verts = base.num_vertices * d
+    edges = []
+    for e, p in zip(base.edges, c.perms):
+        for s in range(d):
+            edges.append(Edge(e.tail * d + s, e.head * d + p[s], e.label))
     z = SquareComplex(verts, tuple(edges), tuple(squares))
     proj = CellularMap(
         z, base,
@@ -188,16 +186,13 @@ def lift_path(c: Cover, p: EdgePath, start_sheet: int = 0):
     Returns (path in the total-space indexing, end sheet); a based loop
     lifts closed iff the end sheet equals the start sheet.
     """
+    _check_shape(c)
     if not (0 <= start_sheet < c.degree):
         raise ValueError("no sheet %r" % (start_sheet,))
     trace(c.base, p)   # reject invalid base paths
     d = c.degree
-    t = start_sheet
-    word = []
-    for dart in p.word:
-        copy, sign, t = lift_dart(c, dart, t)
-        word.append(sign * ((abs(dart) - 1) * d + copy + 1))
-    return EdgePath(p.start * d + start_sheet, tuple(word)), t
+    word, end = _lift(_dart_maps(c), d, p.word, start_sheet)
+    return EdgePath(p.start * d + start_sheet, tuple(word)), end
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +299,9 @@ def preimage_cleanness(c: Cover, y: Hyperplane) -> tuple:
 
 def _carrier_edges(y: Hyperplane) -> tuple:
     """The edges of y's carrier, sorted: its dual edges and every edge
-    of the squares it crosses.  _preimage_cleanness reads the cover's
-    permutations on these edges and on no others."""
+    of the squares it crosses.  The result of _preimage_cleanness
+    depends on the cover's permutations on these edges and on no
+    others."""
     squares = y.complex.squares
     edges = set(y.dual_edges)
     for i, _ in y.midcubes:
@@ -315,12 +311,14 @@ def _carrier_edges(y: Hyperplane) -> tuple:
 
 def _preimage_cleanness(c: Cover, y: Hyperplane) -> tuple:
     """preimage_cleanness without its checks, for a cover of y's complex
-    known to satisfy every square relator, such as one iter_covers
-    built.  The result depends only on the degree and the permutations
-    on _carrier_edges(y)."""
-    base, d, perms = c.base, c.degree, c.perms
+    known to satisfy every square relator, such as one
+    cover_from_assignment built from a low-index table.  The result
+    depends only on the degree and the permutations on
+    _carrier_edges(y), the only entries of its _dart_maps table that it
+    reads."""
+    base, d = c.base, c.degree
     sheets = range(d)
-    inverses = {}
+    maps = _dart_maps(c)
     parent = list(range(base.num_edges * d + 1))
     rel = [0] * len(parent)    # parity between an edge and its parent
 
@@ -344,19 +342,7 @@ def _preimage_cleanness(c: Cover, y: Hyperplane) -> tuple:
     for i, pairs in pairs_at.items():
         w = base.squares[i]
         for s in sheets:
-            t = s
-            ids = []
-            for dart in w:
-                if dart > 0:
-                    ids.append((dart - 1) * d + t + 1)
-                    t = perms[dart - 1][t]
-                else:
-                    p = perms[-dart - 1]
-                    q = inverses.get(p)
-                    if q is None:
-                        q = inverses[p] = perm.inverse(p)
-                    t = q[t]
-                    ids.append((-dart - 1) * d + t + 1)
+            ids = [abs(x) for x in _lift(maps, d, w, s)[0]]
             lifted.append((w, ids, pairs))
             for pair in pairs:
                 a, b = ids[pair], ids[pair + 2]
@@ -377,7 +363,7 @@ def _preimage_cleanness(c: Cover, y: Hyperplane) -> tuple:
     component_id = {}
     pushed = set()
     for e in sorted(y.dual_edges):
-        edge, q = edges[e - 1], perms[e - 1]
+        edge, q = edges[e - 1], maps[e]
         for s in sheets:
             x = (e - 1) * d + s + 1
             r = find(x)
@@ -425,7 +411,6 @@ def cover_from_assignment(cx: SquareComplex, pres: Pi1Presentation,
 def iter_covers(cx: SquareComplex, degree: int,
                 connected: bool = False,
                 up_to_conjugacy: bool = False,
-                basepoint: int = 0,
                 pres: Optional[Pi1Presentation] = None,
                 budget: Optional[perm.NodeBudget] = None):
     """Stream of degree-d covers with identity on a spanning tree.
@@ -443,7 +428,7 @@ def iter_covers(cx: SquareComplex, degree: int,
     if degree < 1:
         raise ValueError("degree must be positive")
     if pres is None:
-        pres = pi1_presentation(cx, basepoint)
+        pres = pi1_presentation(cx)
     if connected and up_to_conjugacy:
         for assignment in perm.iter_low_index(len(pres.generators),
                                               pres.relators, degree,
@@ -462,12 +447,10 @@ def iter_covers(cx: SquareComplex, degree: int,
 def enumerate_covers(cx: SquareComplex, degree: int,
                      connected: bool = False,
                      up_to_conjugacy: bool = False,
-                     basepoint: int = 0,
                      pres: Optional[Pi1Presentation] = None):
     """All degree-d covers with identity on a spanning tree, as a tuple."""
     return tuple(iter_covers(cx, degree, connected=connected,
-                             up_to_conjugacy=up_to_conjugacy,
-                             basepoint=basepoint, pres=pres))
+                             up_to_conjugacy=up_to_conjugacy, pres=pres))
 
 
 # ---------------------------------------------------------------------------

@@ -72,17 +72,6 @@ def hyperplane_of_edge(hyps, eid: int) -> Hyperplane:
     raise ValueError("no hyperplane contains edge %d" % eid)
 
 
-def hyperplane_graph(h: Hyperplane):
-    """(nodes, arcs): nodes are dual edge ids, arcs are
-    (edge, edge, midcube) triples."""
-    cx = h.complex
-    arcs = []
-    for m in h.midcubes:
-        a, b = midcube_dual_pair(cx, m)
-        arcs.append((min(a, b), max(a, b), m))
-    return tuple(sorted(h.dual_edges)), tuple(arcs)
-
-
 def self_crossing(h: Hyperplane) -> bool:
     """True iff both midcubes of some square lie in this hyperplane."""
     cubes = set(h.midcubes)

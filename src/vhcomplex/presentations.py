@@ -95,9 +95,6 @@ class Pi1Presentation:
     relators: tuple
     _tree_path: tuple  # per vertex, dart word from basepoint along the tree
 
-    def generator_index(self, eid: int) -> int:
-        return self.generators.index(eid) + 1
-
     def loop_word(self, p: EdgePath) -> tuple:
         """Image of a closed path in the generators, collapsing the tree."""
         verts = trace(self.complex, p)

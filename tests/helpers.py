@@ -112,6 +112,14 @@ def random_connected_cover(rng, cx, degree, max_tries=20000) -> Cover:
     raise AssertionError("no connected cover found in %d tries" % max_tries)
 
 
+def grid_cover(m, n) -> Cover:
+    """The m x n grid cover of the one-square torus: sheet (i, j) is
+    i*n + j, edge 1 steps i and edge 2 steps j."""
+    v = tuple(((i + 1) % m) * n + j for i in range(m) for j in range(n))
+    h = tuple(i * n + (j + 1) % n for i in range(m) for j in range(n))
+    return Cover(load_complex("torus"), m * n, (v, h))
+
+
 def random_presentation(rng, max_generators=3, max_relator_length=6):
     names = ["a", "b", "c"][:rng.randint(1, max_generators)]
     g = len(names)

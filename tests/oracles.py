@@ -13,7 +13,8 @@ injectively on vertices and edges.
 import itertools
 
 from vhcomplex import permutations as perm
-from vhcomplex.complexes import free_reduce, square_corners
+from vhcomplex.complexes import (CellularMap, Edge, SquareComplex,
+                                 free_reduce, square_corners)
 from vhcomplex.covers import (cover_from_assignment, iter_covers,
                               preimage_cleanness, regular_closure, transport)
 from vhcomplex.presentations import pi1_presentation
@@ -233,6 +234,42 @@ def reference_validate_cover(c):
     reference_check_shape(c)
     ident = perm.identity(c.degree)
     return all(transport(c, w) == ident for w in c.base.squares)
+
+
+def reference_total_space(c):
+    """The per-dart realization covers.total_space replaced: each
+    backwards dart on each sheet inverts its edge's whole permutation.
+    Returns (complex, projection), numbered as in total_space."""
+    if not reference_validate_cover(c):
+        raise ValueError("square relations fail; not a cover")
+    base, d = c.base, c.degree
+    verts = base.num_vertices * d
+    edges = []
+    for eid, e in enumerate(base.edges, start=1):
+        p = c.perms[eid - 1]
+        for s in range(d):
+            edges.append(Edge(e.tail * d + s, e.head * d + p[s], e.label))
+    squares = []
+    for w in base.squares:
+        for s in range(d):
+            t = s
+            lifted = []
+            for dart in w:
+                p = c.perms[abs(dart) - 1]
+                if dart > 0:
+                    lifted.append((dart - 1) * d + t + 1)
+                    t = p[t]
+                else:
+                    t = perm.inverse(p)[t]
+                    lifted.append(-((-dart - 1) * d + t + 1))
+            squares.append(tuple(lifted))
+    z = SquareComplex(verts, tuple(edges), tuple(squares))
+    proj = CellularMap(z, base,
+                       tuple(v // d for v in range(verts)),
+                       tuple(((ze - 1) // d + 1,)
+                             for ze in range(1, len(edges) + 1)),
+                       tuple(i // d for i in range(len(squares))))
+    return z, proj
 
 
 def reference_osculation_witness(h1, h2):

@@ -43,6 +43,15 @@ def test_validate_cover():
     with pytest.raises(ValueError):
         validate_cover(Cover(helpers.load_complex("torus"), 2,
                              ((0, 0), (0, 1))))
+    # a dart outside +-1..num_edges is rejected, not read from the table
+    for dart in (0, 3, 4, -3):
+        cx = SquareComplex(1, (Edge(0, 0, "V"), Edge(0, 0, "H")),
+                           ((1, dart, -1, -2),))
+        c = Cover(cx, 2, ((1, 0), (0, 1)))
+        for f in (validate_cover, total_space,
+                  lambda c: lift_path(c, EdgePath(0, (1,)))):
+            with pytest.raises(ValueError, match="not a signed edge id"):
+                f(c)
 
 
 def test_trivial_cover():
@@ -87,6 +96,49 @@ def test_lift_path_sheets():
         lift_path(c, loop, 3)
     with pytest.raises(ValueError):
         lift_path(c, EdgePath(1, (1,)), 0)
+    # malformed permutation data: the error validate_cover raises
+    t = helpers.load_complex("torus")
+    for perms, word in ((((0, 0), (0, 1)), (1, -1)),
+                        (((0, 5), (0, 1)), (-1,))):
+        c = Cover(t, 2, perms)
+        with pytest.raises(ValueError) as lifting:
+            lift_path(c, EdgePath(0, word), 0)
+        with pytest.raises(ValueError) as validating:
+            validate_cover(c)
+        assert str(lifting.value) == str(validating.value)
+
+
+def test_total_space_matches_reference():
+    covers = [c for name in VALID_FIXTURES for d in (1, 2, 3)
+              for c in iter_covers(helpers.load_complex(name), d)]
+    covers += [helpers.grid_cover(24, 24), helpers.grid_cover(32, 16)]
+    for c in covers:
+        ts = total_space(c)
+        z, proj = oracles.reference_total_space(c)
+        assert ts.complex == z and ts.projection == proj, c
+        # each square's boundary lifts along the reference's lifted square
+        d = c.degree
+        for i, w in enumerate(c.base.squares):
+            start = c.base.dart_tail(w[0])
+            for s in range(d):
+                lifted, end = lift_path(c, EdgePath(start, w), s)
+                assert end == s
+                assert lifted == EdgePath(start * d + s, z.squares[i * d + s])
+    assert len(covers) > 100
+
+
+def test_total_space_inverts_each_permutation_once(monkeypatch):
+    c = helpers.grid_cover(24, 24)
+    calls = []
+    inverse = perm.inverse
+
+    def counted(p):
+        calls.append(p)
+        return inverse(p)
+
+    monkeypatch.setattr(perm, "inverse", counted)
+    total_space(c)
+    assert len(calls) <= len(set(c.perms)) == 2
 
 
 def test_monodromy_images():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from vhcomplex import (Cover, Edge, SquareComplex, hyperplane_of_edge,
+from vhcomplex import (Edge, SquareComplex, hyperplane_of_edge,
                        hyperplanes, inter_osculates, is_clean,
                        is_complex_clean, is_special, is_two_sided,
                        iter_covers, pushing_map, self_crossing, total_space)
@@ -149,10 +149,7 @@ def test_agreement_with_boundary_oracle():
 
 def _grid_torus(m, n):
     """Total space of the m x n grid cover of the one-square torus."""
-    v = tuple(((i + 1) % m) * n + j for i in range(m) for j in range(n))
-    h = tuple(i * n + (j + 1) % n for i in range(m) for j in range(n))
-    return total_space(Cover(helpers.load_complex("torus"), m * n,
-                             (v, h))).complex
+    return total_space(helpers.grid_cover(m, n)).complex
 
 
 def _pairwise_special(cx):
