@@ -231,11 +231,12 @@ def eliminate_generators(num_gens: int, relators: Sequence[Sequence[int]]):
     A relator of length 1 makes its generator trivial.  A relator of
     length 2 in two distinct generators makes the higher-indexed one the
     inverse of the other letter.  Moves repeat until no such relator is
-    left; relators are rewritten, cyclically reduced, and dropped once
-    empty.  Returns (kept, relators, images): `kept` lists the surviving
-    generators in ascending order, the relators are over 1..len(kept),
-    and images[g-1] is 0 when generator g is trivial, else a signed
-    1-based index into `kept`.
+    left; the relators that contain the dropped generator are rewritten,
+    cyclically reduced, and dropped once empty.  Returns (kept,
+    relators, images): `kept` lists the surviving generators in
+    ascending order, the relators are over 1..len(kept), and images[g-1]
+    is 0 when generator g is trivial, else a signed 1-based index into
+    `kept`.
     """
     image = list(range(num_gens + 1))    # signed letter, 0 = trivial
     rels = [w for w in map(cyclic_reduce, relators) if w]
@@ -253,9 +254,16 @@ def eliminate_generators(num_gens: int, relators: Sequence[Sequence[int]]):
             break
         image[g] = letter
         sub = {g: letter, -g: -letter}
-        words = ([sub.get(x, x) for x in r] for r in rels)
-        rels = [w for w in (cyclic_reduce([x for x in word if x])
-                            for word in words) if w]
+        # a relator without g or -g is already cyclically reduced, so
+        # rewriting it would give it back unchanged
+        rewritten = []
+        for w in rels:
+            if g in w or -g in w:
+                w = cyclic_reduce([x for x in map(sub.get, w, w) if x])
+                if not w:
+                    continue
+            rewritten.append(w)
+        rels = rewritten
 
     def resolve(x):
         while x and image[abs(x)] != abs(x):
@@ -329,8 +337,10 @@ def iter_low_index(num_gens: int, relators: Sequence[Sequence[int]], d: int,
     explicit stack, so the recursion limit does not bound the table.
     `budget`, when given, is spent once per definition tried;
     enumeration stops quietly at the first node it refuses, leaving
-    budget.cap_hit set.
+    budget.cap_hit set.  A degree below 1 raises ValueError.
     """
+    if d < 1:
+        raise ValueError("degree must be positive")
     kept, rels, images = eliminate_generators(num_gens, relators)
     ncols = 2 * len(kept)
     rots = _relator_rotations(rels, ncols)
@@ -338,24 +348,29 @@ def iter_low_index(num_gens: int, relators: Sequence[Sequence[int]], d: int,
     table = [-1] * (d * ncols + 1)
     trail = []
 
-    # the columns the assignment reads: generator k is column 2k-2 and
-    # its inverse column 2k-1
-    starts = {x: 2 * x - 2 if x > 0 else -2 * x - 1 for x in images if x}
+    # the column each original generator reads: kept generator k is
+    # column 2k-2 and its inverse column 2k-1; None when it is trivial
+    picks = [None if not x else 2 * x - 2 if x > 0 else -2 * x - 1
+             for x in images]
+    trivial = identity(d)
 
     def assignment():
-        cols = {x: tuple(table[i:d * ncols:ncols]) for x, i in starts.items()}
-        cols[0] = identity(d)
-        return tuple(cols[x] for x in images)
+        cols = list(zip(*[table[r * ncols:(r + 1) * ncols]
+                          for r in range(d)]))
+        return tuple(trivial if k is None else cols[k] for k in picks)
 
     def deduce(entry) -> bool:
         """Process deductions from a new entry; False on a conflict."""
         queue = [entry]
         while queue:
-            c, x = divmod(queue.pop(), ncols)
+            e = queue.pop()
+            c, x = divmod(e, ncols)
+            # every rotation in rots[x] begins with x, and (c, x) is set
+            start = table[e]
             for word in rots[x]:
-                f = c
+                f = start
                 n = len(word)
-                i = 0
+                i = 1
                 while i < n:
                     t = table[f * ncols + word[i]]
                     if t < 0:

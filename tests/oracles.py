@@ -14,7 +14,7 @@ import itertools
 
 from vhcomplex import permutations as perm
 from vhcomplex.complexes import (CellularMap, Edge, SquareComplex,
-                                 free_reduce, square_corners)
+                                 cyclic_reduce, free_reduce, square_corners)
 from vhcomplex.covers import (cover_from_assignment, iter_covers,
                               preimage_cleanness, regular_closure, transport)
 from vhcomplex.presentations import pi1_presentation
@@ -207,6 +207,48 @@ def reference_iter_homs(num_gens, relators, d, budget=None):
         images.pop(k, None)
 
     yield from level(1)
+
+
+# ---------------------------------------------------------------------------
+# Tietze elimination, rewriting every relator after each move
+
+
+def reference_eliminate_generators(num_gens, relators):
+    """The permutations.eliminate_generators that rewrote every relator,
+    not only those containing the dropped generator, after each move.
+    Same moves, same order, same (kept, relators, images)."""
+    image = list(range(num_gens + 1))    # signed letter, 0 = trivial
+    rels = [w for w in map(cyclic_reduce, relators) if w]
+    while True:
+        for w in rels:
+            if len(w) == 1:
+                g, letter = abs(w[0]), 0
+                break
+            if len(w) == 2 and abs(w[0]) != abs(w[1]):
+                x, y = sorted(w, key=abs)
+                g, letter = abs(y), (-x if y > 0 else x)
+                break
+        else:
+            break
+        image[g] = letter
+        sub = {g: letter, -g: -letter}
+        words = ([sub.get(x, x) for x in r] for r in rels)
+        rels = [w for w in (cyclic_reduce([x for x in word if x])
+                            for word in words) if w]
+
+    def resolve(x):
+        while x and image[abs(x)] != abs(x):
+            x = image[x] if x > 0 else -image[-x]
+        return x
+
+    kept = [g for g in range(1, num_gens + 1) if image[g] == g]
+    pos = {g: k for k, g in enumerate(kept, start=1)}
+    for g in kept:
+        pos[-g] = -pos[g]
+    pos[0] = 0
+    return (tuple(kept),
+            tuple(tuple(pos[x] for x in w) for w in rels),
+            tuple(pos[resolve(g)] for g in range(1, num_gens + 1)))
 
 
 # ---------------------------------------------------------------------------

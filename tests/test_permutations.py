@@ -1,11 +1,15 @@
-"""The homomorphism enumerator and the canonicity test against the
-slower code they replaced: iter_homs against oracles.reference_iter_homs,
-is_canonical against canonical_under_relabeling.  The low-index search
-against its defining properties; tests/test_covers.py compares its
-covers with the brute-force path."""
+"""The homomorphism enumerator, the Tietze moves and the canonicity
+test against the slower code they replaced: iter_homs against
+oracles.reference_iter_homs, eliminate_generators against
+oracles.reference_eliminate_generators, is_canonical against
+canonical_under_relabeling.  The low-index search against its defining
+properties; tests/test_covers.py compares its covers with the
+brute-force path."""
 
 import itertools
 import random
+
+import pytest
 
 from vhcomplex import permutations as perm
 from vhcomplex import pi1_presentation
@@ -89,6 +93,19 @@ def test_eliminate_generators():
     assert (n, len(relators), len(kept), len(rels)) == (47, 42, 27, 22)
 
 
+def test_eliminate_generators_matches_reference():
+    cases = [_pi1(helpers.load_complex(name))
+             for name in helpers.GOOD_FIXTURES + ("bad_vh",)]
+    cases.append(_pi1(helpers.doubled_complex()))
+    rng = random.Random(6)
+    for _ in range(200):
+        pres = helpers.random_presentation(rng)
+        cases.append((pres.num_generators, pres.relators))
+    for n, relators in cases:
+        assert perm.eliminate_generators(n, relators) \
+            == oracles.reference_eliminate_generators(n, relators), relators
+
+
 def test_low_index_yields_least_standard_tables():
     cases = [(helpers.load_complex(name), 5)
              for name in helpers.GOOD_FIXTURES + ("bad_vh",)]
@@ -98,13 +115,18 @@ def test_low_index_yields_least_standard_tables():
         n, relators = _pi1(cx)
         kept, _, _ = perm.eliminate_generators(n, relators)
         for d in range(1, max_degree + 1):
+            previous = None
             for a in perm.iter_low_index(n, relators, d):
                 assert len(a) == n and perm.is_transitive(a, d)
                 images = dict(enumerate(a, start=1))
                 assert all(perm.word_image(r, images, d) == perm.identity(d)
                            for r in relators)
-                assert oracles.is_least_standard_table(
-                    tuple(a[g - 1] for g in kept)), (cx, d, a)
+                table = tuple(a[g - 1] for g in kept)
+                assert oracles.is_least_standard_table(table), (cx, d, a)
+                # yielded in ascending row-major order
+                standard = oracles._standard_table(table, 0)
+                assert previous is None or previous < standard, (cx, d, a)
+                previous = standard
 
 
 def test_low_index_matches_brute_force_on_random_presentations():
@@ -119,6 +141,24 @@ def test_low_index_matches_brute_force_on_random_presentations():
             classes = {perm.canonical_under_relabeling(a) for a in got}
             assert len(got) == len(want) == len(classes), (pres, d)
             assert classes == set(want), (pres, d)
+
+
+def test_low_index_class_and_node_counts():
+    doubled = _pi1(helpers.doubled_complex())
+    torus = _pi1(helpers.load_complex("torus"))
+    for (n, relators), d, classes, nodes in ((doubled, 1, 1, 9),
+                                             (doubled, 2, 511, 2869),
+                                             (torus, 6, 12, 105),
+                                             (torus, 10, 18, 325)):
+        budget = perm.NodeBudget()
+        got = list(perm.iter_low_index(n, relators, d, budget=budget))
+        assert (len(got), budget.nodes) == (classes, nodes), d
+
+
+def test_low_index_rejects_degree_below_one():
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="degree must be positive"):
+            list(perm.iter_low_index(2, [], d))
 
 
 def test_low_index_budget_cap_stops_the_scan():
