@@ -310,12 +310,12 @@ def _carrier_edges(y: Hyperplane) -> tuple:
 
 
 def _preimage_cleanness(c: Cover, y: Hyperplane) -> tuple:
-    """preimage_cleanness without its checks, for a cover of y's complex
-    known to satisfy every square relator, such as one
-    cover_from_assignment built from a low-index table.  The result
-    depends only on the degree and the permutations on
-    _carrier_edges(y), the only entries of its _dart_maps table that it
-    reads."""
+    """preimage_cleanness without its checks, for permutations on y's
+    complex known to satisfy the relators of the squares y crosses, such
+    as a cover that cover_from_assignment built from a low-index table;
+    the other squares' relators need not hold.  The result depends only on
+    the degree and the permutations on _carrier_edges(y), the only
+    entries of its _dart_maps table that it reads."""
     base, d = c.base, c.degree
     sheets = range(d)
     maps = _dart_maps(c)

@@ -27,7 +27,13 @@ preimage component of the hyperplane is clean depends only on the
 permutations on the hyperplane's carrier edges, and far fewer carrier
 restrictions occur than classes, so the search memoizes the cleanness
 of the preimage per carrier restriction and builds a Cover only on a
-miss, for a witness, or for a regular closure.
+miss, for a witness, or for a regular closure.  Every carrier
+restriction satisfies the relators of the squares the hyperplane
+crosses, so before it scans a degree d >= 2 the search enumerates the
+assignments of the carrier letters in S_d that satisfy them, and skips
+the degree when none has a clean component.  A skipped degree adds
+nothing to the statistics and spends none of the node budget, so under
+a node cap the search can reach degrees that the scan alone would not.
 """
 
 from __future__ import annotations
@@ -48,6 +54,12 @@ from .presentations import GroupPresentation, parse_word, pi1_presentation
 
 FOUND = "FOUND"
 EXHAUSTED = "EXHAUSTED"
+
+# The virtual-cleanness search's carrier pre-check gives up on a degree
+# after this many nodes of its backtrack, and the degree is scanned.
+# Two free carrier letters take 601 nodes in S_4 and 14,521 in S_5; a
+# larger cap only makes giving up dearer where the class scan is cheap.
+CARRIER_NODE_CAP = 2_000
 
 
 @dataclass(frozen=True)
@@ -267,9 +279,19 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
     closure.  The scanned covers satisfy every square relator by
     construction, so only closures are validated first.
     revalidate_vclean_witness does realize the witness cover.
-    homs_tried counts the covers checked, and covers_realized counts
-    those plus the closures checked, whether or not a Cover was
-    built.  Raises ValueError on a structurally invalid complex.
+
+    Before it scans a degree d >= 2, the search backtracks over the
+    assignments of the carrier letters in S_d that satisfy the carrier
+    squares' relators, one per simultaneous relabeling of the sheets,
+    and decides each through the same memo.  If none has a clean
+    component, no class of the degree has one, and the degree is
+    skipped; the degree is scanned when one has, or when the backtrack
+    hits CARRIER_NODE_CAP.  Status, least degree and witness are those
+    of the full scan.  homs_tried counts the covers checked, and
+    covers_realized counts those plus the closures checked, whether or
+    not a Cover was built; nodes counts the low-index search's
+    definitions.  A skipped degree adds to none of them.  Raises
+    ValueError on a structurally invalid complex.
     """
     require_structure(cx)
     mode = mode.lower()
@@ -285,15 +307,65 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
     key_pos = [gen_pos.get(eid) for eid in _carrier_edges(h)]
     verdicts = {}    # carrier key -> ((component id, clean), ...)
 
-    def check(d, a):
-        stats.covers_realized += 1
+    def verdict(d, a):
+        """(the cleanness of a's preimage components, the Cover built
+        for them or None on a memo hit)."""
         ident = perm.identity(d)
         key = tuple(ident if k is None else a[k] for k in key_pos)
-        cover = None
         comps = verdicts.get(key)
-        if comps is None:
-            cover = cover_from_assignment(cx, pres, d, a)
-            comps = verdicts[key] = _preimage_cleanness(cover, h)
+        if comps is not None:
+            return comps, None
+        cover = cover_from_assignment(cx, pres, d, a)
+        comps = verdicts[key] = _preimage_cleanness(cover, h)
+        return comps, cover
+
+    # the carrier squares' relators, over the carrier letters renumbered
+    # 1..k (a carrier square's edges are all carrier edges), after the
+    # Tietze moves that drop the letters short relators define
+    letters = [k for k in key_pos if k is not None]
+    renumber = {k + 1: i for i, k in enumerate(letters, start=1)}
+    kept, kept_relators, letter_images = perm.eliminate_generators(
+        len(letters),
+        [tuple(renumber[x] if x > 0 else -renumber[-x]
+               for x in pres.relators[i])
+         for i in sorted({i for i, _ in h.midcubes})])
+
+    # the backtrack's tree in degree d embeds in the one in degree d + 1
+    # (add a fixed point), so once it hits the cap it would at every
+    # higher degree
+    carrier_cap_hit = False
+
+    def carrier_is_dirty(d):
+        """Whether every assignment of the carrier letters in S_d that
+        satisfies the carrier relators has only dirty components; False
+        as well when the backtrack hits CARRIER_NODE_CAP."""
+        nonlocal carrier_cap_hit
+        node_budget = perm.NodeBudget(CARRIER_NODE_CAP)
+        ident = perm.identity(d)
+        a = [ident] * len(pres.generators)
+        for images in perm.iter_homs(len(kept), kept_relators, d,
+                                     budget=node_budget):
+            # relabeling the sheets keeps every component's cleanness
+            if not perm.is_canonical(images):
+                continue
+            for k, x in zip(letters, letter_images):
+                a[k] = (ident if not x else images[x - 1] if x > 0
+                        else perm.inverse(images[-x - 1]))
+            if any(clean for _, clean in verdict(d, a)[0]):
+                return False
+        carrier_cap_hit = node_budget.cap_hit
+        return not carrier_cap_hit
+
+    quotients = _quotients(pres)
+
+    def candidates(d, node_budget):
+        if d >= 2 and not carrier_cap_hit and carrier_is_dirty(d):
+            return ()
+        return quotients(d, node_budget)
+
+    def check(d, a):
+        stats.covers_realized += 1
+        comps, cover = verdict(d, a)
         if not any(clean for _, clean in comps):
             return None
         if cover is None:
@@ -309,7 +381,7 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
             return VCleanWitness(mode, h.id, closure, None)
         return None
 
-    return _scan(_quotients(pres), check, 1, budget, stats)
+    return _scan(candidates, check, 1, budget, stats)
 
 
 # ---------------------------------------------------------------------------

@@ -500,18 +500,22 @@ def reference_loop_survives(cx, loop, max_degree):
 # virtual cleanness, one cleanness check per cover
 
 
-def reference_vclean(cx, h, mode, budget):
+def reference_vclean(cx, h, mode, budget, skip=frozenset()):
     """The scan search.semi_decide_virtually_clean made before it kept
     verdicts per carrier restriction: every connected cover up to
     conjugacy from iter_covers, degree 1 up to the bound, each realized
     as a Cover and checked with preimage_cleanness; in "each" mode a
     cover with a clean component but not all promotes to its regular
-    closure.  Returns the whole SearchOutcome, stats included."""
+    closure.  The degrees in `skip` are passed over without spending
+    the node budget.  Returns the whole SearchOutcome, stats
+    included."""
     pres = pi1_presentation(cx, 0)
     stats = SearchStats()
     node_budget = perm.NodeBudget(budget.max_nodes)
     witness = None
     for d in range(1, budget.max_degree + 1):
+        if d in skip:
+            continue
         for cover in iter_covers(cx, d, connected=True, up_to_conjugacy=True,
                                  pres=pres, budget=node_budget):
             stats.homs_tried += 1

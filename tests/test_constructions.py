@@ -237,6 +237,12 @@ def test_pair_enumerator_diagonal_order():
         assert validate(it.double.complex).all_ok
 
 
+def test_doubled_fixture_is_the_first_double():
+    """tests/fixtures/doubled.json, which the command-line checks read,
+    is the complex helpers.doubled_complex builds."""
+    assert helpers.load_complex("doubled") == helpers.doubled_complex()
+
+
 def test_pair_enumerator_empty_source():
     assert list(pair_enumerator(iter(()), helpers.load_complex("torus"),
                                 EdgePath(0, (1,)))) == []

@@ -4,14 +4,17 @@ import pytest
 
 from vhcomplex import (Cover, EdgePath, GroupPresentation, Hyperplane,
                        LoopWitness,
-                       QuotientWitness, SearchBudget, VCleanWitness,
+                       QuotientWitness, SearchBudget, SearchStats,
+                       VCleanWitness,
                        clean_cover_from_survival, double_along_loop,
                        element_survives, hyperplane_of_edge, hyperplanes,
-                       is_clean, loop_survives, pointed_pair,
+                       is_clean, iter_covers, loop_survives, pointed_pair,
+                       preimage_cleanness,
                        probe_profinite_triviality, revalidate_witness,
                        semi_decide_virtually_clean,
                        survival_from_clean_cover, transport)
 from vhcomplex import permutations as perm
+from vhcomplex import search
 from vhcomplex.constructions import enumerate_simple_loops
 from vhcomplex.covers import enumerate_covers
 from vhcomplex.formats import canonical_json, outcome_to_doc
@@ -247,38 +250,147 @@ def test_vclean_counts_covers_checked(monkeypatch):
     assert out.stats.homs_tried == checked[0] == 1
     assert out.stats.covers_realized == 1
 
-    # an exhausted scan checks every connected cover up to conjugacy
+    # an exhausted scan checks every class of every degree it does not
+    # skip; every assignment of bad_vh's carrier letters in S_2 and S_3
+    # is dirty, so only degree 1 is scanned
     checked[0] = 0
     cx = helpers.load_complex("bad_vh")
     h = hyperplanes(cx)[0]
     out = semi_decide_virtually_clean(cx, h, "some", SearchBudget(3))
     assert not out.found
     seen = checked[0]    # enumerate_covers below also counts
-    assert out.stats.homs_tried == seen == sum(
-        len(enumerate_covers(cx, d, connected=True, up_to_conjugacy=True))
-        for d in range(1, 4)) == 11
+    assert out.stats.homs_tried == seen == len(
+        enumerate_covers(cx, 1, connected=True, up_to_conjugacy=True)) == 1
+    assert out.stats.covers_realized == 1 and out.stats.nodes == 2
 
 
-def test_vclean_matches_per_cover_scan():
-    """Keeping verdicts per carrier restriction changes no outcome
-    document, statistics included."""
-    cases = [(helpers.load_complex(name), 4)
-             for name in helpers.GOOD_FIXTURES + ("bad_vh",)]
-    cases.append((helpers.doubled_complex(), 2))
+def _record_scanned_degrees(monkeypatch):
+    """Record the degrees handed to the low-index search."""
+    degrees = []
+    real = perm.iter_low_index
+
+    def recording(num_gens, relators, d, **kwargs):
+        degrees.append(d)
+        return real(num_gens, relators, d, **kwargs)
+    monkeypatch.setattr(perm, "iter_low_index", recording)
+    return degrees
+
+
+def _vclean_tasks():
+    """(fixture name, complex, hyperplane, mode, budget) for every
+    hyperplane of the valid fixtures, bad_vh and mixed_carrier to degree
+    4, of the doubled complex D to degree 2, and of three hyperplanes of
+    D to degree 3 under a node cap.  In S_3 some carrier assignments of
+    mixed_carrier's hyperplanes 2 and 4 have clean components, but none
+    has only clean ones; both first have a clean component in degree
+    3."""
+    cases = [(name, None, SearchBudget(4))
+             for name in helpers.GOOD_FIXTURES + ("bad_vh", "mixed_carrier")]
+    cases.append(("doubled", None, SearchBudget(2)))
+    cases.append(("doubled", (13, 33, 67),
+                  SearchBudget(3, max_nodes=20_000)))
+    for name, ids, budget in cases:
+        cx = helpers.load_complex(name)
+        for h in hyperplanes(cx):
+            if ids is None or h.id in ids:
+                for mode in ("some", "each"):
+                    yield name, cx, h, mode, budget
+
+
+def _has_clean_class(cx, h, d, max_nodes) -> bool:
+    """Whether a connected degree-d cover up to conjugacy, among those
+    the low-index search yields within max_nodes definitions, has a
+    clean preimage component of h."""
+    return any(any(clean for _, clean in preimage_cleanness(cover, h))
+               for cover in iter_covers(cx, d, connected=True,
+                                        up_to_conjugacy=True,
+                                        budget=perm.NodeBudget(max_nodes)))
+
+
+def test_vclean_matches_per_cover_scan(monkeypatch):
+    """Keeping verdicts per carrier restriction and skipping degrees
+    whose carrier assignments are all dirty changes no outcome document
+    but the statistics, and those equal the per-cover scan's over the
+    degrees scanned.  No class of a skipped degree has a clean
+    component."""
+    scanned = _record_scanned_degrees(monkeypatch)
+    dirty_degrees = set()    # (fixture name, hyperplane id, degree)
     tasks = 0
-    for cx, max_degree in cases:
+    for name, cx, h, mode, budget in _vclean_tasks():
+        del scanned[:]
+        out = semi_decide_virtually_clean(cx, h, mode, budget)
+        reached = (max(scanned, default=0)
+                   if out.found or out.stats.cap_hit else budget.max_degree)
+        skipped = frozenset(range(1, reached + 1)) - set(scanned)
+        assert 1 not in skipped
+        ref = oracles.reference_vclean(cx, h, mode, budget, skip=skipped)
+        assert (canonical_json(outcome_to_doc(out))
+                == canonical_json(outcome_to_doc(ref)))
+        if out.found:
+            assert revalidate_witness(out.witness, complex=cx,
+                                      hyperplane=h)
+        for d in skipped:
+            if (name, h.id, d) not in dirty_degrees:
+                assert not _has_clean_class(cx, h, d, budget.max_nodes)
+                dirty_degrees.add((name, h.id, d))
+        tasks += 1
+    assert tasks == 58
+    assert dirty_degrees == {("bad_vh", 1, 2), ("bad_vh", 1, 3),
+                             ("bad_vh", 1, 4), ("mixed_carrier", 2, 2),
+                             ("mixed_carrier", 4, 2), ("doubled", 13, 2),
+                             ("doubled", 28, 2), ("doubled", 46, 2),
+                             ("doubled", 61, 2), ("doubled", 13, 3)}
+
+
+def test_vclean_decides_covers_satisfying_the_carrier_relators(
+        monkeypatch):
+    """Every cover whose cleanness the search decides, in the pre-check
+    or in the scan, satisfies the relators of the squares its hyperplane
+    crosses."""
+    real = search._preimage_cleanness
+    decided = []
+
+    def checking(cover, h):
+        ident = perm.identity(cover.degree)
+        for i, _ in h.midcubes:
+            assert transport(cover, cover.base.squares[i]) == ident
+        decided.append(cover.degree)
+        return real(cover, h)
+    monkeypatch.setattr(search, "_preimage_cleanness", checking)
+    for name in ("doubled", "mixed_carrier"):
+        cx = helpers.load_complex(name)
+        for h in hyperplanes(cx):
+            semi_decide_virtually_clean(cx, h, "each",
+                                        SearchBudget(3, max_nodes=20_000))
+    assert 3 in decided
+
+
+def test_vclean_without_carrier_precheck_matches_full_scan(monkeypatch):
+    """With the pre-check's node cap at 0 every degree is scanned, as
+    before the pre-check, statistics included."""
+    monkeypatch.setattr(search, "CARRIER_NODE_CAP", 0)
+    for name in helpers.GOOD_FIXTURES + ("bad_vh", "mixed_carrier"):
+        cx = helpers.load_complex(name)
         for h in hyperplanes(cx):
             for mode in ("some", "each"):
-                budget = SearchBudget(max_degree)
+                budget = SearchBudget(4)
                 out = semi_decide_virtually_clean(cx, h, mode, budget)
                 ref = oracles.reference_vclean(cx, h, mode, budget)
                 assert (canonical_json(outcome_to_doc(out))
                         == canonical_json(outcome_to_doc(ref)))
-                if out.found:
-                    assert revalidate_witness(out.witness, complex=cx,
-                                              hyperplane=h)
-                tasks += 1
-    assert tasks == 46
+
+
+def test_vclean_exhausts_doubled_hyperplane_from_its_carrier():
+    """Every assignment of hyperplane 13's carrier letters in S_2 and
+    S_3 is dirty, so of D's 163,633 classes of degree at most 3 only the
+    trivial cover is checked."""
+    cx = helpers.load_complex("doubled")
+    h = hyperplane_of_edge(hyperplanes(cx), 13)
+    for mode in ("some", "each"):
+        out = semi_decide_virtually_clean(cx, h, mode, SearchBudget(3))
+        assert out.status == "EXHAUSTED" and out.witness is None
+        assert out.stats == SearchStats(homs_tried=1, covers_realized=1,
+                                        nodes=9, cap_hit=False)
 
 
 def test_vclean_input_checks():
