@@ -61,9 +61,12 @@ def _check_shape(c: Cover):
 
 
 def transport(c: Cover, word: Sequence[int]) -> tuple:
-    """Sheet permutation realized by a word of darts."""
+    """Sheet permutation realized by a word of darts.  Raises ValueError
+    on a dart outside +-1..num_edges."""
     p = perm.identity(c.degree)
     for d in word:
+        if not 0 < abs(d) <= c.base.num_edges:
+            raise ValueError("dart %r is not a signed edge id" % (d,))
         q = c.perms[abs(d) - 1]
         if d < 0:
             q = perm.inverse(q)

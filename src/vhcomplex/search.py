@@ -29,11 +29,13 @@ restrictions occur than classes, so the search memoizes the cleanness
 of the preimage per carrier restriction and builds a Cover only on a
 miss, for a witness, or for a regular closure.  Every carrier
 restriction satisfies the relators of the squares the hyperplane
-crosses, so before it scans a degree d >= 2 the search enumerates the
-assignments of the carrier letters in S_d that satisfy them, and skips
-the degree when none has a clean component.  A skipped degree adds
-nothing to the statistics and spends none of the node budget, so under
-a node cap the search can reach degrees that the scan alone would not.
+crosses, and a preimage component lives in one orbit of the carrier
+letters, so before it scans a degree d >= 2 the search runs the
+low-index search on those relators alone, and skips the degree while
+no transitive class of degree at most d has a clean component.  A
+skipped degree adds nothing to the statistics and spends none of the
+node budget, so under a node cap the search can reach degrees that the
+scan alone would not.
 """
 
 from __future__ import annotations
@@ -55,10 +57,11 @@ from .presentations import GroupPresentation, parse_word, pi1_presentation
 FOUND = "FOUND"
 EXHAUSTED = "EXHAUSTED"
 
-# The virtual-cleanness search's carrier pre-check gives up on a degree
-# after this many nodes of its backtrack, and the degree is scanned.
-# Two free carrier letters take 601 nodes in S_4 and 14,521 in S_5; a
-# larger cap only makes giving up dearer where the class scan is cheap.
+# The virtual-cleanness search's carrier pre-check gives up after this
+# many definitions of its low-index search in one degree, and that
+# degree and every later one are scanned.  Two free carrier letters take
+# 301 definitions at d = 4 and 1,911 at d = 5, and hit the cap at d = 6;
+# a larger cap only makes giving up dearer where the class scan is cheap.
 CARRIER_NODE_CAP = 2_000
 
 
@@ -280,13 +283,14 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
     construction, so only closures are validated first.
     revalidate_vclean_witness does realize the witness cover.
 
-    Before it scans a degree d >= 2, the search backtracks over the
-    assignments of the carrier letters in S_d that satisfy the carrier
-    squares' relators, one per simultaneous relabeling of the sheets,
-    and decides each through the same memo.  If none has a clean
-    component, no class of the degree has one, and the degree is
-    skipped; the degree is scanned when one has, or when the backtrack
-    hits CARRIER_NODE_CAP.  Status, least degree and witness are those
+    Before it scans a degree d >= 2, the search runs
+    perm.iter_low_index on the carrier squares' relators over the
+    carrier letters alone and decides each class through the same memo.
+    A preimage component stays on the sheets of one orbit of the carrier
+    letters, so the degree is skipped while no transitive class of
+    degree at most d has a clean component; from the first degree where
+    one has, or where that search hits CARRIER_NODE_CAP definitions,
+    every degree is scanned.  Status, least degree and witness are those
     of the full scan.  homs_tried counts the covers checked, and
     covers_realized counts those plus the closures checked, whether or
     not a Cover was built; nodes counts the low-index search's
@@ -320,47 +324,38 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
         return comps, cover
 
     # the carrier squares' relators, over the carrier letters renumbered
-    # 1..k (a carrier square's edges are all carrier edges), after the
-    # Tietze moves that drop the letters short relators define
+    # 1..k (a carrier square's edges are all carrier edges)
     letters = [k for k in key_pos if k is not None]
     renumber = {k + 1: i for i, k in enumerate(letters, start=1)}
-    kept, kept_relators, letter_images = perm.eliminate_generators(
-        len(letters),
-        [tuple(renumber[x] if x > 0 else -renumber[-x]
-               for x in pres.relators[i])
-         for i in sorted({i for i, _ in h.midcubes})])
+    carrier_relators = [tuple(renumber[x] if x > 0 else -renumber[-x]
+                              for x in pres.relators[i])
+                        for i in sorted({i for i, _ in h.midcubes})]
 
-    # the backtrack's tree in degree d embeds in the one in degree d + 1
-    # (add a fixed point), so once it hits the cap it would at every
-    # higher degree
-    carrier_cap_hit = False
-
-    def carrier_is_dirty(d):
-        """Whether every assignment of the carrier letters in S_d that
-        satisfies the carrier relators has only dirty components; False
-        as well when the backtrack hits CARRIER_NODE_CAP."""
-        nonlocal carrier_cap_hit
+    def carrier_has_clean(d):
+        """Whether some transitive class of degree d of the carrier
+        relators has a clean component; True as well when the search
+        hits CARRIER_NODE_CAP."""
         node_budget = perm.NodeBudget(CARRIER_NODE_CAP)
-        ident = perm.identity(d)
-        a = [ident] * len(pres.generators)
-        for images in perm.iter_homs(len(kept), kept_relators, d,
-                                     budget=node_budget):
-            # relabeling the sheets keeps every component's cleanness
-            if not perm.is_canonical(images):
-                continue
-            for k, x in zip(letters, letter_images):
-                a[k] = (ident if not x else images[x - 1] if x > 0
-                        else perm.inverse(images[-x - 1]))
+        a = [perm.identity(d)] * len(pres.generators)
+        for images in perm.iter_low_index(len(letters), carrier_relators, d,
+                                          budget=node_budget):
+            for k, p in zip(letters, images):
+                a[k] = p
             if any(clean for _, clean in verdict(d, a)[0]):
-                return False
-        carrier_cap_hit = node_budget.cap_hit
-        return not carrier_cap_hit
+                return True
+        return node_budget.cap_hit
 
     quotients = _quotients(pres)
+    carrier_clean = False
 
     def candidates(d, node_budget):
-        if d >= 2 and not carrier_cap_hit and carrier_is_dirty(d):
-            return ()
+        # the scan reaches d = 2 only when the one class of degree 1,
+        # the trivial cover, has no clean component
+        nonlocal carrier_clean
+        if d >= 2:
+            carrier_clean = carrier_clean or carrier_has_clean(d)
+            if not carrier_clean:
+                return ()
         return quotients(d, node_budget)
 
     def check(d, a):

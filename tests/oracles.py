@@ -15,8 +15,9 @@ import itertools
 from vhcomplex import permutations as perm
 from vhcomplex.complexes import (CellularMap, Edge, SquareComplex,
                                  cyclic_reduce, free_reduce, square_corners)
-from vhcomplex.covers import (cover_from_assignment, iter_covers,
-                              preimage_cleanness, regular_closure, transport)
+from vhcomplex.covers import (_preimage_cleanness, cover_from_assignment,
+                              iter_covers, preimage_cleanness,
+                              regular_closure, transport)
 from vhcomplex.presentations import pi1_presentation
 from vhcomplex.search import (EXHAUSTED, FOUND, LoopWitness, QuotientWitness,
                               SearchOutcome, SearchStats, VCleanWitness)
@@ -539,3 +540,39 @@ def reference_vclean(cx, h, mode, budget, skip=frozenset()):
     stats.cap_hit = node_budget.cap_hit
     return SearchOutcome(EXHAUSTED if witness is None else FOUND, witness,
                          budget, stats)
+
+
+def reference_carrier_has_clean(cx, h, d, max_nodes):
+    """The carrier pre-check search.semi_decide_virtually_clean made
+    before it ran on the low-index search: every assignment in S_d of
+    the generators on h's carrier edges that satisfies the relators of
+    the squares h crosses (perm.iter_homs after the Tietze moves), one
+    per simultaneous relabeling of the sheets, each decided on the cover
+    with those images and the identity on every other edge.  True when
+    one has a clean component, False when none has, None when the
+    backtrack hits max_nodes nodes first."""
+    pres = pi1_presentation(cx, 0)
+    carrier = set(h.dual_edges)
+    for i, _ in h.midcubes:
+        carrier.update(abs(x) for x in cx.squares[i])
+    gen_pos = {eid: k for k, eid in enumerate(pres.generators)}
+    letters = [gen_pos[eid] for eid in sorted(carrier) if eid in gen_pos]
+    renumber = {k + 1: i for i, k in enumerate(letters, start=1)}
+    kept, relators, letter_images = perm.eliminate_generators(
+        len(letters),
+        [tuple(renumber[x] if x > 0 else -renumber[-x]
+               for x in pres.relators[i])
+         for i in sorted({i for i, _ in h.midcubes})])
+    budget = perm.NodeBudget(max_nodes)
+    ident = perm.identity(d)
+    a = [ident] * len(pres.generators)
+    for images in perm.iter_homs(len(kept), relators, d, budget=budget):
+        if not perm.is_canonical(images):
+            continue
+        for k, x in zip(letters, letter_images):
+            a[k] = (ident if not x else images[x - 1] if x > 0
+                    else perm.inverse(images[-x - 1]))
+        cover = cover_from_assignment(cx, pres, d, a)
+        if any(clean for _, clean in _preimage_cleanness(cover, h)):
+            return True
+    return None if budget.cap_hit else False

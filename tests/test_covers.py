@@ -34,6 +34,14 @@ def test_transport_folds_darts():
     assert transport(c, ()) == (0, 1, 2)
 
 
+def test_transport_rejects_darts_that_are_not_edges():
+    c = torus_cover([1, 2, 0], [0, 2, 1])
+    for dart in (0, 3, -3):
+        with pytest.raises(ValueError, match="dart %d is not a signed edge "
+                           "id" % dart):
+            transport(c, (1, dart))
+
+
 def test_validate_cover():
     assert validate_cover(torus_cover([1, 2, 0], [0, 1, 2]))
     # non-commuting images break the square relation

@@ -15,6 +15,7 @@ from vhcomplex import (Cover, EdgePath, GroupPresentation, Hyperplane,
                        survival_from_clean_cover, transport)
 from vhcomplex import permutations as perm
 from vhcomplex import search
+from vhcomplex.complexes import is_connected_complex
 from vhcomplex.constructions import enumerate_simple_loops
 from vhcomplex.covers import enumerate_covers
 from vhcomplex.formats import canonical_json, outcome_to_doc
@@ -228,16 +229,20 @@ def test_vclean_klein_one_sided_base():
 
 
 def _count_checked_covers(monkeypatch):
-    """Count the covers the vclean scan is handed, one per class the
-    low-index search yields."""
+    """Count the covers the vclean scan is handed, one per class its
+    low-index search yields; the carrier pre-check is not counted."""
     checked = [0]
-    real = perm.iter_low_index
+    real = search._quotients
 
-    def counting(*args, **kwargs):
-        for assignment in real(*args, **kwargs):
-            checked[0] += 1
-            yield assignment
-    monkeypatch.setattr(perm, "iter_low_index", counting)
+    def counting(pres):
+        quotients = real(pres)
+
+        def candidates(d, node_budget):
+            for assignment in quotients(d, node_budget):
+                checked[0] += 1
+                yield assignment
+        return candidates
+    monkeypatch.setattr(search, "_quotients", counting)
     return checked
 
 
@@ -251,28 +256,32 @@ def test_vclean_counts_covers_checked(monkeypatch):
     assert out.stats.covers_realized == 1
 
     # an exhausted scan checks every class of every degree it does not
-    # skip; every assignment of bad_vh's carrier letters in S_2 and S_3
-    # is dirty, so only degree 1 is scanned
+    # skip; no transitive class of bad_vh's carrier relators of degree
+    # 2 or 3 has a clean component, so only degree 1 is scanned
     checked[0] = 0
     cx = helpers.load_complex("bad_vh")
     h = hyperplanes(cx)[0]
     out = semi_decide_virtually_clean(cx, h, "some", SearchBudget(3))
     assert not out.found
-    seen = checked[0]    # enumerate_covers below also counts
-    assert out.stats.homs_tried == seen == len(
+    assert out.stats.homs_tried == checked[0] == len(
         enumerate_covers(cx, 1, connected=True, up_to_conjugacy=True)) == 1
     assert out.stats.covers_realized == 1 and out.stats.nodes == 2
 
 
 def _record_scanned_degrees(monkeypatch):
-    """Record the degrees handed to the low-index search."""
+    """Record the degrees the vclean scan hands to its low-index search;
+    the carrier pre-check's calls are not recorded."""
     degrees = []
-    real = perm.iter_low_index
+    real = search._quotients
 
-    def recording(num_gens, relators, d, **kwargs):
-        degrees.append(d)
-        return real(num_gens, relators, d, **kwargs)
-    monkeypatch.setattr(perm, "iter_low_index", recording)
+    def recording(pres):
+        quotients = real(pres)
+
+        def candidates(d, node_budget):
+            degrees.append(d)
+            return quotients(d, node_budget)
+        return candidates
+    monkeypatch.setattr(search, "_quotients", recording)
     return degrees
 
 
@@ -342,6 +351,74 @@ def test_vclean_matches_per_cover_scan(monkeypatch):
                              ("doubled", 61, 2), ("doubled", 13, 3)}
 
 
+def test_vclean_skips_what_the_labelled_carrier_precheck_rules_out(
+        monkeypatch):
+    """A degree d >= 2 is skipped exactly when the labelled pre-check,
+    over the carrier assignments in S_k, finds no clean component for
+    every k from 1 to d: a component lives in one orbit of the carrier
+    letters, so the transitive classes of degree at most d see every
+    component the assignments in S_d do.  The pre-check runs at each
+    degree from 2 the search reaches, up to the first where it finds a
+    clean class, and at none after.  Both are checked below the first
+    degree where the reference hits its cap, for every hyperplane of
+    the fixtures and of seeded random complexes to degree 4, and of the
+    doubled complex D to degree 3.  On some random complexes the scan
+    goes on past the first degree with a clean carrier class into
+    degrees where no transitive carrier class is clean."""
+    scanned = _record_scanned_degrees(monkeypatch)
+    searched = []    # degrees handed to the low-index search, by anyone
+    real = perm.iter_low_index
+
+    def recording(num_gens, relators, d, **kwargs):
+        searched.append(d)
+        return real(num_gens, relators, d, **kwargs)
+    monkeypatch.setattr(perm, "iter_low_index", recording)
+    cap = 20_000
+    skips = set()    # (complex name, hyperplane id, degree)
+    past_clean = 0   # tasks scanning a degree after the first clean one
+    # (name, complex, search budget, the reference's node cap)
+    cases = [(name, helpers.load_complex(name), SearchBudget(4), cap)
+             for name in helpers.GOOD_FIXTURES + ("bad_vh", "mixed_carrier")]
+    cases.append(("doubled", helpers.load_complex("doubled"),
+                  SearchBudget(3, max_nodes=cap), cap))
+    for seed in range(45):
+        cx = helpers.random_vh_complex(random.Random(seed))
+        if is_connected_complex(cx):
+            cases.append((seed, cx, SearchBudget(4, max_nodes=cap), 2_000))
+    for name, cx, budget, ref_cap in cases:
+        for h in hyperplanes(cx):
+            # the reference's answers at degrees 1, 2, ..., up to its
+            # first that is not False
+            ref = []
+            while len(ref) < budget.max_degree and ref[-1:] in ([], [False]):
+                ref.append(oracles.reference_carrier_has_clean(
+                    cx, h, len(ref) + 1, ref_cap))
+            for mode in ("some", "each"):
+                del scanned[:], searched[:]
+                out = semi_decide_virtually_clean(cx, h, mode, budget)
+                reached = (max(scanned) if out.found or out.stats.cap_hit
+                           else budget.max_degree)
+                prechecked = list(searched)
+                for d in scanned:
+                    prechecked.remove(d)
+                past_clean += reached > max(prechecked, default=1)
+                # the degrees below the first where the reference hits
+                # its cap; the search's pre-check may finish there
+                known = min(reached, ref.index(None) if None in ref
+                            else reached)
+                assert [d for d in prechecked if d <= known] == [
+                    d for d in range(2, known + 1)
+                    if all(r is False for r in ref[:d - 1])]
+                for d in range(2, known + 1):
+                    dirty = len(ref) >= d and all(r is False
+                                                  for r in ref[:d])
+                    assert (d not in scanned) == dirty, (name, h.id, mode, d)
+                    if dirty:
+                        skips.add((name, h.id, d))
+    assert ("bad_vh", 1, 4) in skips and ("doubled", 13, 3) in skips
+    assert past_clean > 0
+
+
 def test_vclean_decides_covers_satisfying_the_carrier_relators(
         monkeypatch):
     """Every cover whose cleanness the search decides, in the pre-check
@@ -381,9 +458,9 @@ def test_vclean_without_carrier_precheck_matches_full_scan(monkeypatch):
 
 
 def test_vclean_exhausts_doubled_hyperplane_from_its_carrier():
-    """Every assignment of hyperplane 13's carrier letters in S_2 and
-    S_3 is dirty, so of D's 163,633 classes of degree at most 3 only the
-    trivial cover is checked."""
+    """No transitive class of degree 1 to 3 of hyperplane 13's carrier
+    relators has a clean component, so of D's 163,633 classes of degree
+    at most 3 only the trivial cover is checked."""
     cx = helpers.load_complex("doubled")
     h = hyperplane_of_edge(hyperplanes(cx), 13)
     for mode in ("some", "each"):
@@ -391,6 +468,19 @@ def test_vclean_exhausts_doubled_hyperplane_from_its_carrier():
         assert out.status == "EXHAUSTED" and out.witness is None
         assert out.stats == SearchStats(homs_tried=1, covers_realized=1,
                                         nodes=9, cap_hit=False)
+
+
+def test_vclean_skips_bad_vh_to_degree_5_from_its_carrier():
+    """Two free carrier letters take 1,911 definitions of the low-index
+    search at degree 5, under CARRIER_NODE_CAP, and no transitive class
+    of degree 2 to 5 has a clean component, so only the trivial cover is
+    checked."""
+    cx = helpers.load_complex("bad_vh")
+    h = hyperplanes(cx)[0]
+    for mode in ("some", "each"):
+        out = semi_decide_virtually_clean(cx, h, mode, SearchBudget(5))
+        assert out.status == "EXHAUSTED" and out.witness is None
+        assert out.stats == SearchStats(1, 1, 2, False)
 
 
 def test_vclean_input_checks():
