@@ -419,14 +419,15 @@ def iter_covers(cx: SquareComplex, degree: int,
     """Stream of degree-d covers with identity on a spanning tree.
 
     Every cover of a connected complex is isomorphic to one of these.
-    Connected covers up to conjugacy, one per isomorphism class of
-    (unbased) connected covers, come from perm.iter_low_index: each is
-    the least standard coset table of its class, in the order that
-    search finds them.  Every other mode backtracks over generators in
-    id order with images in lexicographic order (perm.iter_homs);
+    Every mode fills a coset table.  Connected covers up to
+    conjugacy, one per isomorphism class of (unbased) connected covers,
+    come from perm.iter_low_index: each is the least standard coset
+    table of its class, in the order that search finds them.  Every
+    other mode takes each homomorphism, in lexicographic order of the
+    generators' images, from the labelled fill perm.iter_homs;
     `up_to_conjugacy` then keeps an assignment only when it is the least
     among its simultaneous sheet relabelings.  `budget` passes through
-    to the underlying search.
+    to the underlying search, which spends one node per definition.
     """
     if degree < 1:
         raise ValueError("degree must be positive")

@@ -41,9 +41,15 @@ def _need(doc, key, kinds, what):
     if not isinstance(doc, dict) or key not in doc:
         raise ValueError("%s: missing %r" % (what, key))
     val = doc[key]
-    if not isinstance(val, kinds):
+    # JSON true and false load as bools, which Python counts as ints
+    if not isinstance(val, kinds) or (kinds is int and isinstance(val, bool)):
         raise ValueError("%s: %r has the wrong type" % (what, key))
     return val
+
+
+def _is_int_list(x) -> bool:
+    return isinstance(x, list) and \
+        all(isinstance(i, int) and not isinstance(i, bool) for i in x)
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +68,7 @@ def complex_to_doc(cx: SquareComplex) -> dict:
 
 def complex_from_doc(doc) -> SquareComplex:
     n = _need(doc, "vertices", int, "complex")
-    if isinstance(n, bool) or n < 0:
+    if n < 0:
         raise ValueError("complex: vertices must be a nonnegative integer")
     raw_edges = _need(doc, "edges", list, "complex")
     edges = []
@@ -78,9 +84,7 @@ def complex_from_doc(doc) -> SquareComplex:
     raw_squares = _need(doc, "squares", list, "complex")
     squares = []
     for w in raw_squares:
-        if not isinstance(w, list) or \
-                not all(isinstance(d, int) and not isinstance(d, bool)
-                        for d in w):
+        if not _is_int_list(w):
             raise ValueError("complex: squares must be lists of integers")
         squares.append(tuple(w))
     return SquareComplex(n, tuple(edges), tuple(squares))
@@ -93,8 +97,7 @@ def path_to_doc(p: EdgePath) -> dict:
 def path_from_doc(doc) -> EdgePath:
     start = _need(doc, "start", int, "path")
     word = _need(doc, "word", list, "path")
-    if not all(isinstance(d, int) and not isinstance(d, bool) and d != 0
-               for d in word):
+    if not _is_int_list(word) or 0 in word:
         raise ValueError("path: word must be nonzero integers")
     return EdgePath(start, tuple(word))
 
@@ -146,9 +149,7 @@ def _perms_from_doc(doc, degree, num_edges, what) -> tuple:
         if p is None:
             by_edge.append(ident)
             continue
-        if not isinstance(p, list) or \
-                not all(isinstance(x, int) and not isinstance(x, bool)
-                        for x in p):
+        if not _is_int_list(p):
             raise ValueError("%s: permutation for edge %d must be a list "
                              "of integers" % (what, eid))
         by_edge.append(tuple(p))
@@ -172,7 +173,7 @@ def cover_from_doc(doc, base: Optional[SquareComplex] = None) -> Cover:
                              "complex" % raw_base)
         base = complex_from_doc(raw_base)
     degree = _need(doc, "degree", int, "cover")
-    if isinstance(degree, bool) or degree < 1:
+    if degree < 1:
         raise ValueError("cover: degree must be a positive integer")
     return Cover(base, degree,
                  _perms_from_doc(doc, degree, base.num_edges, "cover"))
@@ -232,10 +233,11 @@ def budget_to_doc(budget: SearchBudget) -> dict:
 def budget_from_doc(doc) -> SearchBudget:
     # documents written when searches had worker threads also carry
     # "deterministic" and "workers"; neither affects a search any more
-    return SearchBudget(
-        max_degree=_need(doc, "max_degree", int, "budget"),
-        max_nodes=doc.get("max_nodes"),
-    )
+    max_degree = _need(doc, "max_degree", int, "budget")
+    max_nodes = doc.get("max_nodes")
+    if max_nodes is not None:
+        max_nodes = _need(doc, "max_nodes", int, "budget")
+    return SearchBudget(max_degree=max_degree, max_nodes=max_nodes)
 
 
 def stats_to_doc(stats: SearchStats) -> dict:
@@ -287,6 +289,8 @@ def witness_from_doc(doc, pres: Optional[GroupPresentation] = None,
                      complex: Optional[SquareComplex] = None):
     kind = _need(doc, "kind", str, "witness")
     degree = _need(doc, "degree", int, "witness")
+    if degree < 1:
+        raise ValueError("witness: degree must be a positive integer")
     certified = _need(doc, "certified", dict, "witness")
     if kind == "quotient":
         if pres is None:
@@ -296,6 +300,9 @@ def witness_from_doc(doc, pres: Optional[GroupPresentation] = None,
         for name in pres.generators:
             if name not in raw:
                 raise ValueError("witness: no image for generator %r" % name)
+            if not _is_int_list(raw[name]):
+                raise ValueError("witness: image of generator %r must be a "
+                                 "list of integers" % name)
             images.append(tuple(raw[name]))
         word = parse_word(_need(certified, "word", str, "witness"),
                           pres.generators)

@@ -1,7 +1,8 @@
-"""Permutations of {0..d-1} as tuples, plus the relator-respecting
-homomorphism enumerator behind the all-homomorphism cover modes, and
-Sims' low-index search for transitive actions up to conjugacy, which
-drives every search.
+"""Permutations of {0..d-1} as tuples, and one coset-table search with
+two fill orders: Sims' low-index search for transitive actions up to
+conjugacy (iter_low_index), which drives every search, and a labelled
+fill that yields every relator-respecting homomorphism to S_d in
+lexicographic order (iter_homs), behind the other cover modes.
 
 Composition is in diagram order: compose(p, q) applies p first, then q.
 This matches reading a word left to right and transporting a sheet along
@@ -154,75 +155,8 @@ class NodeBudget:
         return True
 
 
-def _holds(word, images, points) -> bool:
-    """Whether every point, carried through the word's letters, comes
-    back to itself; stops at the first point that does not."""
-    for x in points:
-        y = x
-        for letter in word:
-            y = images[letter][y]
-        if y != x:
-            return False
-    return True
-
-
-def iter_homs(num_gens: int, relators: Sequence[Sequence[int]], d: int,
-              budget: Optional[NodeBudget] = None):
-    """All assignments of permutations in S_d to generators 1..num_gens
-    satisfying every relator, in lexicographic order.
-
-    Relators are words of signed 1-based generator indices.  A relator is
-    checked as soon as every generator it mentions has an image, which
-    prunes most of the tree early.  It holds when every point of
-    {0..d-1}, carried through its letters, comes back to itself.
-    `budget`, when given, is spent once per visited partial assignment;
-    enumeration stops quietly at the first node it refuses, leaving
-    budget.cap_hit set.  The search keeps one iterator per assigned
-    generator on an explicit stack, so the number of generators is not
-    bounded by the recursion limit.
-    """
-    if num_gens == 0:
-        # words over no generators are empty, hence satisfied
-        yield ()
-        return
-    check_at = [[] for _ in range(num_gens + 1)]
-    inverted = [False] * (num_gens + 1)
-    for r in relators:
-        check_at[max((abs(x) for x in r), default=1)].append(r)
-        for x in r:
-            if x < 0:
-                inverted[-x] = True
-    # images[g] is generator g's image and images[-g] its inverse:
-    # negative indices count from the end of the list, so a signed
-    # letter indexes its permutation directly.
-    images = [None] * (2 * num_gens + 1)
-    points = range(d)
-    perms = all_permutations(d)
-    if budget is not None and not budget.spend():
-        return
-    stack = [iter(perms)]
-    while stack:
-        k = len(stack)
-        for p in stack[-1]:
-            images[k] = p
-            if inverted[k]:
-                images[-k] = inverse(p)
-            for word in check_at[k]:
-                if not _holds(word, images, points):
-                    break
-            else:
-                if budget is not None and not budget.spend():
-                    return
-                if k < num_gens:
-                    stack.append(iter(perms))
-                    break
-                yield tuple(images[1:k + 1])
-        else:
-            stack.pop()
-
-
 # ---------------------------------------------------------------------------
-# low-index subgroups
+# coset tables
 
 
 def eliminate_generators(num_gens: int, relators: Sequence[Sequence[int]]):
@@ -319,19 +253,51 @@ def iter_low_index(num_gens: int, relators: Sequence[Sequence[int]], d: int,
     low-index subgroups search.
 
     The stabilizer of sheet 0 is an index-d subgroup, and conjugate
-    subgroups give relabeled assignments.  The search fills a coset
-    table with d rows and one column per generator and per inverse,
-    after eliminate_generators.  It defines the first undefined entry in
-    row-major order, trying the existing cosets in ascending order and
-    then the next new one, so every table is in standard form: cosets
-    first appear in ascending order.  After each definition it scans,
-    from each newly set entry (c, x), the rotations beginning with x of
-    every relator and inverse relator; a scan with one gap left defines
-    that entry, and a scan that closes up on the wrong coset rejects the
-    definition.  A complete table with d cosets is kept when no other
-    coset, taken as the base, gives a smaller standard table, so each
-    class is yielded once, as its least standard table.  Eliminated
-    generators get their images back in each yielded assignment.
+    subgroups give relabeled assignments.  The coset table starts with
+    one coset.  Its first undefined entry in row-major order is defined
+    next, as an existing coset in ascending order or as the next new
+    one, so every table is in standard form: cosets first appear in
+    ascending order.  A complete table with d cosets is kept when no
+    other coset, taken as the base, gives a smaller standard table, so
+    each class is yielded once, as its least standard table.  The
+    table, deductions, budget and errors are those of _coset_tables.
+    """
+    return _coset_tables(num_gens, relators, d, budget, labelled=False)
+
+
+def iter_homs(num_gens: int, relators: Sequence[Sequence[int]], d: int,
+              budget: Optional[NodeBudget] = None):
+    """All assignments of permutations in S_d to generators 1..num_gens
+    satisfying every relator, in lexicographic order.
+
+    This is the labelled fill of the coset table behind iter_low_index:
+    it starts with all d cosets and fills the kept generators' columns
+    one after another, rows ascending, trying values in ascending order;
+    each inverse column fills as its generator's mirror.  Every complete
+    table is yielded, so the depth-first order is lexicographic in the
+    kept generators' images.  A generator eliminate_generators drops is
+    trivial or a function of lower-indexed ones, so the order is
+    lexicographic over all generators too.  The table, deductions,
+    budget (one node per definition tried) and errors are those of
+    _coset_tables.
+    """
+    return _coset_tables(num_gens, relators, d, budget, labelled=True)
+
+
+def _coset_tables(num_gens: int, relators, d: int,
+                  budget: Optional[NodeBudget], labelled: bool):
+    """Complete coset tables of the relators with d rows, each yielded
+    as its assignment to generators 1..num_gens: standard tables for
+    iter_low_index, labelled ones for iter_homs.
+
+    The table has one column per generator left by eliminate_generators
+    and one per inverse.  Each definition sets an entry and its mirror
+    in the inverse column.  After each definition the search scans, from
+    each newly set entry (c, x), the rotations beginning with x of every
+    relator and inverse relator; a scan with one gap left defines that
+    entry, and a scan that closes up on the wrong coset rejects the
+    definition.  Eliminated generators get their images back in each
+    yielded assignment.
 
     Definitions are undone from a trail, and the frames sit on an
     explicit stack, so the recursion limit does not bound the table.
@@ -344,7 +310,7 @@ def iter_low_index(num_gens: int, relators: Sequence[Sequence[int]], d: int,
     kept, rels, images = eliminate_generators(num_gens, relators)
     ncols = 2 * len(kept)
     rots = _relator_rotations(rels, ncols)
-    # one trailing -1 ends every search for the first undefined entry
+    # one trailing -1 ends every search for the next undefined entry
     table = [-1] * (d * ncols + 1)
     trail = []
 
@@ -404,11 +370,17 @@ def iter_low_index(num_gens: int, relators: Sequence[Sequence[int]], d: int,
         return True
 
     if not ncols:
-        # no generators left: the one-coset table is already complete
-        if d == 1:
+        # no generators left: the table is already complete
+        if labelled or d == 1:
             yield assignment()
         return
-    stack = [[0, 0, 0, 1]]    # entry, next coset to try, trail mark, cosets
+    if labelled:
+        # the generator columns' entries, column by column, then the
+        # trailing -1
+        fill = [c * ncols + x for x in range(0, ncols, 2) for c in range(d)]
+        fill.append(d * ncols)
+    # a frame: entry, next coset to try, trail mark, cosets
+    stack = [[0, 0, 0, d if labelled else 1]]
     while stack:
         frame = stack[-1]
         entry, v, mark, n = frame
@@ -434,9 +406,15 @@ def iter_low_index(num_gens: int, relators: Sequence[Sequence[int]], d: int,
         trail.append(mirror)
         if not deduce(entry):
             continue
-        after = table.index(-1, entry + 1)
+        if labelled:
+            i = (x >> 1) * d + c + 1    # the place after entry's in fill
+            while table[fill[i]] >= 0:
+                i += 1
+            after = fill[i]
+        else:
+            after = table.index(-1, entry + 1)
         if after < n * ncols:
             stack.append([after, 0, len(trail), n])
-        elif n == d and not any(_rebased_is_smaller(table, ncols, d, b)
-                                for b in range(1, d)):
+        elif n == d and (labelled or not any(
+                _rebased_is_smaller(table, ncols, d, b) for b in range(1, d))):
             yield assignment()

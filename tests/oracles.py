@@ -166,15 +166,16 @@ def oracle_torus_cover_count(d):
 
 
 # ---------------------------------------------------------------------------
-# homomorphism enumeration, relator by relator through word_image
+# homomorphism enumeration by backtracking over S_d, generator by
+# generator
 
 
 def reference_iter_homs(num_gens, relators, d, budget=None):
-    """The recursive enumerator permutations.iter_homs replaced.
+    """The recursive enumerator backtrack_homs replaced.
 
     It checks each relator by composing whole permutations with
     word_image, and it spends the budget, stops on the cap and orders
-    its yields as iter_homs must.
+    its yields as backtrack_homs must.
     """
     relators = [tuple(r) for r in relators]
     if num_gens == 0:
@@ -208,6 +209,74 @@ def reference_iter_homs(num_gens, relators, d, budget=None):
         images.pop(k, None)
 
     yield from level(1)
+
+
+def _holds(word, images, points) -> bool:
+    """Whether every point, carried through the word's letters, comes
+    back to itself; stops at the first point that does not."""
+    for x in points:
+        y = x
+        for letter in word:
+            y = images[letter][y]
+        if y != x:
+            return False
+    return True
+
+
+def backtrack_homs(num_gens, relators, d, budget=None):
+    """The stack-based backtrack permutations.iter_homs was before it
+    became a labelled fill of the coset table: all assignments of
+    permutations in S_d to generators 1..num_gens satisfying every
+    relator, in lexicographic order.
+
+    Relators are words of signed 1-based generator indices.  A relator is
+    checked as soon as every generator it mentions has an image, which
+    prunes most of the tree early.  It holds when every point of
+    {0..d-1}, carried through its letters, comes back to itself.
+    `budget`, when given, is spent once per visited partial assignment;
+    enumeration stops quietly at the first node it refuses, leaving
+    budget.cap_hit set.  The search keeps one iterator per assigned
+    generator on an explicit stack, so the number of generators is not
+    bounded by the recursion limit.
+    """
+    if num_gens == 0:
+        # words over no generators are empty, hence satisfied
+        yield ()
+        return
+    check_at = [[] for _ in range(num_gens + 1)]
+    inverted = [False] * (num_gens + 1)
+    for r in relators:
+        check_at[max((abs(x) for x in r), default=1)].append(r)
+        for x in r:
+            if x < 0:
+                inverted[-x] = True
+    # images[g] is generator g's image and images[-g] its inverse:
+    # negative indices count from the end of the list, so a signed
+    # letter indexes its permutation directly.
+    images = [None] * (2 * num_gens + 1)
+    points = range(d)
+    perms = perm.all_permutations(d)
+    if budget is not None and not budget.spend():
+        return
+    stack = [iter(perms)]
+    while stack:
+        k = len(stack)
+        for p in stack[-1]:
+            images[k] = p
+            if inverted[k]:
+                images[-k] = perm.inverse(p)
+            for word in check_at[k]:
+                if not _holds(word, images, points):
+                    break
+            else:
+                if budget is not None and not budget.spend():
+                    return
+                if k < num_gens:
+                    stack.append(iter(perms))
+                    break
+                yield tuple(images[1:k + 1])
+        else:
+            stack.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +459,7 @@ def reference_connected_covers(cx, d):
     simultaneous relabelings."""
     pres = pi1_presentation(cx, 0)
     return [cover_from_assignment(cx, pres, d, a)
-            for a in perm.iter_homs(len(pres.generators), pres.relators, d)
+            for a in backtrack_homs(len(pres.generators), pres.relators, d)
             if perm.is_transitive(a, d) and perm.is_canonical(a)]
 
 
@@ -436,10 +505,10 @@ def is_least_standard_table(perms):
 def _reference_scan(num_gens, relators, max_degree, check):
     """The scan the quotient and loop searches made before they ran on
     the low-index search: every relator-respecting assignment of degree
-    2 up to the bound, in lexicographic order (perm.iter_homs), until
+    2 up to the bound, in lexicographic order (backtrack_homs), until
     check(d, assignment) returns a witness.  None when nothing does."""
     for d in range(2, max_degree + 1):
-        for a in perm.iter_homs(num_gens, relators, d):
+        for a in backtrack_homs(num_gens, relators, d):
             witness = check(d, a)
             if witness is not None:
                 return witness
@@ -546,7 +615,7 @@ def reference_carrier_has_clean(cx, h, d, max_nodes):
     """The carrier pre-check search.semi_decide_virtually_clean made
     before it ran on the low-index search: every assignment in S_d of
     the generators on h's carrier edges that satisfies the relators of
-    the squares h crosses (perm.iter_homs after the Tietze moves), one
+    the squares h crosses (backtrack_homs after the Tietze moves), one
     per simultaneous relabeling of the sheets, each decided on the cover
     with those images and the identity on every other edge.  True when
     one has a clean component, False when none has, None when the
@@ -566,7 +635,7 @@ def reference_carrier_has_clean(cx, h, d, max_nodes):
     budget = perm.NodeBudget(max_nodes)
     ident = perm.identity(d)
     a = [ident] * len(pres.generators)
-    for images in perm.iter_homs(len(kept), relators, d, budget=budget):
+    for images in backtrack_homs(len(kept), relators, d, budget=budget):
         if not perm.is_canonical(images):
             continue
         for k, x in zip(letters, letter_images):

@@ -167,6 +167,46 @@ def test_witness_from_doc_rejects_junk():
                                  complex=t)
 
 
+GOOD_READER_DOCS = {
+    "budget": {"max_degree": 2, "max_nodes": 5},
+    "quotient": {"kind": "quotient", "degree": 2, "images": {"a": [1, 0]},
+                 "certified": {"word": "a"}},
+    "cover": {"kind": "cover", "degree": 2, "images": {"1": [1, 0]},
+              "certified": {"loop": {"start": 0, "word": [1]},
+                            "sheet": 0}},
+}
+
+
+def _read(reader, doc):
+    if reader == "budget":
+        return formats.budget_from_doc(doc)
+    if reader == "quotient":
+        return formats.witness_from_doc(
+            doc, pres=helpers.load_presentation("z_squared"))
+    return formats.witness_from_doc(doc, complex=helpers.load_complex("torus"))
+
+
+@pytest.mark.parametrize("reader, key, value", [
+    ("budget", "max_nodes", "5"),
+    ("budget", "max_nodes", 1.5),
+    ("budget", "max_nodes", False),
+    ("budget", "max_degree", True),
+    ("budget", "max_degree", "2"),
+    ("quotient", "degree", True),
+    ("quotient", "degree", 0),
+    ("quotient", "images", {"a": "01"}),
+    ("quotient", "images", {"a": [True, False]}),
+    ("cover", "degree", True),
+    ("cover", "images", {"1": "10"}),
+])
+def test_readers_reject_wrong_types(reader, key, value):
+    doc = json.loads(json.dumps(GOOD_READER_DOCS[reader]))
+    _read(reader, doc)
+    doc[key] = value
+    with pytest.raises(ValueError):
+        _read(reader, doc)
+
+
 def test_outcome_doc_shape():
     t = helpers.load_complex("torus")
     out = loop_survives(t, EdgePath(0, (1,)), SearchBudget(4))

@@ -1,10 +1,10 @@
-"""The homomorphism enumerator, the Tietze moves and the canonicity
+"""The homomorphism enumerators, the Tietze moves and the canonicity
 test against the slower code they replaced: iter_homs against
-oracles.reference_iter_homs, eliminate_generators against
-oracles.reference_eliminate_generators, is_canonical against
-canonical_under_relabeling.  The low-index search against its defining
-properties; tests/test_covers.py compares its covers with the
-brute-force path."""
+oracles.backtrack_homs, which in turn against oracles.reference_iter_homs,
+eliminate_generators against oracles.reference_eliminate_generators,
+is_canonical against canonical_under_relabeling.  The low-index search
+against its defining properties; tests/test_covers.py compares its
+covers with the brute-force path."""
 
 import itertools
 import random
@@ -26,16 +26,57 @@ def _run(enumerate_homs, pres, d, cap=None, take=None):
     return homs, budget.nodes, budget.cap_hit
 
 
+def _pi1(cx):
+    pres = pi1_presentation(cx, 0)
+    return len(pres.generators), pres.relators
+
+
 def test_iter_homs_matches_reference():
+    # oracles.backtrack_homs, which test_iter_homs_matches_backtrack
+    # checks iter_homs against, against its own reference
     rng = random.Random(3)
     for _ in range(60):
         pres = helpers.random_presentation(rng)
         for d in range(1, 5):
             for kwargs in ({}, {"cap": 1}, {"cap": 7}, {"cap": 50},
                            {"take": 3}):
-                got = _run(perm.iter_homs, pres, d, **kwargs)
+                got = _run(oracles.backtrack_homs, pres, d, **kwargs)
                 want = _run(oracles.reference_iter_homs, pres, d, **kwargs)
                 assert got == want, (pres, d, kwargs)
+
+
+def _hom_cases():
+    rng = random.Random(3)
+    for _ in range(60):
+        pres = helpers.random_presentation(rng)
+        for d in range(1, 5):
+            yield (pres.num_generators, pres.relators), d
+    for name in helpers.GOOD_FIXTURES + ("bad_vh",):
+        for d in range(1, 4):
+            yield _pi1(helpers.load_complex(name)), d
+    for d in range(4, 7):
+        yield _pi1(helpers.load_complex("torus")), d
+    for d in (1, 2):
+        yield _pi1(helpers.doubled_complex()), d
+
+
+def test_iter_homs_matches_backtrack():
+    for (n, relators), d in _hom_cases():
+        want = list(oracles.backtrack_homs(n, relators, d))
+        assert list(perm.iter_homs(n, relators, d)) == want, (relators, d)
+        for cap in (0, 1, 7, 50, 300):
+            budget = perm.NodeBudget(cap)
+            got = list(perm.iter_homs(n, relators, d, budget=budget))
+            assert got == want[:len(got)] and budget.nodes <= cap
+            assert budget.cap_hit or got == want, (relators, d, cap)
+
+
+def test_iter_homs_definition_counts():
+    n, relators = _pi1(helpers.load_complex("torus"))
+    for d, homs, nodes in ((5, 840, 2371), (6, 7920, 21132)):
+        budget = perm.NodeBudget()
+        got = list(perm.iter_homs(n, relators, d, budget=budget))
+        assert (len(got), budget.nodes) == (homs, nodes), d
 
 
 def test_iter_homs_without_generators_spends_nothing():
@@ -44,12 +85,19 @@ def test_iter_homs_without_generators_spends_nothing():
     assert budget.nodes == 0 and not budget.cap_hit
 
 
+def test_iter_homs_rejects_degree_below_one():
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="degree must be positive"):
+            list(perm.iter_homs(2, [], d))
+
+
 def test_iter_homs_is_not_bounded_by_the_recursion_limit():
     assert list(perm.iter_homs(1200, [], 1)) == [((0,),) * 1200]
     budget = perm.NodeBudget()
     assert next(perm.iter_homs(1200, [], 2, budget=budget)) \
         == ((0, 1),) * 1200
-    assert budget.nodes == 1201
+    # one definition per entry of each generator's column
+    assert budget.nodes == 2400
 
 
 def test_is_canonical_on_commuting_pairs():
@@ -73,11 +121,6 @@ def test_is_canonical_on_random_tuples():
         assert perm.is_canonical(perms) == \
             (perm.canonical_under_relabeling(perms) == perms), perms
     assert perm.is_canonical(())
-
-
-def _pi1(cx):
-    pres = pi1_presentation(cx, 0)
-    return len(pres.generators), pres.relators
 
 
 def test_eliminate_generators():
@@ -136,7 +179,7 @@ def test_low_index_matches_brute_force_on_random_presentations():
         n = pres.num_generators
         for d in range(1, 5):
             got = list(perm.iter_low_index(n, pres.relators, d))
-            want = [a for a in perm.iter_homs(n, pres.relators, d)
+            want = [a for a in oracles.backtrack_homs(n, pres.relators, d)
                     if perm.is_transitive(a, d) and perm.is_canonical(a)]
             classes = {perm.canonical_under_relabeling(a) for a in got}
             assert len(got) == len(want) == len(classes), (pres, d)
