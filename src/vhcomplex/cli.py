@@ -17,7 +17,7 @@ import traceback
 from . import formats
 from .complexes import pointed_pair, require_structure, validate
 from .constructions import attach_relators, double_along_loop
-from .covers import enumerate_covers
+from .covers import enumerate_covers, iter_covers
 from .hyperplanes import _no_inter_osculation, hyperplanes, is_clean
 from .search import (SearchBudget, element_survives, loop_survives,
                      probe_profinite_triviality,
@@ -65,20 +65,26 @@ def _cmd_hyperplanes(args):
 def _cmd_covers(args):
     cx = _load_complex(args.file)
     require_structure(cx)
-    covers = enumerate_covers(cx, args.degree, connected=args.connected,
-                              up_to_conjugacy=args.up_to_conjugacy)
+    flags = dict(connected=args.connected,
+                 up_to_conjugacy=args.up_to_conjugacy)
     if args.out_dir:
+        # file names take their width from the count, so the covers are
+        # gathered before the first is written
+        covers = enumerate_covers(cx, args.degree, **flags)
         os.makedirs(args.out_dir, exist_ok=True)
         width = max(4, len(str(len(covers))))
         for i, c in enumerate(covers):
             name = "cover_%0*d.json" % (width, i)
             formats.write_doc(os.path.join(args.out_dir, name),
                               formats.cover_to_doc(c))
+        count = len(covers)
+    else:
+        count = sum(1 for _ in iter_covers(cx, args.degree, **flags))
     _emit({
         "degree": args.degree,
         "connected": args.connected,
         "up_to_conjugacy": args.up_to_conjugacy,
-        "count": len(covers),
+        "count": count,
     })
     return OK
 

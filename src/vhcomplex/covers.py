@@ -432,7 +432,7 @@ def iter_covers(cx: SquareComplex, degree: int,
     if degree < 1:
         raise ValueError("degree must be positive")
     if pres is None:
-        pres = pi1_presentation(cx)
+        pres = pi1_presentation(cx, 0)
     if connected and up_to_conjugacy:
         for assignment in perm.iter_low_index(len(pres.generators),
                                               pres.relators, degree,

@@ -214,7 +214,7 @@ def eliminate_generators(num_gens: int, relators: Sequence[Sequence[int]]):
             tuple(pos[resolve(g)] for g in range(1, num_gens + 1)))
 
 
-def _relator_rotations(relators, ncols: int) -> list:
+def _relator_rotations(relators, ncols: int) -> tuple:
     """Column -> the distinct cyclic rotations of every relator and of
     every inverse relator that begin with that column, as columns."""
     rots = [set() for _ in range(ncols)]
@@ -223,7 +223,34 @@ def _relator_rotations(relators, ncols: int) -> list:
         for word in (cols, [c ^ 1 for c in reversed(cols)]):
             for i in range(len(word)):
                 rots[word[i]].add(tuple(word[i:] + word[:i]))
-    return [sorted(r) for r in rots]
+    return tuple(tuple(sorted(r)) for r in rots)
+
+
+# A vclean call compiles its complex's presentation and the carrier
+# presentation of its hyperplane.  On the benchmark's doubled complex a
+# pass over its 13 hyperplanes in both modes makes 38 calls on 4
+# distinct presentations (carriers of one shape coincide), and at most
+# 1 + 13.  The tasks come in shuffled order, so every task hits only
+# when all are kept; 64 entries keep that bound for four complexes, at
+# a few KiB each, and a census over many complexes evicts the least
+# recently used.
+@lru_cache(maxsize=64)
+def _compile(num_gens: int, relators: tuple):
+    """The coset-table data of a presentation, computed once per
+    distinct presentation: (kept, relators, images) from
+    eliminate_generators, and the rotations _relator_rotations gives
+    for the kept relators.  Every part is a tuple, so callers share
+    them.  `relators` must be a tuple of tuples, so that the cache key
+    is the relators' content at call time.  A letter outside
+    +-1..num_gens raises ValueError, which the cache does not keep.
+    """
+    for w in relators:
+        for x in w:
+            if not (isinstance(x, int) and 1 <= abs(x) <= num_gens):
+                raise ValueError("relator letter %r is not a signed "
+                                 "generator index in 1..%d" % (x, num_gens))
+    kept, rels, images = eliminate_generators(num_gens, relators)
+    return kept, rels, images, _relator_rotations(rels, 2 * len(kept))
 
 
 def _rebased_is_smaller(table, ncols: int, d: int, base: int) -> bool:
@@ -260,7 +287,10 @@ def iter_low_index(num_gens: int, relators: Sequence[Sequence[int]], d: int,
     ascending order.  A complete table with d cosets is kept when no
     other coset, taken as the base, gives a smaller standard table, so
     each class is yielded once, as its least standard table.  The
-    table, deductions, budget and errors are those of _coset_tables.
+    table, deductions, budget and errors are those of _coset_tables,
+    which reduces each distinct presentation once per process: a search
+    that calls this degree after degree, or a hyperplane's carrier
+    after another's, repeats no Tietze move.
     """
     return _coset_tables(num_gens, relators, d, budget, labelled=False)
 
@@ -290,6 +320,10 @@ def _coset_tables(num_gens: int, relators, d: int,
     as its assignment to generators 1..num_gens: standard tables for
     iter_low_index, labelled ones for iter_homs.
 
+    The relators come compiled by _compile, once per distinct
+    (num_gens, relators) per process; a relator letter outside
+    +-1..num_gens raises ValueError.
+
     The table has one column per generator left by eliminate_generators
     and one per inverse.  Each definition sets an entry and its mirror
     in the inverse column.  After each definition the search scans, from
@@ -307,9 +341,8 @@ def _coset_tables(num_gens: int, relators, d: int,
     """
     if d < 1:
         raise ValueError("degree must be positive")
-    kept, rels, images = eliminate_generators(num_gens, relators)
+    kept, _, images, rots = _compile(num_gens, tuple(map(tuple, relators)))
     ncols = 2 * len(kept)
-    rots = _relator_rotations(rels, ncols)
     # one trailing -1 ends every search for the next undefined entry
     table = [-1] * (d * ncols + 1)
     trail = []

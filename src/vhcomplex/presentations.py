@@ -9,6 +9,7 @@ indices, the same convention square boundary words use for edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .complexes import (EdgePath, SquareComplex, cyclic_reduce, free_reduce,
@@ -119,9 +120,18 @@ class Pi1Presentation:
         return EdgePath(self.basepoint, out + (eid,) + back)
 
 
+# A search reads the presentation of the one complex it is given, and
+# a vclean call per hyperplane asks for the same one again; the entries
+# also keep their complexes alive, so the memo stays small.
+@lru_cache(maxsize=16)
 def pi1_presentation(cx: SquareComplex, basepoint: int = 0) -> Pi1Presentation:
     """Breadth-first spanning tree from the basepoint, darts tried in
-    (edge id, +before-) order."""
+    (edge id, +before-) order.
+
+    Both arguments and the result are immutable, so the presentation is
+    computed once per (complex, basepoint) per process and shared by
+    every caller; equal complexes share it too.  Errors are not kept.
+    """
     if not (0 <= basepoint < cx.num_vertices):
         raise ValueError("no vertex %r" % (basepoint,))
     if not is_connected_complex(cx):

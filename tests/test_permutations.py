@@ -221,6 +221,45 @@ def test_low_index_budget_cap_stops_the_scan():
     assert not budget.cap_hit
 
 
+@pytest.mark.parametrize("relators", [[(3,)], [(1, -5, 2)], [(0, 1)]])
+@pytest.mark.parametrize("enumerate_homs",
+                         [perm.iter_low_index, perm.iter_homs])
+def test_relator_letters_outside_the_generators_are_rejected(
+        enumerate_homs, relators):
+    # twice: the compile memo keeps no errors
+    for _ in range(2):
+        with pytest.raises(ValueError, match="relator letter"):
+            list(enumerate_homs(2, relators, 2))
+
+
+@pytest.mark.parametrize("enumerate_homs",
+                         [perm.iter_low_index, perm.iter_homs])
+def test_compile_memo_is_invisible(enumerate_homs):
+    """Yields and node counts are the same from an empty memo and from a
+    full one, for relators as tuples and as lists; a list mutated
+    between calls is read afresh."""
+    def run(n, relators, d):
+        budget = perm.NodeBudget()
+        return list(enumerate_homs(n, relators, d, budget=budget)), \
+            budget.nodes
+
+    for cx, d in ((helpers.load_complex("torus"), 5),
+                  (helpers.doubled_complex(), 2)):
+        n, relators = _pi1(cx)
+        perm._compile.cache_clear()
+        cold = run(n, relators, d)
+        warm = run(n, relators, d)
+        as_lists = run(n, [list(w) for w in relators], d)
+        perm._compile.cache_clear()
+        assert cold == warm == as_lists == run(n, relators, d), (n, d)
+
+    relators = [[1, 2, -1, -2]]
+    before = list(enumerate_homs(2, relators, 3))
+    relators[0][2:] = []
+    after = list(enumerate_homs(2, relators, 3))
+    assert after == list(enumerate_homs(2, [(1, 2)], 3)) != before
+
+
 def test_low_index_is_not_bounded_by_the_recursion_limit():
     n = 1200
     for relators in ([], [(g, g) for g in range(1, n + 1)]):

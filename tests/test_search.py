@@ -8,7 +8,8 @@ from vhcomplex import (Cover, EdgePath, GroupPresentation, Hyperplane,
                        VCleanWitness,
                        clean_cover_from_survival, double_along_loop,
                        element_survives, hyperplane_of_edge, hyperplanes,
-                       is_clean, iter_covers, loop_survives, pointed_pair,
+                       is_clean, iter_covers, loop_survives, pi1_presentation,
+                       pointed_pair,
                        preimage_cleanness,
                        probe_profinite_triviality, revalidate_witness,
                        semi_decide_virtually_clean,
@@ -349,6 +350,44 @@ def test_vclean_matches_per_cover_scan(monkeypatch):
                              ("mixed_carrier", 4, 2), ("doubled", 13, 2),
                              ("doubled", 28, 2), ("doubled", 46, 2),
                              ("doubled", 61, 2), ("doubled", 13, 3)}
+
+
+def test_vclean_outcomes_do_not_depend_on_the_memos(monkeypatch):
+    """pi1_presentation and the coset-table compile step are memoized
+    per process.  The 26 vclean scans of D to degree 2, run twice in
+    one process in two shuffled orders from empty memos, give
+    byte-identical outcome documents, equal to the per-cover reference;
+    the second run compiles no presentation again."""
+    scanned = _record_scanned_degrees(monkeypatch)
+    cx = helpers.doubled_complex()
+    budget = SearchBudget(2)
+    tasks = [(h, mode) for h in hyperplanes(cx) for mode in ("some", "each")]
+
+    def run(seed):
+        """Outcome document and skipped degrees per task."""
+        random.Random(seed).shuffle(tasks)
+        docs = {}
+        for h, mode in tasks:
+            del scanned[:]
+            out = semi_decide_virtually_clean(cx, h, mode, budget)
+            reached = max(scanned) if out.found else budget.max_degree
+            docs[h.id, mode] = (canonical_json(outcome_to_doc(out)),
+                                frozenset(range(1, reached + 1))
+                                - set(scanned))
+        return docs
+
+    pi1_presentation.cache_clear()
+    perm._compile.cache_clear()
+    runs = [run(1)]
+    misses = perm._compile.cache_info().misses
+    runs.append(run(2))
+    assert perm._compile.cache_info().misses == misses
+    assert pi1_presentation.cache_info().misses == 1
+    assert runs[0] == runs[1] and len(runs[0]) == 26
+    for h, mode in tasks:
+        doc, skipped = runs[0][h.id, mode]
+        ref = oracles.reference_vclean(cx, h, mode, budget, skip=skipped)
+        assert doc == canonical_json(outcome_to_doc(ref)), (h.id, mode)
 
 
 def test_vclean_skips_what_the_labelled_carrier_precheck_rules_out(
