@@ -237,11 +237,12 @@ def _relator_rotations(relators, ncols: int) -> tuple:
 @lru_cache(maxsize=64)
 def _compile(num_gens: int, relators: tuple):
     """The coset-table data of a presentation, computed once per
-    distinct presentation: (kept, relators, images) from
-    eliminate_generators, and the rotations _relator_rotations gives
-    for the kept relators.  Every part is a tuple, so callers share
-    them.  `relators` must be a tuple of tuples, so that the cache key
-    is the relators' content at call time.  A letter outside
+    distinct presentation: the table's column count and each
+    generator's column, as generator_columns gives them, and the
+    rotations _relator_rotations gives for the relators
+    eliminate_generators keeps.  Every part is a tuple, so callers
+    share them.  `relators` must be a tuple of tuples, so that the
+    cache key is the relators' content at call time.  A letter outside
     +-1..num_gens raises ValueError, which the cache does not keep.
     """
     for w in relators:
@@ -250,7 +251,10 @@ def _compile(num_gens: int, relators: tuple):
                 raise ValueError("relator letter %r is not a signed "
                                  "generator index in 1..%d" % (x, num_gens))
     kept, rels, images = eliminate_generators(num_gens, relators)
-    return kept, rels, images, _relator_rotations(rels, 2 * len(kept))
+    ncols = 2 * len(kept)
+    columns = tuple(None if not x else 2 * x - 2 if x > 0 else -2 * x - 1
+                    for x in images)
+    return ncols, columns, _relator_rotations(rels, ncols)
 
 
 def _rebased_is_smaller(table, ncols: int, d: int, base: int) -> bool:
@@ -273,8 +277,34 @@ def _rebased_is_smaller(table, ncols: int, d: int, base: int) -> bool:
     return False
 
 
+def generator_columns(num_gens: int, relators: Sequence[Sequence[int]]):
+    """(ncols, columns): the number of columns of the coset table that
+    iter_low_index and iter_homs fill for these relators, and for each
+    generator 1..num_gens the column it reads, None when the Tietze
+    moves make it trivial.  Kept generator k reads column 2k-2 and its
+    inverse column 2k-1; a generator eliminated as another's inverse
+    reads that one's inverse column."""
+    return _compile(num_gens, tuple(map(tuple, relators)))[:2]
+
+
+def fixed_column(table, ncols: int, column: int):
+    """The permutation a column of a prune callback's table reads once
+    at most one of its entries is unset, that entry being the one point
+    left; None while two or more are unset.  ncols is generator_columns'
+    count for the table's relators."""
+    d = len(table) // ncols
+    images = table[column:d * ncols:ncols]
+    unset = images.count(-1)
+    if unset:
+        if unset > 1:
+            return None
+        # the sum of 0..d-1, less the set entries and the -1
+        images[images.index(-1)] = d * (d - 1) // 2 - 1 - sum(images)
+    return tuple(images)
+
+
 def iter_low_index(num_gens: int, relators: Sequence[Sequence[int]], d: int,
-                   budget: Optional[NodeBudget] = None):
+                   budget: Optional[NodeBudget] = None, *, prune=None):
     """One transitive assignment of permutations in S_d to generators
     1..num_gens satisfying every relator, per conjugacy class: Sims'
     low-index subgroups search.
@@ -291,8 +321,16 @@ def iter_low_index(num_gens: int, relators: Sequence[Sequence[int]], d: int,
     which reduces each distinct presentation once per process: a search
     that calls this degree after degree, or a hyperplane's carrier
     after another's, repeats no Tietze move.
+
+    `prune`, when given, is called with the table (see _coset_tables)
+    after each definition that survives its deductions once all d
+    cosets exist, when the standard numbering can no longer change; a
+    true answer rejects that definition, as a failed deduction would,
+    and every class below it is skipped.  The other classes come in
+    the same order.
     """
-    return _coset_tables(num_gens, relators, d, budget, labelled=False)
+    return _coset_tables(num_gens, relators, d, budget, labelled=False,
+                         prune=prune)
 
 
 def iter_homs(num_gens: int, relators: Sequence[Sequence[int]], d: int,
@@ -315,7 +353,8 @@ def iter_homs(num_gens: int, relators: Sequence[Sequence[int]], d: int,
 
 
 def _coset_tables(num_gens: int, relators, d: int,
-                  budget: Optional[NodeBudget], labelled: bool):
+                  budget: Optional[NodeBudget], labelled: bool,
+                  prune=None):
     """Complete coset tables of the relators with d rows, each yielded
     as its assignment to generators 1..num_gens: standard tables for
     iter_low_index, labelled ones for iter_homs.
@@ -333,6 +372,13 @@ def _coset_tables(num_gens: int, relators, d: int,
     definition.  Eliminated generators get their images back in each
     yielded assignment.
 
+    `prune(table)`, when given, is asked after each definition whose
+    deductions hold, once all d cosets exist; true rejects the
+    definition like a conflict.  `table` is the live table, a flat list
+    in which row c of column x is entry c * ncols + x, -1 while unset,
+    with one more -1 after the last row.  The callback reads it with
+    fixed_column and must not change it.
+
     Definitions are undone from a trail, and the frames sit on an
     explicit stack, so the recursion limit does not bound the table.
     `budget`, when given, is spent once per definition tried;
@@ -341,16 +387,11 @@ def _coset_tables(num_gens: int, relators, d: int,
     """
     if d < 1:
         raise ValueError("degree must be positive")
-    kept, _, images, rots = _compile(num_gens, tuple(map(tuple, relators)))
-    ncols = 2 * len(kept)
+    ncols, picks, rots = _compile(num_gens, tuple(map(tuple, relators)))
     # one trailing -1 ends every search for the next undefined entry
     table = [-1] * (d * ncols + 1)
     trail = []
 
-    # the column each original generator reads: kept generator k is
-    # column 2k-2 and its inverse column 2k-1; None when it is trivial
-    picks = [None if not x else 2 * x - 2 if x > 0 else -2 * x - 1
-             for x in images]
     trivial = identity(d)
 
     def assignment():
@@ -437,7 +478,8 @@ def _coset_tables(num_gens: int, relators, d: int,
         table[mirror] = c
         trail.append(entry)
         trail.append(mirror)
-        if not deduce(entry):
+        if not deduce(entry) or (prune is not None and n == d
+                                 and prune(table)):
             continue
         if labelled:
             i = (x >> 1) * d + c + 1    # the place after entry's in fill

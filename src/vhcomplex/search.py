@@ -35,7 +35,10 @@ low-index search on those relators alone, and skips the degree while
 no transitive class of degree at most d has a clean component.  A
 skipped degree adds nothing to the statistics and spends none of the
 node budget, so under a node cap the search can reach degrees that the
-scan alone would not.
+scan alone would not.  In a degree d >= 2 that it scans, the search
+cuts every partial coset table whose carrier permutations are already
+fixed and whose carrier restriction has no clean component: no class
+below it could give a witness.
 """
 
 from __future__ import annotations
@@ -168,12 +171,15 @@ def _no_candidates(d, node_budget):
     return ()
 
 
-def _quotients(pres: GroupPresentation):
+def _quotients(pres: GroupPresentation, prune=None):
     """Candidates for _scan: one transitive action of each degree per
-    conjugacy class, as a tuple of generator images."""
+    conjugacy class, as a tuple of generator images.  prune(d), when
+    given, is the prune callback of perm.iter_low_index at degree d, or
+    None."""
     def candidates(d, node_budget):
         return perm.iter_low_index(len(pres.generators), pres.relators, d,
-                                   budget=node_budget)
+                                   budget=node_budget,
+                                   prune=prune and prune(d))
     return candidates
 
 
@@ -277,10 +283,11 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
     Components are checked from the permutations, never by realizing a
     total space.  Their cleanness depends only on the permutations on
     the hyperplane's carrier edges, so one call keeps each verdict under
-    the tuple of images on the sorted carrier edges, and builds a Cover
-    only when that key is new, to report a witness, or to take a regular
-    closure.  The scanned covers satisfy every square relator by
-    construction, so only closures are validated first.
+    the tuple of images on the sorted carrier edges, its carrier key.  A
+    new key is decided on the Cover with those images and the identity
+    elsewhere; a scanned cover is built only to report a witness or to
+    take a regular closure.  The scanned covers satisfy every square
+    relator by construction, so only closures are validated first.
     revalidate_vclean_witness does realize the witness cover.
 
     Before it scans a degree d >= 2, the search runs
@@ -290,12 +297,25 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
     letters, so the degree is skipped while no transitive class of
     degree at most d has a clean component; from the first degree where
     one has, or where that search hits CARRIER_NODE_CAP definitions,
-    every degree is scanned.  Status, least degree and witness are those
-    of the full scan.  homs_tried counts the covers checked, and
+    every degree is scanned.
+
+    A scanned degree d >= 2 passes perm.iter_low_index a prune callback.
+    Once a table has all d cosets and each carrier column has at most
+    one entry unset, every class below it has one carrier key, and the
+    table is cut when that key has no clean component: check would find
+    no witness, in either mode, in any of those classes.  A key the memo
+    lacks is decided only while some column outside the carrier still
+    has two entries unset, since below that the table is forced and a
+    verdict costs more than the definitions it could save; a carrier
+    that reads every column gets no callback.
+
+    Status, least degree and witness are those of the full scan.
+    homs_tried counts the covers checked, and
     covers_realized counts those plus the closures checked, whether or
     not a Cover was built; nodes counts the low-index search's
-    definitions.  A skipped degree adds to none of them.  Raises
-    ValueError on a structurally invalid complex.
+    definitions.  A skipped degree adds to none of them, and a pruned
+    table to none below it.  Raises ValueError on a structurally
+    invalid complex.
     """
     require_structure(cx)
     mode = mode.lower()
@@ -308,20 +328,28 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
     # carrier edge -> its generator's position in an assignment, or
     # None for a tree edge, whose image is the identity
     gen_pos = {eid: k for k, eid in enumerate(pres.generators)}
-    key_pos = [gen_pos.get(eid) for eid in _carrier_edges(h)]
+    carrier = _carrier_edges(h)
+    key_pos = [gen_pos.get(eid) for eid in carrier]
     verdicts = {}    # carrier key -> ((component id, clean), ...)
 
-    def verdict(d, a):
-        """(the cleanness of a's preimage components, the Cover built
-        for them or None on a memo hit)."""
+    def carrier_key(d, a):
+        """The images of assignment a on the carrier edges."""
         ident = perm.identity(d)
-        key = tuple(ident if k is None else a[k] for k in key_pos)
+        return tuple(ident if k is None else a[k] for k in key_pos)
+
+    def decide(key):
+        """The cleanness of the preimage components in every cover of
+        degree len(key[0]) whose carrier edges carry `key`, decided on
+        the one with the identity on every other edge."""
         comps = verdicts.get(key)
-        if comps is not None:
-            return comps, None
-        cover = cover_from_assignment(cx, pres, d, a)
-        comps = verdicts[key] = _preimage_cleanness(cover, h)
-        return comps, cover
+        if comps is None:
+            d = len(key[0])
+            perms = [perm.identity(d)] * cx.num_edges
+            for eid, p in zip(carrier, key):
+                perms[eid - 1] = p
+            comps = verdicts[key] = _preimage_cleanness(Cover(cx, d, perms),
+                                                        h)
+        return comps
 
     # the carrier squares' relators, over the carrier letters renumbered
     # 1..k (a carrier square's edges are all carrier edges)
@@ -341,11 +369,40 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
                                           budget=node_budget):
             for k, p in zip(letters, images):
                 a[k] = p
-            if any(clean for _, clean in verdict(d, a)[0]):
+            if any(clean for _, clean in decide(carrier_key(d, a))):
                 return True
         return node_budget.cap_hit
 
-    quotients = _quotients(pres)
+    # the coset-table column each carrier edge reads, None for the
+    # identity, and one column of each generator the carrier does not
+    # read (its inverse column has as many entries set)
+    ncols, columns = perm.generator_columns(len(pres.generators),
+                                            pres.relators)
+    key_cols = [None if k is None else columns[k] for k in key_pos]
+    watched = sorted({c for c in key_cols if c is not None})
+    unwatched = sorted(set(range(0, ncols, 2)) - {c & ~1 for c in watched})
+
+    def dirty_below(d):
+        """The prune callback of the degree-d scan, or None (see
+        above)."""
+        if d == 1 or not unwatched:
+            return None
+        ident = perm.identity(d)
+
+        def prune(table):
+            images = {}
+            for c in watched:
+                p = images[c] = perm.fixed_column(table, ncols, c)
+                if p is None:
+                    return False
+            key = tuple(ident if c is None else images[c] for c in key_cols)
+            if key not in verdicts and all(perm.fixed_column(table, ncols, c)
+                                           for c in unwatched):
+                return False
+            return not any(clean for _, clean in decide(key))
+        return prune
+
+    quotients = _quotients(pres, prune=dirty_below)
     carrier_clean = False
 
     def candidates(d, node_budget):
@@ -360,11 +417,10 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
 
     def check(d, a):
         stats.covers_realized += 1
-        comps, cover = verdict(d, a)
+        comps = decide(carrier_key(d, a))
         if not any(clean for _, clean in comps):
             return None
-        if cover is None:
-            cover = cover_from_assignment(cx, pres, d, a)
+        cover = cover_from_assignment(cx, pres, d, a)
         if mode == "some":
             cid = next(cid for cid, clean in comps if clean)
             return VCleanWitness(mode, h.id, cover, cid)

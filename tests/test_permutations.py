@@ -198,6 +198,76 @@ def test_low_index_class_and_node_counts():
         assert (len(got), budget.nodes) == (classes, nodes), d
 
 
+def test_low_index_prune_cuts_exactly_the_classes_below():
+    """A prune callback that rejects every table with all d cosets whose
+    coset 0 generator 1 maps to a given coset removes exactly the classes
+    whose first image sends 0 there, and keeps the others in order, as
+    a failed deduction would; it sees only tables with all d cosets, and
+    never spends more of the budget."""
+    cases = [_pi1(helpers.load_complex(name)) for name in
+             helpers.GOOD_FIXTURES + ("bad_vh",)]
+    cases.append(_pi1(helpers.doubled_complex()))
+    rng = random.Random(8)
+    for _ in range(20):
+        pres = helpers.random_presentation(rng)
+        cases.append((pres.num_generators, pres.relators))
+    for n, relators in cases:
+        ncols, columns = perm.generator_columns(n, relators)
+        col = columns[0] if n else None
+        for d in range(1, 4 if ncols <= 8 else 3):
+            full = perm.NodeBudget()
+            everything = list(perm.iter_low_index(n, relators, d,
+                                                  budget=full))
+            for target in range(d):
+                seen = []
+
+                def prune(table):
+                    assert len(table) == d * ncols + 1
+                    assert d - 1 in table
+                    seen.append(d)
+                    return col is not None and table[col] == target
+                budget = perm.NodeBudget()
+                got = list(perm.iter_low_index(n, relators, d,
+                                               budget=budget, prune=prune))
+                assert got == [a for a in everything
+                               if col is None or a[0][0] != target]
+                assert budget.nodes <= full.nodes
+                assert seen or not (ncols and everything)
+
+
+def test_generator_columns_read_the_assignments():
+    """Read through generator_columns and fixed_column, the last
+    complete table a prune callback sees before each yield is the
+    assignment yielded."""
+    cases = [(helpers.load_complex(name), 4)
+             for name in helpers.GOOD_FIXTURES + ("bad_vh",)]
+    cases.append((helpers.doubled_complex(), 2))
+    for cx, max_degree in cases:
+        n, relators = _pi1(cx)
+        ncols, columns = perm.generator_columns(n, relators)
+        assert len(columns) == n
+        for d in range(1, max_degree + 1):
+            complete = []
+
+            def prune(table):
+                if table.count(-1) == 1:
+                    complete.append(tuple(
+                        perm.identity(d) if c is None
+                        else perm.fixed_column(table, ncols, c)
+                        for c in columns))
+                return False
+            for a in perm.iter_low_index(n, relators, d, prune=prune):
+                assert complete and complete[-1] == a, (cx, d)
+
+
+def test_fixed_column_fills_the_point_left():
+    # degree 3, one generator: columns 0 and 1, then the trailing -1
+    assert perm.fixed_column([1, 2, 2, 0, 0, 1, -1], 2, 0) == (1, 2, 0)
+    assert perm.fixed_column([1, 2, -1, 0, 0, -1, -1], 2, 0) == (1, 2, 0)
+    assert perm.fixed_column([1, 2, -1, 0, 0, -1, -1], 2, 1) == (2, 0, 1)
+    assert perm.fixed_column([-1, -1, -1, -1, 0, -1, -1], 2, 0) is None
+
+
 def test_low_index_rejects_degree_below_one():
     for d in (0, -1):
         with pytest.raises(ValueError, match="degree must be positive"):
