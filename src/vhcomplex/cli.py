@@ -15,7 +15,7 @@ import sys
 import traceback
 
 from . import formats
-from .complexes import pointed_pair, require_structure, validate
+from .complexes import pointed_pair, validate
 from .constructions import attach_relators, double_along_loop
 from .covers import enumerate_covers, iter_covers
 from .hyperplanes import _no_inter_osculation, hyperplanes, is_clean
@@ -45,7 +45,6 @@ def _cmd_validate(args):
 
 def _cmd_hyperplanes(args):
     cx = _load_complex(args.file)
-    require_structure(cx)
     hyps = hyperplanes(cx)
     reports = [is_clean(h) for h in hyps]
     all_clean = all(r.clean for r in reports)
@@ -64,7 +63,6 @@ def _cmd_hyperplanes(args):
 
 def _cmd_covers(args):
     cx = _load_complex(args.file)
-    require_structure(cx)
     flags = dict(connected=args.connected,
                  up_to_conjugacy=args.up_to_conjugacy)
     if args.out_dir:

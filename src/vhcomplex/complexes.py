@@ -30,16 +30,22 @@ class Edge:
 
 @dataclass(frozen=True)
 class SquareComplex:
+    """Edges (Edge values or (tail, head, label) triples) and squares
+    (dart sequences) are stored as tuples, so every complex hashes."""
     num_vertices: int
     edges: tuple
     squares: tuple
 
+    def __post_init__(self):
+        object.__setattr__(self, "edges", tuple(
+            e if isinstance(e, Edge) else Edge(*e) for e in self.edges))
+        object.__setattr__(self, "squares",
+                           tuple(tuple(w) for w in self.squares))
+
     @classmethod
     def make(cls, num_vertices, edges, squares=()):
         """Build a complex from (tail, head, label) triples and dart words."""
-        es = tuple(e if isinstance(e, Edge) else Edge(*e) for e in edges)
-        sq = tuple(tuple(w) for w in squares)
-        return cls(num_vertices, es, sq)
+        return cls(num_vertices, edges, squares)
 
     @property
     def num_edges(self):

@@ -246,16 +246,12 @@ def regular_closure(c: Cover, basepoint: int = 0) -> RegularClosure:
     pres, gens = monodromy(c, basepoint)
     group = sorted(perm.mulclose(gens, c.degree))
     index = {g: i for i, g in enumerate(group)}
-    dd = len(group)
-    by_edge = []
-    gen_pos = {eid: k for k, eid in enumerate(pres.generators)}
-    for eid in range(1, c.base.num_edges + 1):
-        if eid in gen_pos:
-            m = gens[gen_pos[eid]]
-            by_edge.append(tuple(index[perm.compose(g, m)] for g in group))
-        else:
-            by_edge.append(perm.identity(dd))
-    closure = Cover(c.base, dd, tuple(by_edge))
+    ident = perm.identity(len(group))
+    by_edge = tuple(
+        ident if k is None
+        else tuple(index[perm.compose(g, gens[k])] for g in group)
+        for k in pres.edge_generator)
+    closure = Cover(c.base, len(group), by_edge)
     return RegularClosure(closure, tuple(group),
                           tuple(g[0] for g in group))
 
@@ -297,14 +293,13 @@ def preimage_cleanness(c: Cover, y: Hyperplane) -> tuple:
         raise ValueError("hyperplane is not from this cover's base")
     if not validate_cover(c):
         raise ValueError("square relations fail; not a cover")
-    return _preimage_cleanness(c, y)
+    return _preimage_cleanness(y, c.degree,
+                               tuple(c.perm(e) for e in _carrier_edges(y)))
 
 
 def _carrier_edges(y: Hyperplane) -> tuple:
     """The edges of y's carrier, sorted: its dual edges and every edge
-    of the squares it crosses.  The result of _preimage_cleanness
-    depends on the cover's permutations on these edges and on no
-    others."""
+    of the squares it crosses."""
     squares = y.complex.squares
     edges = set(y.dual_edges)
     for i, _ in y.midcubes:
@@ -312,16 +307,19 @@ def _carrier_edges(y: Hyperplane) -> tuple:
     return tuple(sorted(edges))
 
 
-def _preimage_cleanness(c: Cover, y: Hyperplane) -> tuple:
-    """preimage_cleanness without its checks, for permutations on y's
-    complex known to satisfy the relators of the squares y crosses, such
-    as a cover that cover_from_assignment built from a low-index table;
-    the other squares' relators need not hold.  The result depends only on
-    the degree and the permutations on _carrier_edges(y), the only
-    entries of its _dart_maps table that it reads."""
-    base, d = c.base, c.degree
+def _preimage_cleanness(y: Hyperplane, d: int, perms: Sequence) -> tuple:
+    """preimage_cleanness without its checks, from the degree d and
+    `perms`, the permutations on _carrier_edges(y) in that order, which
+    must satisfy the relators of the squares y crosses.  These are its
+    only inputs: every cover of y's complex with these permutations on
+    the carrier gets this answer, whatever it does on the other edges
+    and whether or not their squares' relators hold."""
+    base = y.complex
     sheets = range(d)
-    maps = _dart_maps(c)
+    maps = {}    # a carrier dart -> its permutation, as in _dart_maps
+    for e, p in zip(_carrier_edges(y), perms):
+        maps[e] = p
+        maps[-e] = perm.inverse(p)
     parent = list(range(base.num_edges * d + 1))
     rel = [0] * len(parent)    # parity between an edge and its parent
 
@@ -400,15 +398,8 @@ def cover_from_assignment(cx: SquareComplex, pres: Pi1Presentation,
                           degree: int, assignment) -> Cover:
     """The cover with identity tree edges and the given non-tree images."""
     ident = perm.identity(degree)
-    by_edge = []
-    k = 0
-    for eid in range(1, cx.num_edges + 1):
-        if eid in pres.tree_edges:
-            by_edge.append(ident)
-        else:
-            by_edge.append(assignment[k])
-            k += 1
-    return Cover(cx, degree, tuple(by_edge))
+    return Cover(cx, degree, tuple(ident if k is None else assignment[k]
+                                   for k in pres.edge_generator))
 
 
 def iter_covers(cx: SquareComplex, degree: int,

@@ -128,15 +128,18 @@ def presentation_from_doc(doc) -> GroupPresentation:
 # covers
 
 
-def cover_to_doc(c: Cover, base_ref: Optional[str] = None) -> dict:
+def _perms_to_doc(c: Cover) -> dict:
+    """The "perm" entry of cover_to_doc: the edges that move a sheet."""
     ident = perm.identity(c.degree)
-    perms = {str(eid): list(c.perms[eid - 1])
-             for eid in range(1, c.base.num_edges + 1)
-             if c.perms[eid - 1] != ident}
+    return {str(eid): list(p) for eid, p in enumerate(c.perms, start=1)
+            if p != ident}
+
+
+def cover_to_doc(c: Cover, base_ref: Optional[str] = None) -> dict:
     return {
         "base": base_ref if base_ref is not None else complex_to_doc(c.base),
         "degree": c.degree,
-        "perm": perms,
+        "perm": _perms_to_doc(c),
     }
 
 
@@ -262,19 +265,17 @@ def witness_to_doc(w, pres: Optional[GroupPresentation] = None,
             "certified": {"word": word_to_string(w.word, pres.generators)},
         }
     elif isinstance(w, LoopWitness):
-        cdoc = cover_to_doc(w.cover)
         doc = {
             "kind": "cover",
             "degree": w.cover.degree,
-            "images": cdoc["perm"],
+            "images": _perms_to_doc(w.cover),
             "certified": {"loop": path_to_doc(w.loop), "sheet": w.sheet},
         }
     elif isinstance(w, VCleanWitness):
-        cdoc = cover_to_doc(w.cover)
         doc = {
             "kind": "cover",
             "degree": w.cover.degree,
-            "images": cdoc["perm"],
+            "images": _perms_to_doc(w.cover),
             "certified": {"hyperplane": w.hyperplane_id, "mode": w.mode,
                           "component": w.component_id},
         }

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .complexes import (DisjointSet, SquareComplex, square_corners,
-                        structural_violations)
+from .complexes import (DisjointSet, SquareComplex, require_structure,
+                        square_corners)
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,10 @@ def hyperplanes(cx: SquareComplex) -> tuple:
     """All hyperplanes, sorted by least dual edge id.
 
     Every edge lies in exactly one class; an edge in no square is a point
-    hyperplane with no midcubes.
+    hyperplane with no midcubes.  Raises require_structure's ValueError
+    on a structurally invalid complex.
     """
-    if structural_violations(cx):
-        raise ValueError("complex is structurally invalid")
+    require_structure(cx)
     ds = DisjointSet(range(1, cx.num_edges + 1))
     for w in cx.squares:
         ds.union(abs(w[0]), abs(w[2]))

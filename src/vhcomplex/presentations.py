@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .complexes import (EdgePath, SquareComplex, cyclic_reduce, free_reduce,
-                        is_connected_complex, trace)
+                        is_connected_complex, require_structure, trace)
 
 
 @dataclass(frozen=True)
@@ -88,12 +88,15 @@ class Pi1Presentation:
     are the square boundary words with tree darts deleted, one per square,
     freely and cyclically reduced (kept even when empty).  Letters in
     relators are signed 1-based positions into `generators`.
+    `edge_generator[eid - 1]` is the 0-based position of edge eid in
+    `generators`, or None for a tree edge.
     """
     complex: SquareComplex
     basepoint: int
     tree_edges: frozenset
     generators: tuple
     relators: tuple
+    edge_generator: tuple
     _tree_path: tuple  # per vertex, dart word from basepoint along the tree
 
     def loop_word(self, p: EdgePath) -> tuple:
@@ -101,14 +104,7 @@ class Pi1Presentation:
         verts = trace(self.complex, p)
         if verts[-1] != p.start:
             raise ValueError("path is not closed")
-        pos = {eid: i + 1 for i, eid in enumerate(self.generators)}
-        word = []
-        for d in p.word:
-            eid = abs(d)
-            if eid in self.tree_edges:
-                continue
-            word.append(pos[eid] if d > 0 else -pos[eid])
-        return free_reduce(word)
+        return free_reduce(_letters(self.edge_generator, p.word))
 
     def generator_loop(self, gen_index: int) -> EdgePath:
         """The based loop realizing a generator: tree path out, the edge,
@@ -120,6 +116,16 @@ class Pi1Presentation:
         return EdgePath(self.basepoint, out + (eid,) + back)
 
 
+def _letters(edge_generator, darts) -> list:
+    """A dart word as signed 1-based generator letters, tree darts cut."""
+    word = []
+    for d in darts:
+        k = edge_generator[abs(d) - 1]
+        if k is not None:
+            word.append(k + 1 if d > 0 else -k - 1)
+    return word
+
+
 # A search reads the presentation of the one complex it is given, and
 # a vclean call per hyperplane asks for the same one again; the entries
 # also keep their complexes alive, so the memo stays small.
@@ -128,10 +134,14 @@ def pi1_presentation(cx: SquareComplex, basepoint: int = 0) -> Pi1Presentation:
     """Breadth-first spanning tree from the basepoint, darts tried in
     (edge id, +before-) order.
 
-    Both arguments and the result are immutable, so the presentation is
-    computed once per (complex, basepoint) per process and shared by
-    every caller; equal complexes share it too.  Errors are not kept.
+    Every search reads its complex through here.  Raises ValueError on a
+    structurally invalid complex (require_structure's), then on a bad
+    basepoint or a disconnected complex.  Both arguments and the result
+    are immutable, so the complex is checked and its presentation built
+    once per (complex, basepoint) per process and shared by every
+    caller; equal complexes share it too.  Errors are not kept.
     """
+    require_structure(cx)
     if not (0 <= basepoint < cx.num_vertices):
         raise ValueError("no vertex %r" % (basepoint,))
     if not is_connected_complex(cx):
@@ -158,13 +168,10 @@ def pi1_presentation(cx: SquareComplex, basepoint: int = 0) -> Pi1Presentation:
 
     generators = tuple(sorted(eid for eid in range(1, cx.num_edges + 1)
                               if eid not in tree_edges))
-    pos = {eid: i + 1 for i, eid in enumerate(generators)}
-    relators = []
-    for w in cx.squares:
-        word = [(pos[abs(d)] if d > 0 else -pos[abs(d)])
-                for d in w if abs(d) not in tree_edges]
-        relators.append(cyclic_reduce(word))
-
+    pos = {eid: k for k, eid in enumerate(generators)}
+    edge_generator = tuple(pos.get(eid) for eid in range(1, cx.num_edges + 1))
+    relators = tuple(cyclic_reduce(_letters(edge_generator, w))
+                     for w in cx.squares)
     paths = tuple(tree_path[v] for v in range(cx.num_vertices))
-    return Pi1Presentation(cx, basepoint, frozenset(tree_edges),
-                           generators, tuple(relators), paths)
+    return Pi1Presentation(cx, basepoint, frozenset(tree_edges), generators,
+                           relators, edge_generator, paths)

@@ -26,19 +26,18 @@ that is not the identity.  The virtual-cleanness search starts at degree
 preimage component of the hyperplane is clean depends only on the
 permutations on the hyperplane's carrier edges, and far fewer carrier
 restrictions occur than classes, so the search memoizes the cleanness
-of the preimage per carrier restriction and builds a Cover only on a
-miss, for a witness, or for a regular closure.  Every carrier
-restriction satisfies the relators of the squares the hyperplane
-crosses, and a preimage component lives in one orbit of the carrier
-letters, so before it scans a degree d >= 2 the search runs the
-low-index search on those relators alone, and skips the degree while
-no transitive class of degree at most d has a clean component.  A
-skipped degree adds nothing to the statistics and spends none of the
-node budget, so under a node cap the search can reach degrees that the
-scan alone would not.  In a degree d >= 2 that it scans, the search
-cuts every partial coset table whose carrier permutations are already
-fixed and whose carrier restriction has no clean component: no class
-below it could give a witness.
+of the preimage per carrier restriction and builds a Cover only for a
+witness or for a regular closure.  Every carrier restriction satisfies
+the relators of the squares the hyperplane crosses, and a preimage
+component lives in one orbit of the carrier letters, so before it scans
+a degree d >= 2 the search runs the low-index search on those relators
+alone, and skips the degree while no transitive class of degree at
+most d has a clean component.  A skipped degree adds nothing to the
+statistics and spends none of the node budget, so under a node cap the
+search can reach degrees that the scan alone would not.  In a degree
+d >= 2 that it scans, the search cuts every partial coset table whose
+carrier permutations are already fixed and whose carrier restriction
+has no clean component: no class below it could give a witness.
 """
 
 from __future__ import annotations
@@ -47,8 +46,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
 from . import permutations as perm
-from .complexes import (EdgePath, SquareComplex, free_reduce,
-                        require_structure, trace)
+from .complexes import EdgePath, SquareComplex, free_reduce, trace
 from .constructions import DoubledComplex
 from .covers import (Cover, _carrier_edges, _preimage_cleanness,
                      cover_from_assignment, is_connected, preimage_cleanness,
@@ -245,9 +243,9 @@ def loop_survives(cx: SquareComplex, loop: EdgePath,
     Equivalent to the loop's class surviving in some finite quotient of
     the fundamental group; the witness is returned as an actual cover
     with identity tree edges, plus a sheet its transport moves.
-    Raises ValueError on a structurally invalid complex.
+    Raises ValueError on a structurally invalid complex, through
+    pi1_presentation.
     """
-    require_structure(cx)
     pres = pi1_presentation(cx, loop.start)
     word = pres.loop_word(loop)
     stats = SearchStats()
@@ -284,10 +282,11 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
     total space.  Their cleanness depends only on the permutations on
     the hyperplane's carrier edges, so one call keeps each verdict under
     the tuple of images on the sorted carrier edges, its carrier key.  A
-    new key is decided on the Cover with those images and the identity
-    elsewhere; a scanned cover is built only to report a witness or to
-    take a regular closure.  The scanned covers satisfy every square
-    relator by construction, so only closures are validated first.
+    new key is decided from the key alone, which is all that
+    covers._preimage_cleanness reads; a scanned cover is built only to
+    report a witness or to take a regular closure.  The scanned covers
+    satisfy every square relator by construction, so only closures are
+    validated first.
     revalidate_vclean_witness does realize the witness cover.
 
     Before it scans a degree d >= 2, the search runs
@@ -314,10 +313,10 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
     covers_realized counts those plus the closures checked, whether or
     not a Cover was built; nodes counts the low-index search's
     definitions.  A skipped degree adds to none of them, and a pruned
-    table to none below it.  Raises ValueError on a structurally
-    invalid complex.
+    table to none below it.  Raises ValueError on a bad mode, on a
+    hyperplane from another complex, and then, through
+    pi1_presentation, on a structurally invalid complex.
     """
-    require_structure(cx)
     mode = mode.lower()
     if mode not in ("some", "each"):
         raise ValueError("mode must be 'some' or 'each'")
@@ -325,11 +324,9 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
         raise ValueError("hyperplane is not from this complex")
     pres = pi1_presentation(cx, 0)
     stats = SearchStats()
-    # carrier edge -> its generator's position in an assignment, or
+    # per carrier edge, its generator's position in an assignment, or
     # None for a tree edge, whose image is the identity
-    gen_pos = {eid: k for k, eid in enumerate(pres.generators)}
-    carrier = _carrier_edges(h)
-    key_pos = [gen_pos.get(eid) for eid in carrier]
+    key_pos = [pres.edge_generator[eid - 1] for eid in _carrier_edges(h)]
     verdicts = {}    # carrier key -> ((component id, clean), ...)
 
     def carrier_key(d, a):
@@ -339,16 +336,10 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
 
     def decide(key):
         """The cleanness of the preimage components in every cover of
-        degree len(key[0]) whose carrier edges carry `key`, decided on
-        the one with the identity on every other edge."""
+        degree len(key[0]) whose carrier edges carry `key`."""
         comps = verdicts.get(key)
         if comps is None:
-            d = len(key[0])
-            perms = [perm.identity(d)] * cx.num_edges
-            for eid, p in zip(carrier, key):
-                perms[eid - 1] = p
-            comps = verdicts[key] = _preimage_cleanness(Cover(cx, d, perms),
-                                                        h)
+            comps = verdicts[key] = _preimage_cleanness(h, len(key[0]), key)
         return comps
 
     # the carrier squares' relators, over the carrier letters renumbered

@@ -642,6 +642,7 @@ def reference_carrier_has_clean(cx, h, d, max_nodes):
             a[k] = (ident if not x else images[x - 1] if x > 0
                     else perm.inverse(images[-x - 1]))
         cover = cover_from_assignment(cx, pres, d, a)
-        if any(clean for _, clean in _preimage_cleanness(cover, h)):
+        key = tuple(cover.perm(e) for e in sorted(carrier))
+        if any(clean for _, clean in _preimage_cleanness(h, d, key)):
             return True
     return None if budget.cap_hit else False

@@ -407,14 +407,18 @@ def test_cli_search_loop_survival(tmp_path, capsys):
 
 @pytest.mark.parametrize("name", ["bad_closure", "bad_length"])
 def test_cli_search_rejects_structurally_invalid_complex(capsys, name):
-    code = console_main(["search", "loop-survival",
-                         "--complex", helpers.fixture_path(name),
-                         "--loop", helpers.fixture_path("loop_a"),
-                         "--max-degree", "2"])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err == ("error: complex is structurally invalid; "
-                            "run validate for details\n")
+    path = helpers.fixture_path(name)
+    for argv in (["search", "loop-survival", "--complex", path,
+                  "--loop", helpers.fixture_path("loop_a"),
+                  "--max-degree", "2"],
+                 ["search", "vclean", "--complex", path, "--hyperplane",
+                  "1", "--mode", "some", "--max-degree", "2"],
+                 ["hyperplanes", path]):
+        code = console_main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err == ("error: complex is structurally invalid; "
+                                "run validate for details\n"), argv
 
 
 @pytest.mark.parametrize("bound", [["--max-degree", "-3"],

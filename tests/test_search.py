@@ -3,23 +3,24 @@ import random
 
 import pytest
 
-from vhcomplex import (Cover, EdgePath, GroupPresentation, Hyperplane,
+from vhcomplex import (Cover, Edge, EdgePath, GroupPresentation, Hyperplane,
                        LoopWitness,
                        QuotientWitness, SearchBudget, SearchStats,
-                       VCleanWitness,
+                       SquareComplex, VCleanWitness,
                        clean_cover_from_survival, double_along_loop,
                        element_survives, hyperplane_of_edge, hyperplanes,
                        is_clean, iter_covers, loop_survives, pi1_presentation,
                        pointed_pair,
                        preimage_cleanness,
-                       probe_profinite_triviality, revalidate_witness,
-                       semi_decide_virtually_clean,
+                       probe_profinite_triviality, regular_closure,
+                       revalidate_witness, semi_decide_virtually_clean,
                        survival_from_clean_cover, transport)
 from vhcomplex import permutations as perm
 from vhcomplex import search
 from vhcomplex.complexes import is_connected_complex
 from vhcomplex.constructions import enumerate_simple_loops
-from vhcomplex.covers import cover_from_assignment, enumerate_covers
+from vhcomplex.covers import (_carrier_edges, cover_from_assignment,
+                              enumerate_covers)
 from vhcomplex.formats import canonical_json, outcome_to_doc
 
 import helpers
@@ -178,8 +179,14 @@ def test_quotient_searches_match_homomorphism_scan():
 
 
 def test_loop_survival_matches_homomorphism_scan():
-    for name in helpers.GOOD_FIXTURES + ("bad_vh",):
-        cx = helpers.load_complex(name)
+    complexes = [helpers.load_complex(name)
+                 for name in helpers.GOOD_FIXTURES + ("bad_vh",)]
+    # the torus again, built from lists and a triple: it is stored as
+    # tuples of Edge values and tuples, so the searches can hash it
+    listed = SquareComplex(1, [Edge(0, 0, "V"), (0, 0, "H")],
+                           [[1, 2, -1, -2]])
+    assert listed == helpers.load_complex("torus")
+    for cx in complexes + [listed]:
         loops = [loop for v in range(cx.num_vertices)
                  for loop in enumerate_simple_loops(cx, v)]
         loops += [EdgePath(cx.dart_tail(w[0]), w) for w in cx.squares]
@@ -475,18 +482,23 @@ def test_vclean_skips_what_the_labelled_carrier_precheck_rules_out(
 
 def test_vclean_decides_covers_satisfying_the_carrier_relators(
         monkeypatch):
-    """Every cover whose cleanness the search decides, in the pre-check
-    or in the scan, satisfies the relators of the squares its hyperplane
-    crosses."""
+    """Every carrier key whose cleanness the search decides, in the
+    pre-check or in the scan, satisfies the relators of the squares its
+    hyperplane crosses."""
     real = search._preimage_cleanness
     decided = []
 
-    def checking(cover, h):
-        ident = perm.identity(cover.degree)
+    def checking(h, d, perms):
+        images = dict(zip(_carrier_edges(h), perms))
+        ident = perm.identity(d)
         for i, _ in h.midcubes:
-            assert transport(cover, cover.base.squares[i]) == ident
-        decided.append(cover.degree)
-        return real(cover, h)
+            p = ident
+            for dart in h.complex.squares[i]:
+                q = images[abs(dart)]
+                p = perm.compose(p, q if dart > 0 else perm.inverse(q))
+            assert p == ident
+        decided.append(d)
+        return real(h, d, perms)
     monkeypatch.setattr(search, "_preimage_cleanness", checking)
     for name in ("doubled", "mixed_carrier"):
         cx = helpers.load_complex(name)
@@ -634,6 +646,15 @@ def test_searches_reject_structurally_invalid_complexes(name):
     h = Hyperplane(cx, frozenset([1]), ())
     with pytest.raises(ValueError, match="structurally invalid"):
         semi_decide_virtually_clean(cx, h, "some", SearchBudget(2))
+    for flags in ({}, {"connected": True, "up_to_conjugacy": True}):
+        with pytest.raises(ValueError, match="structurally invalid"):
+            enumerate_covers(cx, 2, **flags)
+        with pytest.raises(ValueError, match="structurally invalid"):
+            list(iter_covers(cx, 1, **flags))
+    with pytest.raises(ValueError, match="structurally invalid"):
+        hyperplanes(cx)
+    with pytest.raises(ValueError, match="structurally invalid"):
+        regular_closure(Cover(cx, 1, ((0,),) * cx.num_edges))
 
 
 def test_certificate_round_trip_on_klein_double():
