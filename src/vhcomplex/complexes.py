@@ -31,7 +31,13 @@ class Edge:
 @dataclass(frozen=True)
 class SquareComplex:
     """Edges (Edge values or (tail, head, label) triples) and squares
-    (dart sequences) are stored as tuples, so every complex hashes."""
+    (dart sequences) are stored as tuples, so every complex hashes.
+
+    The hash is that of the three fields, so equal complexes hash
+    equal.  It is computed on the first call and kept on the complex,
+    since every memoized lookup by complex hashes it again; the kept
+    value is left out of the pickled state, because str hashes differ
+    between processes."""
     num_vertices: int
     edges: tuple
     squares: tuple
@@ -41,6 +47,18 @@ class SquareComplex:
             e if isinstance(e, Edge) else Edge(*e) for e in self.edges))
         object.__setattr__(self, "squares",
                            tuple(tuple(w) for w in self.squares))
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.num_vertices, self.edges, self.squares))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     @classmethod
     def make(cls, num_vertices, edges, squares=()):

@@ -294,34 +294,28 @@ def preimage_cleanness(c: Cover, y: Hyperplane) -> tuple:
     if not validate_cover(c):
         raise ValueError("square relations fail; not a cover")
     return _preimage_cleanness(y, c.degree,
-                               tuple(c.perm(e) for e in _carrier_edges(y)))
-
-
-def _carrier_edges(y: Hyperplane) -> tuple:
-    """The edges of y's carrier, sorted: its dual edges and every edge
-    of the squares it crosses."""
-    squares = y.complex.squares
-    edges = set(y.dual_edges)
-    for i, _ in y.midcubes:
-        edges.update(abs(dart) for dart in squares[i])
-    return tuple(sorted(edges))
+                               tuple(c.perm(e) for e in y.carrier.edges))
 
 
 def _preimage_cleanness(y: Hyperplane, d: int, perms: Sequence) -> tuple:
     """preimage_cleanness without its checks, from the degree d and
-    `perms`, the permutations on _carrier_edges(y) in that order, which
+    `perms`, the permutations on y.carrier.edges in that order, which
     must satisfy the relators of the squares y crosses.  These are its
     only inputs: every cover of y's complex with these permutations on
     the carrier gets this answer, whatever it does on the other edges
-    and whether or not their squares' relators hold."""
-    base = y.complex
+    and whether or not their squares' relators hold.
+
+    It reads y's compiled carrier (hyperplanes.Carrier) and inverts only
+    the permutations that a crossed square reads backwards.  The lift of
+    carrier position k whose tail is on sheet s is known as k*d+s.  The
+    parity union-find covers only the lifts of the dual edges: dual
+    index j on sheet s is slot j*d+s, so slots ascend with the lifted
+    edge ids (e-1)*d+s+1 that name the components."""
+    carrier = y.carrier
     sheets = range(d)
-    maps = {}    # a carrier dart -> its permutation, as in _dart_maps
-    for e, p in zip(_carrier_edges(y), perms):
-        maps[e] = p
-        maps[-e] = perm.inverse(p)
-    parent = list(range(base.num_edges * d + 1))
-    rel = [0] * len(parent)    # parity between an edge and its parent
+    inverses = {k: perm.inverse(perms[k]) for k in carrier.inverted}
+    parent = list(range(len(carrier.dual) * d))
+    rel = [0] * len(parent)    # parity between a slot and its parent
 
     def find(x):
         path = []
@@ -335,19 +329,22 @@ def _preimage_cleanness(y: Hyperplane, d: int, perms: Sequence) -> tuple:
             parent[node] = x
         return x
 
-    pairs_at = {}
-    for i, pair in y.midcubes:
-        pairs_at.setdefault(i, []).append(pair)
-    lifted = []      # (base word, lifted edge ids, pairs in y)
+    lifted = []      # (darts, tails, pairs) per square and sheet
     conflicts = []
-    for i, pairs in pairs_at.items():
-        w = base.squares[i]
+    for darts, pairs in carrier.squares:
         for s in sheets:
-            ids = [abs(x) for x in _lift(maps, d, w, s)[0]]
-            lifted.append((w, ids, pairs))
-            for pair in pairs:
-                a, b = ids[pair], ids[pair + 2]
-                p = 1 if (w[pair] > 0) == (w[pair + 2] > 0) else 0
+            tails = []    # the sheet at each dart's edge tail
+            t = s
+            for k, forward in darts:
+                if forward:
+                    tails.append(t)
+                    t = perms[k][t]
+                else:
+                    t = inverses[k][t]
+                    tails.append(t)
+            lifted.append((darts, tails, pairs))
+            for pair, p, ja, jb in pairs:
+                a, b = ja * d + tails[pair], jb * d + tails[pair + 2]
                 ra, rb = find(a), find(b)
                 if ra != rb:
                     parent[ra] = rb
@@ -355,32 +352,37 @@ def _preimage_cleanness(y: Hyperplane, d: int, perms: Sequence) -> tuple:
                 elif rel[a] ^ rel[b] != p:
                     conflicts.append(a)
     dirty = {find(a) for a in conflicts}
-    for w, ids, pairs in lifted:
-        if len(pairs) == 2 and find(ids[0]) == find(ids[1]):
-            dirty.add(find(ids[0]))
+    for darts, tails, pairs in lifted:
+        if len(pairs) == 2:
+            # both midcubes of the square: sides 0 and 1 are dual edges
+            r = find(pairs[0][2] * d + tails[0])
+            if r == find(pairs[1][2] * d + tails[1]):
+                dirty.add(r)
 
     # pushing maps: with parity 0, side 0 is at the tail of an edge
-    edges = base.edges
     component_id = {}
     pushed = set()
-    for e in sorted(y.dual_edges):
-        edge, q = edges[e - 1], maps[e]
+    for j, (k, e, tail, head) in enumerate(carrier.dual):
+        q = perms[k]
         for s in sheets:
-            x = (e - 1) * d + s + 1
+            x = j * d + s
             r = find(x)
-            component_id.setdefault(r, x)
-            tail, head = edge.tail * d + s, edge.head * d + q[s]
-            near, far = (tail, head) if rel[x] == 0 else (head, tail)
+            component_id.setdefault(r, (e - 1) * d + s + 1)
+            near, far = tail * d + s, head * d + q[s]
+            if rel[x]:
+                near, far = far, near
             for key in ((r, 0, near), (r, 1, far)):
                 if key in pushed:
                     dirty.add(r)
                 pushed.add(key)
     pushed.clear()
-    for w, ids, pairs in lifted:
-        for pair in pairs:
-            r = find(ids[pair])
-            before, after = ids[(pair + 3) % 4], ids[(pair + 1) % 4]
-            if (rel[ids[pair]] == 0) != (w[pair] > 0):
+    for darts, tails, pairs in lifted:
+        for pair, _, ja, _ in pairs:
+            x = ja * d + tails[pair]
+            r = find(x)
+            before, after = (darts[i][0] * d + tails[i]
+                             for i in ((pair + 3) % 4, (pair + 1) % 4))
+            if (rel[x] == 0) != darts[pair][1]:
                 before, after = after, before
             for key in ((r, 0, before), (r, 1, after)):
                 if key in pushed:

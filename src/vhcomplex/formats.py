@@ -33,8 +33,14 @@ def write_doc(path, doc):
 
 
 def read_doc(path):
+    """The JSON document in a file.  A document nested deeper than the
+    recursion limit lets json.load raise RecursionError; that is bad
+    input, so it is raised as ValueError."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("%s: JSON nested too deeply" % path) from None
 
 
 def _need(doc, key, kinds, what):

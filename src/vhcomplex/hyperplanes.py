@@ -11,11 +11,14 @@ hyperplanes, one-sided behaviour) can be examined rather than rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Optional
 
+from . import permutations as perm
 from .complexes import (DisjointSet, SquareComplex, require_structure,
                         square_corners)
+from .presentations import pi1_presentation
 
 
 @dataclass(frozen=True)
@@ -33,6 +36,90 @@ class Hyperplane:
     def orientation_class(self) -> Optional[str]:
         labels = {self.complex.edge(e).label for e in self.dual_edges}
         return labels.pop() if len(labels) == 1 else None
+
+    @cached_property
+    def carrier(self) -> Carrier:
+        """The compiled carrier, built on first use and kept on this
+        object, so it lives exactly as long as the hyperplane; equality,
+        hashing and repr ignore it."""
+        return Carrier(self)
+
+
+class Carrier:
+    """A hyperplane's carrier, compiled for the cleanness verdict of its
+    preimages (covers._preimage_cleanness) and, in `scan`, for the
+    virtual-cleanness search.  Carrier position k is the k-th entry of
+    `edges`, and dual index j the j-th entry of `dual`.
+
+    crossed: the squares the hyperplane crosses, ascending.
+    edges: the carrier edges, sorted: the dual edges and every edge of
+        the crossed squares.
+    squares: per crossed square: (darts, pairs).  darts has
+        (carrier position, forward) per boundary dart; pairs has
+        (pair, parity, dual index of side pair, of side pair + 2) per
+        midcube of the hyperplane in the square, with
+        _midcube_parity's parity.
+    inverted: the carrier positions some crossed square reads backwards.
+    dual: per dual edge, ascending: (carrier position, edge id, tail,
+        head).
+    """
+
+    def __init__(self, h: Hyperplane):
+        cx = h.complex
+        crossed = sorted({i for i, _ in h.midcubes})
+        edges = set(h.dual_edges)
+        for i in crossed:
+            edges.update(abs(dart) for dart in cx.squares[i])
+        self.complex = cx
+        self.crossed = tuple(crossed)
+        self.edges = tuple(sorted(edges))
+        pos = {e: k for k, e in enumerate(self.edges)}
+        duals = sorted(h.dual_edges)
+        dual = {e: j for j, e in enumerate(duals)}
+        squares = []
+        for i in crossed:
+            w = cx.squares[i]
+            pairs = tuple((pair, _midcube_parity(cx, (i, pair)),
+                           dual[abs(w[pair])], dual[abs(w[pair + 2])])
+                          for j, pair in h.midcubes if j == i)
+            squares.append((tuple((pos[abs(x)], x > 0) for x in w), pairs))
+        self.squares = tuple(squares)
+        self.inverted = tuple(sorted({k for darts, _ in self.squares
+                                      for k, forward in darts
+                                      if not forward}))
+        self.dual = tuple((pos[e], e, cx.edge(e).tail, cx.edge(e).head)
+                          for e in duals)
+
+    @cached_property
+    def scan(self) -> tuple:
+        """What the virtual-cleanness search reads of the carrier in the
+        coset tables of pi1_presentation(complex, 0), built on its first
+        call for the hyperplane: (key_pos, letters, relators, ncols,
+        key_cols, watched, unwatched).  key_pos has per carrier edge its
+        generator's position, or None for a tree edge, whose image is
+        the identity; letters lists the positions the carrier reads, and
+        relators are the crossed squares' relators over those letters
+        renumbered 1..len(letters).  ncols is the table's column count,
+        key_cols has per carrier edge the column it reads, or None,
+        watched lists those columns, ascending, and unwatched one column
+        of each generator the carrier does not read (its inverse column
+        has as many entries set).  Raises pi1_presentation's
+        ValueError."""
+        pres = pi1_presentation(self.complex, 0)
+        key_pos = tuple(pres.edge_generator[e - 1] for e in self.edges)
+        letters = tuple(k for k in key_pos if k is not None)
+        renumber = {k + 1: i for i, k in enumerate(letters, start=1)}
+        relators = tuple(tuple(renumber[x] if x > 0 else -renumber[-x]
+                               for x in pres.relators[i])
+                         for i in self.crossed)
+        ncols, columns = perm.generator_columns(len(pres.generators),
+                                                pres.relators)
+        key_cols = tuple(None if k is None else columns[k] for k in key_pos)
+        watched = tuple(sorted({c for c in key_cols if c is not None}))
+        unwatched = tuple(sorted(set(range(0, ncols, 2))
+                                 - {c & ~1 for c in watched}))
+        return (key_pos, letters, relators, ncols, key_cols, watched,
+                unwatched)
 
 
 def midcube_dual_pair(cx: SquareComplex, midcube) -> tuple:

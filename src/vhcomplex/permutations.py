@@ -238,12 +238,16 @@ def _relator_rotations(relators, ncols: int) -> tuple:
 def _compile(num_gens: int, relators: tuple):
     """The coset-table data of a presentation, computed once per
     distinct presentation: the table's column count and each
-    generator's column, as generator_columns gives them, and the
-    rotations _relator_rotations gives for the relators
-    eliminate_generators keeps.  Every part is a tuple, so callers
-    share them.  `relators` must be a tuple of tuples, so that the
-    cache key is the relators' content at call time.  A letter outside
-    +-1..num_gens raises ValueError, which the cache does not keep.
+    generator's column, as generator_columns gives them, the rotations
+    _relator_rotations gives for the relators eliminate_generators
+    keeps, and the number of definitions the degree-1 fill of
+    iter_low_index makes.  That fill has one class, the trivial action,
+    and no conflict, so it is run here once, uncapped, and
+    iter_low_index(..., 1) only replays its count.  Every part is a
+    tuple or an int, so callers share them.  `relators` must be a tuple
+    of tuples, so that the cache key is the relators' content at call
+    time.  A letter outside +-1..num_gens raises ValueError, which the
+    cache does not keep.
     """
     for w in relators:
         for x in w:
@@ -254,7 +258,11 @@ def _compile(num_gens: int, relators: tuple):
     ncols = 2 * len(kept)
     columns = tuple(None if not x else 2 * x - 2 if x > 0 else -2 * x - 1
                     for x in images)
-    return ncols, columns, _relator_rotations(rels, ncols)
+    compiled = (ncols, columns, _relator_rotations(rels, ncols))
+    budget = NodeBudget()
+    for _ in _fill(compiled, 1, budget, False):
+        pass
+    return compiled + (budget.nodes,)
 
 
 def _rebased_is_smaller(table, ncols: int, d: int, base: int) -> bool:
@@ -328,9 +336,28 @@ def iter_low_index(num_gens: int, relators: Sequence[Sequence[int]], d: int,
     true answer rejects that definition, as a failed deduction would,
     and every class below it is skipped.  The other classes come in
     the same order.
+
+    Degree 1 has one class, the trivial action, and without `prune` its
+    table is not filled again: _compile fills it once per presentation
+    and keeps the number of definitions, and this spends that many
+    nodes, one at a time, then yields the trivial assignment.  At a cap
+    it stops quietly, as the fill does, so the yields, nodes and
+    cap_hit are the fill's under every cap.
     """
+    if d == 1 and prune is None:
+        return _trivial_class(num_gens, relators, budget)
     return _coset_tables(num_gens, relators, d, budget, labelled=False,
                          prune=prune)
+
+
+def _trivial_class(num_gens: int, relators, budget: Optional[NodeBudget]):
+    """iter_low_index at degree 1 without a prune callback."""
+    definitions = _compile(num_gens, tuple(map(tuple, relators)))[3]
+    if budget is not None:
+        for _ in range(definitions):
+            if not budget.spend():
+                return
+    yield (identity(1),) * num_gens
 
 
 def iter_homs(num_gens: int, relators: Sequence[Sequence[int]], d: int,
@@ -387,7 +414,14 @@ def _coset_tables(num_gens: int, relators, d: int,
     """
     if d < 1:
         raise ValueError("degree must be positive")
-    ncols, picks, rots = _compile(num_gens, tuple(map(tuple, relators)))
+    yield from _fill(_compile(num_gens, tuple(map(tuple, relators))), d,
+                     budget, labelled, prune)
+
+
+def _fill(compiled, d: int, budget: Optional[NodeBudget], labelled: bool,
+          prune=None):
+    """_coset_tables from _compile's data for the relators."""
+    ncols, picks, rots = compiled[:3]
     # one trailing -1 ends every search for the next undefined entry
     table = [-1] * (d * ncols + 1)
     trail = []

@@ -48,8 +48,8 @@ from typing import Callable, Iterable, Optional, Union
 from . import permutations as perm
 from .complexes import EdgePath, SquareComplex, free_reduce, trace
 from .constructions import DoubledComplex
-from .covers import (Cover, _carrier_edges, _preimage_cleanness,
-                     cover_from_assignment, is_connected, preimage_cleanness,
+from .covers import (Cover, _preimage_cleanness, cover_from_assignment,
+                     is_connected, preimage_cleanness,
                      preimage_hyperplane_components, pullback_cover,
                      regular_closure, transport, validate_cover)
 from .hyperplanes import Hyperplane, is_clean
@@ -284,7 +284,10 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
     the tuple of images on the sorted carrier edges, its carrier key.  A
     new key is decided from the key alone, which is all that
     covers._preimage_cleanness reads; a scanned cover is built only to
-    report a witness or to take a regular closure.  The scanned covers
+    report a witness or to take a regular closure.  The carrier's edges,
+    generators, relators and coset-table columns depend only on the
+    hyperplane, so they are kept on it (h.carrier.scan) from its first
+    call; the verdicts are kept per call.  The scanned covers
     satisfy every square relator by construction, so only closures are
     validated first.
     revalidate_vclean_witness does realize the witness cover.
@@ -324,9 +327,10 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
         raise ValueError("hyperplane is not from this complex")
     pres = pi1_presentation(cx, 0)
     stats = SearchStats()
-    # per carrier edge, its generator's position in an assignment, or
-    # None for a tree edge, whose image is the identity
-    key_pos = [pres.edge_generator[eid - 1] for eid in _carrier_edges(h)]
+    # the carrier's generators, relators and coset-table columns, kept
+    # on the hyperplane
+    (key_pos, letters, carrier_relators, ncols, key_cols, watched,
+     unwatched) = h.carrier.scan
     verdicts = {}    # carrier key -> ((component id, clean), ...)
 
     def carrier_key(d, a):
@@ -342,14 +346,6 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
             comps = verdicts[key] = _preimage_cleanness(h, len(key[0]), key)
         return comps
 
-    # the carrier squares' relators, over the carrier letters renumbered
-    # 1..k (a carrier square's edges are all carrier edges)
-    letters = [k for k in key_pos if k is not None]
-    renumber = {k + 1: i for i, k in enumerate(letters, start=1)}
-    carrier_relators = [tuple(renumber[x] if x > 0 else -renumber[-x]
-                              for x in pres.relators[i])
-                        for i in sorted({i for i, _ in h.midcubes})]
-
     def carrier_has_clean(d):
         """Whether some transitive class of degree d of the carrier
         relators has a clean component; True as well when the search
@@ -364,21 +360,13 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
                 return True
         return node_budget.cap_hit
 
-    # the coset-table column each carrier edge reads, None for the
-    # identity, and one column of each generator the carrier does not
-    # read (its inverse column has as many entries set)
-    ncols, columns = perm.generator_columns(len(pres.generators),
-                                            pres.relators)
-    key_cols = [None if k is None else columns[k] for k in key_pos]
-    watched = sorted({c for c in key_cols if c is not None})
-    unwatched = sorted(set(range(0, ncols, 2)) - {c & ~1 for c in watched})
-
     def dirty_below(d):
         """The prune callback of the degree-d scan, or None (see
         above)."""
         if d == 1 or not unwatched:
             return None
         ident = perm.identity(d)
+        size = d * ncols
 
         def prune(table):
             images = {}
@@ -387,8 +375,8 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
                 if p is None:
                     return False
             key = tuple(ident if c is None else images[c] for c in key_cols)
-            if key not in verdicts and all(perm.fixed_column(table, ncols, c)
-                                           for c in unwatched):
+            if key not in verdicts and not any(
+                    table[c:size:ncols].count(-1) > 1 for c in unwatched):
                 return False
             return not any(clean for _, clean in decide(key))
         return prune

@@ -15,7 +15,8 @@ import itertools
 from vhcomplex import permutations as perm
 from vhcomplex.complexes import (CellularMap, Edge, SquareComplex,
                                  cyclic_reduce, free_reduce, square_corners)
-from vhcomplex.covers import (_preimage_cleanness, cover_from_assignment,
+from vhcomplex.covers import (_lift, _preimage_cleanness,
+                              cover_from_assignment,
                               iter_covers, preimage_cleanness,
                               regular_closure, transport)
 from vhcomplex.presentations import pi1_presentation
@@ -564,6 +565,104 @@ def reference_loop_survives(cx, loop, max_degree):
         return None
     return _reference_scan(len(pres.generators), pres.relators, max_degree,
                            check)
+
+
+# ---------------------------------------------------------------------------
+# preimage cleanness over every lifted edge
+
+
+def _carrier_edges(y) -> tuple:
+    """The edges of y's carrier, sorted: its dual edges and every edge
+    of the squares it crosses."""
+    squares = y.complex.squares
+    edges = set(y.dual_edges)
+    for i, _ in y.midcubes:
+        edges.update(abs(dart) for dart in squares[i])
+    return tuple(sorted(edges))
+
+
+def reference_preimage_cleanness(y, d, perms) -> tuple:
+    """covers._preimage_cleanness as it was before it read a compiled
+    carrier: preimage_cleanness without its checks, from the degree d and
+    `perms`, the permutations on _carrier_edges(y) in that order, which
+    must satisfy the relators of the squares y crosses.  These are its
+    only inputs: every cover of y's complex with these permutations on
+    the carrier gets this answer, whatever it does on the other edges
+    and whether or not their squares' relators hold."""
+    base = y.complex
+    sheets = range(d)
+    maps = {}    # a carrier dart -> its permutation, as in _dart_maps
+    for e, p in zip(_carrier_edges(y), perms):
+        maps[e] = p
+        maps[-e] = perm.inverse(p)
+    parent = list(range(base.num_edges * d + 1))
+    rel = [0] * len(parent)    # parity between an edge and its parent
+
+    def find(x):
+        path = []
+        while parent[x] != x:
+            path.append(x)
+            x = parent[x]
+        par = 0
+        for node in reversed(path):
+            par ^= rel[node]
+            rel[node] = par
+            parent[node] = x
+        return x
+
+    pairs_at = {}
+    for i, pair in y.midcubes:
+        pairs_at.setdefault(i, []).append(pair)
+    lifted = []      # (base word, lifted edge ids, pairs in y)
+    conflicts = []
+    for i, pairs in pairs_at.items():
+        w = base.squares[i]
+        for s in sheets:
+            ids = [abs(x) for x in _lift(maps, d, w, s)[0]]
+            lifted.append((w, ids, pairs))
+            for pair in pairs:
+                a, b = ids[pair], ids[pair + 2]
+                p = 1 if (w[pair] > 0) == (w[pair + 2] > 0) else 0
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[ra] = rb
+                    rel[ra] = rel[a] ^ rel[b] ^ p
+                elif rel[a] ^ rel[b] != p:
+                    conflicts.append(a)
+    dirty = {find(a) for a in conflicts}
+    for w, ids, pairs in lifted:
+        if len(pairs) == 2 and find(ids[0]) == find(ids[1]):
+            dirty.add(find(ids[0]))
+
+    # pushing maps: with parity 0, side 0 is at the tail of an edge
+    edges = base.edges
+    component_id = {}
+    pushed = set()
+    for e in sorted(y.dual_edges):
+        edge, q = edges[e - 1], maps[e]
+        for s in sheets:
+            x = (e - 1) * d + s + 1
+            r = find(x)
+            component_id.setdefault(r, x)
+            tail, head = edge.tail * d + s, edge.head * d + q[s]
+            near, far = (tail, head) if rel[x] == 0 else (head, tail)
+            for key in ((r, 0, near), (r, 1, far)):
+                if key in pushed:
+                    dirty.add(r)
+                pushed.add(key)
+    pushed.clear()
+    for w, ids, pairs in lifted:
+        for pair in pairs:
+            r = find(ids[pair])
+            before, after = ids[(pair + 3) % 4], ids[(pair + 1) % 4]
+            if (rel[ids[pair]] == 0) != (w[pair] > 0):
+                before, after = after, before
+            for key in ((r, 0, before), (r, 1, after)):
+                if key in pushed:
+                    dirty.add(r)
+                pushed.add(key)
+    return tuple(sorted((x, r not in dirty)
+                        for r, x in component_id.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -126,3 +126,23 @@ def test_cli_never_crashes_on_mutated_fixtures(tmp_path, capsys):
         assert code in (0, 1, 2) and "Traceback" not in err, (case, argv, err)
         codes.add(code)
     assert codes == {0, 1, 2}
+
+
+def test_cli_rejects_deeply_nested_json(tmp_path, capsys):
+    """A document nested deeper than the recursion limit is bad input:
+    every subcommand that reads one exits 2 with a one-line error."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    deep = str(path)
+    budget = ["--max-degree", "2"]
+    for argv in (["validate", deep], ["hyperplanes", deep],
+                 ["covers", deep, "--degree", "2"],
+                 ["search", "vclean", "--complex", deep, "--hyperplane", "1",
+                  "--mode", "some"] + budget,
+                 ["search", "profinite-probe", "--presentation", deep]
+                 + budget):
+        code = console_main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, (argv, err)
+        assert "Traceback" not in err and len(err.splitlines()) == 1, \
+            (argv, err)

@@ -1,4 +1,11 @@
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
+
+import vhcomplex
 
 from vhcomplex import (CellularMap, Edge, EdgePath, SquareComplex, check_npc,
                        check_vh, components, concatenate,
@@ -15,6 +22,40 @@ import helpers
 
 def torus():
     return helpers.load_complex("torus")
+
+
+# a child interpreter's view of a complex pickled by this one
+UNPICKLE_AND_HASH = """
+import pickle, sys
+from vhcomplex import formats
+cx = pickle.loads(sys.stdin.buffer.read())
+fresh = formats.complex_from_doc(formats.read_doc(sys.argv[1]))
+print(cx == fresh, hash(cx) == hash(fresh))
+"""
+
+
+def test_equal_complexes_hash_equal_across_processes():
+    """A complex keeps its hash once computed.  Equal complexes built
+    separately hash equal, and a pickled complex whose hash was kept
+    hashes, in a process with another PYTHONHASHSEED, as a freshly built
+    equal complex does there: the kept value does not travel."""
+    a, b = torus(), SquareComplex.make(
+        1, [(0, 0, "V"), (0, 0, "H")], [[1, 2, -1, -2]])
+    assert a == b and a is not b and hash(a) == hash(b) == hash(a)
+    d = helpers.doubled_complex()
+    assert hash(d) == hash(helpers.doubled_complex())
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.dirname(os.path.dirname(vhcomplex.__file__)),
+                    env.get("PYTHONPATH")) if p)
+    env["PYTHONHASHSEED"] = "2" if env.get("PYTHONHASHSEED") == "1" else "1"
+    for cx, name in ((a, "torus"), (d, "doubled")):
+        proc = subprocess.run(
+            [sys.executable, "-c", UNPICKLE_AND_HASH,
+             helpers.fixture_path(name)],
+            input=pickle.dumps(cx), capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [b"True", b"True"], name
 
 
 # ---------------------------------------------------------------------------

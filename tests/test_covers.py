@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -13,6 +14,8 @@ from vhcomplex import (Cover, Edge, EdgePath, SquareComplex,
                        transport, trivial_cover, validate,
                        validate_cellular_map, validate_cover)
 from vhcomplex import permutations as perm
+from vhcomplex.complexes import is_connected_complex
+from vhcomplex.covers import _preimage_cleanness
 
 import helpers
 import oracles
@@ -382,6 +385,38 @@ def test_preimage_cleanness_on_regular_closures():
             assert preimage_cleanness(closure, y) \
                 == realized_cleanness(closure, y)
     assert max(degrees) == 6
+
+
+def test_compiled_verdict_matches_the_edge_wide_reference():
+    """_preimage_cleanness reads the hyperplane's compiled carrier;
+    oracles.reference_preimage_cleanness is the verdict over every
+    lifted edge that it replaced.  They agree on every hyperplane of the
+    structurally valid fixtures, the bigon, D and the first 60 connected
+    seeded random complexes, for the carrier permutations of the first
+    40 labelled covers of each degree 1 to 3."""
+    complexes = [helpers.load_complex(name)
+                 for name in VALID_FIXTURES + ("mixed_carrier",)]
+    complexes += [bigon_complex(), helpers.doubled_complex()]
+    seed, randoms = 0, []
+    while len(randoms) < 60:
+        cx = helpers.random_vh_complex(random.Random(seed), max_squares=10)
+        if is_connected_complex(cx):
+            randoms.append(cx)
+        seed += 1
+    pairs, verdicts = 0, set()
+    for cx in complexes + randoms:
+        hyps = hyperplanes(cx)
+        for d in range(1, 4):
+            for c in itertools.islice(iter_covers(cx, d), 40):
+                for y in hyps:
+                    key = tuple(c.perm(e) for e in y.carrier.edges)
+                    comps = _preimage_cleanness(y, d, key)
+                    assert comps == oracles.reference_preimage_cleanness(
+                        y, d, key), (cx, y.id, key)
+                    verdicts.update(clean for _, clean in comps)
+                    pairs += 1
+    assert verdicts == {False, True}
+    assert pairs == 8495
 
 
 def test_preimage_cleanness_rejects_non_covers():

@@ -337,3 +337,36 @@ def test_low_index_is_not_bounded_by_the_recursion_limit():
         assert len(a) == n and perm.is_transitive(a, 2)
         if relators:
             assert all(perm.compose(p, p) == (0, 1) for p in a)
+
+
+def test_degree_one_replays_the_fill():
+    """iter_low_index at degree 1 without a prune callback spends the
+    count of definitions _compile's fill made, then yields the trivial
+    class: under every cap it gives the yields, nodes and cap_hit of the
+    table fill itself.  The torus fills its table in 2 definitions and
+    D in 9."""
+    complexes = helpers.GOOD_FIXTURES + ("bad_vh", "mixed_carrier", "doubled")
+    presentations = [_pi1(helpers.load_complex(name)) for name in complexes]
+    for name in ("trivial_group", "z_squared"):
+        pres = helpers.load_presentation(name)
+        presentations.append((pres.num_generators, pres.relators))
+    rng = random.Random(18)
+    for _ in range(200):
+        pres = helpers.random_presentation(rng)
+        presentations.append((pres.num_generators, pres.relators))
+    counts = []
+    for n, relators in presentations:
+        full = perm.NodeBudget()
+        fill = list(perm._coset_tables(n, relators, 1, full, labelled=False))
+        assert fill == [(perm.identity(1),) * n] and not full.cap_hit
+        assert list(perm.iter_low_index(n, relators, 1)) == fill
+        for cap in [None, *range(full.nodes + 2)]:
+            budget, reference = perm.NodeBudget(cap), perm.NodeBudget(cap)
+            assert list(perm.iter_low_index(n, relators, 1, budget=budget)) \
+                == list(perm._coset_tables(n, relators, 1, reference,
+                                           labelled=False))
+            assert (budget.nodes, budget.cap_hit) \
+                == (reference.nodes, reference.cap_hit), (n, relators, cap)
+        counts.append(full.nodes)
+    by_name = dict(zip(complexes, counts))
+    assert by_name["torus"] == 2 and by_name["doubled"] == 9

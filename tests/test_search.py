@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 
@@ -19,8 +20,7 @@ from vhcomplex import permutations as perm
 from vhcomplex import search
 from vhcomplex.complexes import is_connected_complex
 from vhcomplex.constructions import enumerate_simple_loops
-from vhcomplex.covers import (_carrier_edges, cover_from_assignment,
-                              enumerate_covers)
+from vhcomplex.covers import cover_from_assignment, enumerate_covers
 from vhcomplex.formats import canonical_json, outcome_to_doc
 
 import helpers
@@ -374,18 +374,20 @@ def test_vclean_matches_per_cover_scan(monkeypatch):
 
 def test_vclean_outcomes_do_not_depend_on_the_memos(monkeypatch):
     """pi1_presentation and the coset-table compile step are memoized
-    per process.  The 26 vclean scans of D to degree 2, run twice in
-    one process in two shuffled orders from empty memos, give
-    byte-identical outcome documents, equal to the per-cover reference
-    but for statistics no larger than its own; the second run compiles
-    no presentation again."""
+    per process, and each hyperplane keeps its compiled carrier.  The
+    26 vclean scans of D to degree 2, run in shuffled orders from empty
+    memos on fresh hyperplanes, again on the same hyperplanes, on fresh
+    ones equal to them but distinct, and on deep copies of ones that
+    have run, give byte-identical outcome documents, equal to the
+    per-cover reference but for statistics no larger than its own; no
+    run after the first compiles a presentation again."""
     scanned = _record_scanned_degrees(monkeypatch)
     cx = helpers.doubled_complex()
     budget = SearchBudget(2)
-    tasks = [(h, mode) for h in hyperplanes(cx) for mode in ("some", "each")]
 
-    def run(seed):
+    def run(seed, hyps):
         """Outcome document and skipped degrees per task."""
+        tasks = [(h, mode) for h in hyps for mode in ("some", "each")]
         random.Random(seed).shuffle(tasks)
         docs = {}
         for h, mode in tasks:
@@ -399,17 +401,23 @@ def test_vclean_outcomes_do_not_depend_on_the_memos(monkeypatch):
 
     pi1_presentation.cache_clear()
     perm._compile.cache_clear()
-    runs = [run(1)]
+    hyps = hyperplanes(cx)
+    runs = [run(1, hyps)]
     misses = perm._compile.cache_info().misses
-    runs.append(run(2))
+    runs.append(run(2, hyps))
+    fresh = hyperplanes(helpers.doubled_complex())
+    assert fresh == hyps and not any(f is h for f, h in zip(fresh, hyps))
+    runs.append(run(3, fresh))
+    runs.append(run(4, copy.deepcopy(hyps)))
     assert perm._compile.cache_info().misses == misses
     assert pi1_presentation.cache_info().misses == 1
-    assert runs[0] == runs[1] and len(runs[0]) == 26
-    for h, mode in tasks:
-        doc, skipped = runs[0][h.id, mode]
-        ref = oracles.reference_vclean(cx, h, mode, budget, skip=skipped)
-        _assert_matches_but_for_fewer_stats(json.loads(doc),
-                                            outcome_to_doc(ref))
+    assert all(r == runs[0] for r in runs) and len(runs[0]) == 26
+    for h in hyps:
+        for mode in ("some", "each"):
+            doc, skipped = runs[0][h.id, mode]
+            ref = oracles.reference_vclean(cx, h, mode, budget, skip=skipped)
+            _assert_matches_but_for_fewer_stats(json.loads(doc),
+                                                outcome_to_doc(ref))
 
 
 def test_vclean_skips_what_the_labelled_carrier_precheck_rules_out(
@@ -489,7 +497,7 @@ def test_vclean_decides_covers_satisfying_the_carrier_relators(
     decided = []
 
     def checking(h, d, perms):
-        images = dict(zip(_carrier_edges(h), perms))
+        images = dict(zip(h.carrier.edges, perms))
         ident = perm.identity(d)
         for i, _ in h.midcubes:
             p = ident
