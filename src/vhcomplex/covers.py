@@ -202,12 +202,10 @@ def lift_path(c: Cover, p: EdgePath, start_sheet: int = 0):
 # monodromy, normality, regular closure
 
 
-def monodromy(c: Cover, basepoint: int = 0,
-              pres: Optional[Pi1Presentation] = None):
+def monodromy(c: Cover, basepoint: int = 0):
     """Images of the spanning-tree generators: one sheet permutation per
     generator loop (tree path out, edge, tree path back)."""
-    if pres is None:
-        pres = pi1_presentation(c.base, basepoint)
+    pres = pi1_presentation(c.base, basepoint)
     gens = []
     for k in range(1, len(pres.generators) + 1):
         gens.append(transport(c, pres.generator_loop(k).word))
@@ -407,7 +405,6 @@ def cover_from_assignment(cx: SquareComplex, pres: Pi1Presentation,
 def iter_covers(cx: SquareComplex, degree: int,
                 connected: bool = False,
                 up_to_conjugacy: bool = False,
-                pres: Optional[Pi1Presentation] = None,
                 budget: Optional[perm.NodeBudget] = None):
     """Stream of degree-d covers with identity on a spanning tree.
 
@@ -424,8 +421,7 @@ def iter_covers(cx: SquareComplex, degree: int,
     """
     if degree < 1:
         raise ValueError("degree must be positive")
-    if pres is None:
-        pres = pi1_presentation(cx, 0)
+    pres = pi1_presentation(cx, 0)
     if connected and up_to_conjugacy:
         for assignment in perm.iter_low_index(len(pres.generators),
                                               pres.relators, degree,
@@ -443,11 +439,10 @@ def iter_covers(cx: SquareComplex, degree: int,
 
 def enumerate_covers(cx: SquareComplex, degree: int,
                      connected: bool = False,
-                     up_to_conjugacy: bool = False,
-                     pres: Optional[Pi1Presentation] = None):
+                     up_to_conjugacy: bool = False):
     """All degree-d covers with identity on a spanning tree, as a tuple."""
     return tuple(iter_covers(cx, degree, connected=connected,
-                             up_to_conjugacy=up_to_conjugacy, pres=pres))
+                             up_to_conjugacy=up_to_conjugacy))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from functools import cached_property
 from itertools import combinations
 from typing import Optional
 
-from . import permutations as perm
 from .complexes import (DisjointSet, SquareComplex, require_structure,
                         square_corners)
 from .presentations import pi1_presentation
@@ -93,18 +92,13 @@ class Carrier:
     @cached_property
     def scan(self) -> tuple:
         """What the virtual-cleanness search reads of the carrier in the
-        coset tables of pi1_presentation(complex, 0), built on its first
-        call for the hyperplane: (key_pos, letters, relators, ncols,
-        key_cols, watched, unwatched).  key_pos has per carrier edge its
-        generator's position, or None for a tree edge, whose image is
-        the identity; letters lists the positions the carrier reads, and
-        relators are the crossed squares' relators over those letters
-        renumbered 1..len(letters).  ncols is the table's column count,
-        key_cols has per carrier edge the column it reads, or None,
-        watched lists those columns, ascending, and unwatched one column
-        of each generator the carrier does not read (its inverse column
-        has as many entries set).  Raises pi1_presentation's
-        ValueError."""
+        assignments of pi1_presentation(complex, 0), built on its first
+        call for the hyperplane: (key_pos, letters, relators).  key_pos
+        has per carrier edge its generator's position, or None for a
+        tree edge, whose image is the identity; letters lists the
+        positions the carrier reads, and relators are the crossed
+        squares' relators over those letters renumbered
+        1..len(letters).  Raises pi1_presentation's ValueError."""
         pres = pi1_presentation(self.complex, 0)
         key_pos = tuple(pres.edge_generator[e - 1] for e in self.edges)
         letters = tuple(k for k in key_pos if k is not None)
@@ -112,14 +106,7 @@ class Carrier:
         relators = tuple(tuple(renumber[x] if x > 0 else -renumber[-x]
                                for x in pres.relators[i])
                          for i in self.crossed)
-        ncols, columns = perm.generator_columns(len(pres.generators),
-                                                pres.relators)
-        key_cols = tuple(None if k is None else columns[k] for k in key_pos)
-        watched = tuple(sorted({c for c in key_cols if c is not None}))
-        unwatched = tuple(sorted(set(range(0, ncols, 2))
-                                 - {c & ~1 for c in watched}))
-        return (key_pos, letters, relators, ncols, key_cols, watched,
-                unwatched)
+        return key_pos, letters, relators
 
 
 def midcube_dual_pair(cx: SquareComplex, midcube) -> tuple:

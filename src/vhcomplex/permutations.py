@@ -238,7 +238,10 @@ def _relator_rotations(relators, ncols: int) -> tuple:
 def _compile(num_gens: int, relators: tuple):
     """The coset-table data of a presentation, computed once per
     distinct presentation: the table's column count and each
-    generator's column, as generator_columns gives them, the rotations
+    generator's column, None when the Tietze moves make it trivial (kept
+    generator k reads column 2k-2 and its inverse column 2k-1, and a
+    generator eliminated as another's inverse reads that one's inverse
+    column), the rotations
     _relator_rotations gives for the relators eliminate_generators
     keeps, and the number of definitions the degree-1 fill of
     iter_low_index makes.  That fill has one class, the trivial action,
@@ -285,32 +288,6 @@ def _rebased_is_smaller(table, ncols: int, d: int, base: int) -> bool:
     return False
 
 
-def generator_columns(num_gens: int, relators: Sequence[Sequence[int]]):
-    """(ncols, columns): the number of columns of the coset table that
-    iter_low_index and iter_homs fill for these relators, and for each
-    generator 1..num_gens the column it reads, None when the Tietze
-    moves make it trivial.  Kept generator k reads column 2k-2 and its
-    inverse column 2k-1; a generator eliminated as another's inverse
-    reads that one's inverse column."""
-    return _compile(num_gens, tuple(map(tuple, relators)))[:2]
-
-
-def fixed_column(table, ncols: int, column: int):
-    """The permutation a column of a prune callback's table reads once
-    at most one of its entries is unset, that entry being the one point
-    left; None while two or more are unset.  ncols is generator_columns'
-    count for the table's relators."""
-    d = len(table) // ncols
-    images = table[column:d * ncols:ncols]
-    unset = images.count(-1)
-    if unset:
-        if unset > 1:
-            return None
-        # the sum of 0..d-1, less the set entries and the -1
-        images[images.index(-1)] = d * (d - 1) // 2 - 1 - sum(images)
-    return tuple(images)
-
-
 def iter_low_index(num_gens: int, relators: Sequence[Sequence[int]], d: int,
                    budget: Optional[NodeBudget] = None, *, prune=None):
     """One transitive assignment of permutations in S_d to generators
@@ -330,12 +307,12 @@ def iter_low_index(num_gens: int, relators: Sequence[Sequence[int]], d: int,
     that calls this degree after degree, or a hyperplane's carrier
     after another's, repeats no Tietze move.
 
-    `prune`, when given, is called with the table (see _coset_tables)
-    after each definition that survives its deductions once all d
-    cosets exist, when the standard numbering can no longer change; a
-    true answer rejects that definition, as a failed deduction would,
-    and every class below it is skipped.  The other classes come in
-    the same order.
+    `prune`, when given, is a pair (watch, callback), which
+    _coset_tables describes.  The callback is asked about definitions
+    made once all d cosets exist, when the standard numbering can no
+    longer change; a true answer rejects that definition, as a failed
+    deduction would, and every class below it is skipped.  The other
+    classes come in the same order.
 
     Degree 1 has one class, the trivial action, and without `prune` its
     table is not filled again: _compile fills it once per presentation
@@ -399,12 +376,18 @@ def _coset_tables(num_gens: int, relators, d: int,
     definition.  Eliminated generators get their images back in each
     yielded assignment.
 
-    `prune(table)`, when given, is asked after each definition whose
-    deductions hold, once all d cosets exist; true rejects the
-    definition like a conflict.  `table` is the live table, a flat list
-    in which row c of column x is entry c * ncols + x, -1 while unset,
-    with one more -1 after the last row.  The callback reads it with
-    fixed_column and must not change it.
+    `prune`, when given, is a pair (watch, callback).  Each position of
+    watch names a generator by its 0-based index, read through its
+    column or as the identity when the Tietze moves make it trivial, or
+    is None for the identity.  After each definition whose deductions
+    hold, once all d cosets exist and each watched column has at most
+    one entry unset, that entry being the one point left, the search
+    calls callback(key, free); true rejects the definition like a
+    conflict.  key has per position of watch its permutation.  free()
+    tells whether some kept generator that watch does not read still
+    has two or more images unset.  When watch reads every kept
+    generator the callback is never called: a fixed key there leaves
+    the table nothing to branch on.
 
     Definitions are undone from a trail, and the frames sit on an
     explicit stack, so the recursion limit does not bound the table.
@@ -420,7 +403,9 @@ def _coset_tables(num_gens: int, relators, d: int,
 
 def _fill(compiled, d: int, budget: Optional[NodeBudget], labelled: bool,
           prune=None):
-    """_coset_tables from _compile's data for the relators."""
+    """_coset_tables from _compile's data for the relators.  The table
+    is a flat list in which row c of column x is entry c * ncols + x,
+    -1 while unset, with one more -1 after the last row."""
     ncols, picks, rots = compiled[:3]
     # one trailing -1 ends every search for the next undefined entry
     table = [-1] * (d * ncols + 1)
@@ -432,6 +417,37 @@ def _fill(compiled, d: int, budget: Optional[NodeBudget], labelled: bool,
         cols = list(zip(*[table[r * ncols:(r + 1) * ncols]
                           for r in range(d)]))
         return tuple(trivial if k is None else cols[k] for k in picks)
+
+    if prune is not None:
+        watch, callback = prune
+        key_cols = [None if k is None else picks[k] for k in watch]
+        watched = sorted({c for c in key_cols if c is not None})
+        # one column of each kept generator that watch does not read
+        unwatched = sorted(set(range(0, ncols, 2))
+                           - {c & ~1 for c in watched})
+        if not unwatched:
+            prune = None
+        size = d * ncols
+        # the sum of 0..d-1, less the -1 of the one unset entry
+        total = d * (d - 1) // 2 - 1
+
+        def free() -> bool:
+            return any(table[c:size:ncols].count(-1) > 1 for c in unwatched)
+
+        def cut() -> bool:
+            """Whether the callback rejects the table's fixed key; False
+            while a watched column has two entries unset."""
+            images = {}
+            for c in watched:
+                column = table[c:size:ncols]
+                unset = column.count(-1)
+                if unset:
+                    if unset > 1:
+                        return False
+                    column[column.index(-1)] = total - sum(column)
+                images[c] = tuple(column)
+            return callback(tuple(trivial if c is None else images[c]
+                                  for c in key_cols), free)
 
     def deduce(entry) -> bool:
         """Process deductions from a new entry; False on a conflict."""
@@ -512,8 +528,7 @@ def _fill(compiled, d: int, budget: Optional[NodeBudget], labelled: bool,
         table[mirror] = c
         trail.append(entry)
         trail.append(mirror)
-        if not deduce(entry) or (prune is not None and n == d
-                                 and prune(table)):
+        if not deduce(entry) or (prune is not None and n == d and cut()):
             continue
         if labelled:
             i = (x >> 1) * d + c + 1    # the place after entry's in fill

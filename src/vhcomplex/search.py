@@ -35,9 +35,10 @@ alone, and skips the degree while no transitive class of degree at
 most d has a clean component.  A skipped degree adds nothing to the
 statistics and spends none of the node budget, so under a node cap the
 search can reach degrees that the scan alone would not.  In a degree
-d >= 2 that it scans, the search cuts every partial coset table whose
-carrier permutations are already fixed and whose carrier restriction
-has no clean component: no class below it could give a witness.
+d >= 2 that it scans, the search has the low-index search watch the
+carrier generators, and cuts every partial coset table whose carrier
+restriction is already fixed and has no clean component: no class
+below it could give a witness.
 """
 
 from __future__ import annotations
@@ -73,10 +74,14 @@ class SearchBudget:
     max_nodes: Optional[int] = None
 
     def __post_init__(self):
-        if self.max_degree < 0:
-            raise ValueError("max_degree must not be negative")
-        if self.max_nodes is not None and self.max_nodes < 0:
-            raise ValueError("max_nodes must not be negative")
+        for name in ("max_degree", "max_nodes"):
+            value = getattr(self, name)
+            if value is None and name == "max_nodes":
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError("%s must be an int, not %r" % (name, value))
+            if value < 0:
+                raise ValueError("%s must not be negative" % name)
 
 
 @dataclass
@@ -171,13 +176,13 @@ def _no_candidates(d, node_budget):
 
 def _quotients(pres: GroupPresentation, prune=None):
     """Candidates for _scan: one transitive action of each degree per
-    conjugacy class, as a tuple of generator images.  prune(d), when
-    given, is the prune callback of perm.iter_low_index at degree d, or
-    None."""
+    conjugacy class, as a tuple of generator images.  prune, when
+    given, is perm.iter_low_index's at every degree but 1, whose one
+    class, the trivial action, is never cut."""
     def candidates(d, node_budget):
         return perm.iter_low_index(len(pres.generators), pres.relators, d,
                                    budget=node_budget,
-                                   prune=prune and prune(d))
+                                   prune=prune if d > 1 else None)
     return candidates
 
 
@@ -285,9 +290,9 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
     new key is decided from the key alone, which is all that
     covers._preimage_cleanness reads; a scanned cover is built only to
     report a witness or to take a regular closure.  The carrier's edges,
-    generators, relators and coset-table columns depend only on the
-    hyperplane, so they are kept on it (h.carrier.scan) from its first
-    call; the verdicts are kept per call.  The scanned covers
+    generators and relators depend only on the hyperplane, so they are
+    kept on it (h.carrier.scan) from its first call; the verdicts are
+    kept per call.  The scanned covers
     satisfy every square relator by construction, so only closures are
     validated first.
     revalidate_vclean_witness does realize the witness cover.
@@ -301,15 +306,16 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
     one has, or where that search hits CARRIER_NODE_CAP definitions,
     every degree is scanned.
 
-    A scanned degree d >= 2 passes perm.iter_low_index a prune callback.
-    Once a table has all d cosets and each carrier column has at most
-    one entry unset, every class below it has one carrier key, and the
-    table is cut when that key has no clean component: check would find
-    no witness, in either mode, in any of those classes.  A key the memo
-    lacks is decided only while some column outside the carrier still
-    has two entries unset, since below that the table is forced and a
-    verdict costs more than the definitions it could save; a carrier
-    that reads every column gets no callback.
+    A scanned degree d >= 2 passes perm.iter_low_index the prune
+    (key_pos, dirty).  Once a table has all d cosets and the images of
+    the carrier generators are fixed, every class below it has one
+    carrier key, and dirty cuts the table when that key has no clean
+    component: check would find no witness, in either mode, in any of
+    those classes.  A key the memo lacks is decided only while free()
+    says that some generator outside the carrier still has two images
+    unset, since below that the table is forced and a verdict costs
+    more than the definitions it could save; the low-index search never
+    calls dirty for a carrier that reads every generator it keeps.
 
     Status, least degree and witness are those of the full scan.
     homs_tried counts the covers checked, and
@@ -320,17 +326,15 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
     hyperplane from another complex, and then, through
     pi1_presentation, on a structurally invalid complex.
     """
-    mode = mode.lower()
+    mode = mode.lower() if isinstance(mode, str) else mode
     if mode not in ("some", "each"):
         raise ValueError("mode must be 'some' or 'each'")
     if h.complex != cx:
         raise ValueError("hyperplane is not from this complex")
     pres = pi1_presentation(cx, 0)
     stats = SearchStats()
-    # the carrier's generators, relators and coset-table columns, kept
-    # on the hyperplane
-    (key_pos, letters, carrier_relators, ncols, key_cols, watched,
-     unwatched) = h.carrier.scan
+    # the carrier's generators and relators, kept on the hyperplane
+    key_pos, letters, carrier_relators = h.carrier.scan
     verdicts = {}    # carrier key -> ((component id, clean), ...)
 
     def carrier_key(d, a):
@@ -360,28 +364,12 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
                 return True
         return node_budget.cap_hit
 
-    def dirty_below(d):
-        """The prune callback of the degree-d scan, or None (see
-        above)."""
-        if d == 1 or not unwatched:
-            return None
-        ident = perm.identity(d)
-        size = d * ncols
+    def dirty(key, free):
+        """The prune callback of a scanned degree (see above)."""
+        return (key in verdicts or free()) and not any(
+            clean for _, clean in decide(key))
 
-        def prune(table):
-            images = {}
-            for c in watched:
-                p = images[c] = perm.fixed_column(table, ncols, c)
-                if p is None:
-                    return False
-            key = tuple(ident if c is None else images[c] for c in key_cols)
-            if key not in verdicts and not any(
-                    table[c:size:ncols].count(-1) > 1 for c in unwatched):
-                return False
-            return not any(clean for _, clean in decide(key))
-        return prune
-
-    quotients = _quotients(pres, prune=dirty_below)
+    quotients = _quotients(pres, prune=(key_pos, dirty))
     carrier_clean = False
 
     def candidates(d, node_budget):

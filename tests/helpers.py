@@ -1,9 +1,11 @@
 """Fixture loading and seeded random generators for the test suite."""
 
 import os
+import random
 
 from vhcomplex import (Edge, EdgePath, GroupPresentation, SquareComplex,
-                       pair_enumerator, pi1_presentation, validate)
+                       double_along_loop, pair_enumerator, pi1_presentation,
+                       pointed_pair, validate)
 from vhcomplex.covers import Cover, cover_from_assignment, is_connected
 from vhcomplex import formats
 from vhcomplex.permutations import identity, word_image
@@ -13,6 +15,14 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 GOOD_FIXTURES = ("torus", "klein", "theta", "wedge2", "circle")
 BAD_FIXTURES = ("bad_length", "bad_closure", "bad_vh")
+
+# (seed, loop, vclean definitions): loops of least degree 3 in
+# random_vh_complex(Random(seed), max_squares=10), by loop_survives, and
+# the definitions vclean spends on the rung of their doubles to degree 3
+RUNG_DOUBLES = ((12, (-2, 1), 8710), (40, (3, 2), 24189),
+                (60, (1, -2), 6878), (75, (2, 3), 46076),
+                (131, (1, 2), 6725), (134, (2, -3), 2844),
+                (148, (1, 3), 2784))
 
 
 def fixture_path(name):
@@ -34,6 +44,14 @@ def doubled_complex() -> SquareComplex:
     item = next(pair_enumerator([load_presentation("trivial_group")],
                                 load_complex("torus"), EdgePath(0, (1,))))
     return item.double.complex
+
+
+def rung_double(seed, loop):
+    """The double of random_vh_complex(Random(seed), max_squares=10)
+    along the loop, at basepoint 0.  tests/fixtures/double75.json is
+    that of seed 75 and loop (2, 3)."""
+    cx = random_vh_complex(random.Random(seed), max_squares=10)
+    return double_along_loop(pointed_pair(cx, 0), EdgePath(0, loop))
 
 
 def golden_text(name) -> str:

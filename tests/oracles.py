@@ -678,7 +678,6 @@ def reference_vclean(cx, h, mode, budget, skip=frozenset()):
     closure.  The degrees in `skip` are passed over without spending
     the node budget.  Returns the whole SearchOutcome, stats
     included."""
-    pres = pi1_presentation(cx, 0)
     stats = SearchStats()
     node_budget = perm.NodeBudget(budget.max_nodes)
     witness = None
@@ -686,7 +685,7 @@ def reference_vclean(cx, h, mode, budget, skip=frozenset()):
         if d in skip:
             continue
         for cover in iter_covers(cx, d, connected=True, up_to_conjugacy=True,
-                                 pres=pres, budget=node_budget):
+                                 budget=node_budget):
             stats.homs_tried += 1
             stats.covers_realized += 1
             comps = preimage_cleanness(cover, h)

@@ -243,6 +243,15 @@ def test_doubled_fixture_is_the_first_double():
     assert helpers.load_complex("doubled") == helpers.doubled_complex()
 
 
+def test_double75_fixture_is_the_seed_75_rung_double():
+    """tests/fixtures/double75.json, which the command-line checks read,
+    is the double helpers.rung_double builds for seed 75, and its rung
+    hyperplane has id 15."""
+    dbl = helpers.rung_double(75, (2, 3))
+    assert helpers.load_complex("double75") == dbl.complex
+    assert dbl.hyperplane.id == 15
+
+
 def test_pair_enumerator_empty_source():
     assert list(pair_enumerator(iter(()), helpers.load_complex("torus"),
                                 EdgePath(0, (1,)))) == []

@@ -199,11 +199,12 @@ def test_low_index_class_and_node_counts():
 
 
 def test_low_index_prune_cuts_exactly_the_classes_below():
-    """A prune callback that rejects every table with all d cosets whose
-    coset 0 generator 1 maps to a given coset removes exactly the classes
-    whose first image sends 0 there, and keeps the others in order, as
-    a failed deduction would; it sees only tables with all d cosets, and
-    never spends more of the budget."""
+    """A prune watching generator 1 whose callback rejects every key
+    that maps coset 0 to a given coset removes exactly the classes whose
+    first image sends 0 there, and keeps the others in order, as a
+    failed deduction would; it is asked only while some other kept
+    generator exists, gets a permutation of the d points, and never
+    spends more of the budget."""
     cases = [_pi1(helpers.load_complex(name)) for name in
              helpers.GOOD_FIXTURES + ("bad_vh",)]
     cases.append(_pi1(helpers.doubled_complex()))
@@ -212,60 +213,121 @@ def test_low_index_prune_cuts_exactly_the_classes_below():
         pres = helpers.random_presentation(rng)
         cases.append((pres.num_generators, pres.relators))
     for n, relators in cases:
-        ncols, columns = perm.generator_columns(n, relators)
-        col = columns[0] if n else None
-        for d in range(1, 4 if ncols <= 8 else 3):
+        kept, _, images = perm.eliminate_generators(n, relators)
+        watch = (0,) if n else ()
+        # generator 1 reads at most one kept generator, or none if trivial
+        called = len(kept) > (1 if n and images[0] else 0)
+        for d in range(1, 4 if len(kept) <= 4 else 3):
             full = perm.NodeBudget()
             everything = list(perm.iter_low_index(n, relators, d,
                                                   budget=full))
             for target in range(d):
                 seen = []
 
-                def prune(table):
-                    assert len(table) == d * ncols + 1
-                    assert d - 1 in table
+                def dirty(key, free):
+                    assert len(key) == 1 and perm.is_permutation(key[0], d)
                     seen.append(d)
-                    return col is not None and table[col] == target
+                    return key[0][0] == target
                 budget = perm.NodeBudget()
-                got = list(perm.iter_low_index(n, relators, d,
-                                               budget=budget, prune=prune))
+                got = list(perm.iter_low_index(n, relators, d, budget=budget,
+                                               prune=(watch, dirty)))
                 assert got == [a for a in everything
-                               if col is None or a[0][0] != target]
+                               if not (called and a[0][0] == target)]
                 assert budget.nodes <= full.nodes
-                assert seen or not (ncols and everything)
+                assert bool(seen) == (called and bool(everything))
 
 
-def test_generator_columns_read_the_assignments():
-    """Read through generator_columns and fixed_column, the last
-    complete table a prune callback sees before each yield is the
-    assignment yielded."""
+def test_low_index_prune_key_reads_the_assignments():
+    """The key the callback gets at the last table before each yield,
+    the complete one, is the yielded assignment's images of the watched
+    generators, with the identity for None: every generator but those
+    that read the last kept one is watched."""
     cases = [(helpers.load_complex(name), 4)
              for name in helpers.GOOD_FIXTURES + ("bad_vh",)]
     cases.append((helpers.doubled_complex(), 2))
     for cx, max_degree in cases:
         n, relators = _pi1(cx)
-        ncols, columns = perm.generator_columns(n, relators)
-        assert len(columns) == n
+        kept, _, images = perm.eliminate_generators(n, relators)
+        watch = (None,) + tuple(k for k in range(n)
+                                if abs(images[k]) != len(kept))
         for d in range(1, max_degree + 1):
-            complete = []
+            keys = []
 
-            def prune(table):
-                if table.count(-1) == 1:
-                    complete.append(tuple(
-                        perm.identity(d) if c is None
-                        else perm.fixed_column(table, ncols, c)
-                        for c in columns))
+            def record(key, free):
+                keys.append(key)
                 return False
-            for a in perm.iter_low_index(n, relators, d, prune=prune):
-                assert complete and complete[-1] == a, (cx, d)
+            for a in perm.iter_low_index(n, relators, d,
+                                         prune=(watch, record)):
+                assert keys and keys[-1] == tuple(
+                    perm.identity(d) if k is None else a[k]
+                    for k in watch), (cx, d)
+            assert keys or not kept
 
 
-def test_fixed_column_fills_the_point_left():
-    # degree 3, one generator: columns 0 and 1, then the trailing -1
-    assert perm.fixed_column([1, 2, 2, 0, 0, 1, -1], 2, 0) == (1, 2, 0)
-    assert perm.fixed_column([1, 2, -1, 0, 0, -1, -1], 2, 0) == (1, 2, 0)
-    assert perm.fixed_column([1, 2, -1, 0, 0, -1, -1], 2, 1) == (2, 0, 1)
-    assert perm.fixed_column([-1, -1, -1, -1, 0, -1, -1], 2, 0) is None
+def test_low_index_prune_fills_the_point_left():
+    """On the free group of rank 2 at degree 2, watching generator 1,
+    the first call comes after 3 definitions: a(0) = 0, then b(0) = 0,
+    undone, and b(0) = 1, which makes coset 1.  a(1) is still unset,
+    so the key reads the point left, 1, and b(1) is the one image of b
+    unset, so free() is false."""
+    calls = []
+    budget = perm.NodeBudget()
+
+    def record(key, free):
+        calls.append((key, free(), budget.nodes))
+        return False
+    for _ in perm.iter_low_index(2, [], 2, budget=budget,
+                                 prune=((0, None), record)):
+        pass
+    assert calls[0] == (((0, 1), (0, 1)), False, 3)
+
+
+@pytest.mark.parametrize("name", ["torus", "bad_vh"])
+def test_low_index_prune_calls_only_while_an_unwatched_generator_is_open(
+        name):
+    """A watch that reads every kept generator, in any order, with
+    repeats and None, gets no callback, and the search is the unpruned
+    one.  Otherwise free() is false exactly when the generator left out
+    has at most one image unset: a callback that never cuts leaves the
+    fill the same whatever it watches, so the definitions (counted by
+    the budget) after which watching that generator instead gets a call
+    are the ones where free() is false."""
+    n, relators = _pi1(helpers.load_complex(name))
+    assert n == 2 and perm.eliminate_generators(n, relators)[0] == (1, 2)
+    for d in range(1, 5):
+        full = perm.NodeBudget()
+        everything = list(perm.iter_low_index(n, relators, d, budget=full))
+        for watch in ((0, 1), (1, None, 0, 1)):
+            budget = perm.NodeBudget()
+
+            def never(key, free):
+                raise AssertionError("called with %r" % (key,))
+            got = list(perm.iter_low_index(n, relators, d, budget=budget,
+                                           prune=(watch, never)))
+            assert (got, budget.nodes) == (everything, full.nodes)
+
+        for watched, other in ((0, 1), (1, 0)):
+            free_at, fixed_at = {}, set()
+            budget = perm.NodeBudget()
+
+            def record(key, free):
+                free_at[budget.nodes] = free()
+                return False
+
+            def other_fixed(key, free):
+                fixed_at.add(budget.nodes)
+                return False
+            assert list(perm.iter_low_index(
+                n, relators, d, budget=budget,
+                prune=((watched,), record))) == everything
+            budget = perm.NodeBudget()
+            assert list(perm.iter_low_index(
+                n, relators, d, budget=budget,
+                prune=((other,), other_fixed))) == everything
+            assert free_at and fixed_at
+            both = free_at.keys() & fixed_at
+            assert both and all(not free_at[k] for k in both)
+            assert all(free_at[k] for k in free_at.keys() - fixed_at)
 
 
 def test_low_index_rejects_degree_below_one():

@@ -97,6 +97,17 @@ def test_budget_rejects_negative_bounds():
     assert SearchBudget(max_degree=0, max_nodes=0).max_nodes == 0
 
 
+@pytest.mark.parametrize("bounds", [{"max_degree": 2.0},
+                                    {"max_degree": True},
+                                    {"max_degree": "3"},
+                                    {"max_degree": None},
+                                    {"max_degree": 2, "max_nodes": 1.5},
+                                    {"max_degree": 2, "max_nodes": False}])
+def test_budget_rejects_bounds_that_are_not_ints(bounds):
+    with pytest.raises(ValueError, match="must be an int"):
+        SearchBudget(**bounds)
+
+
 def test_probe_profinite_triviality():
     tg = helpers.load_presentation("trivial_group")
     out = probe_profinite_triviality(tg, budget=SearchBudget(max_degree=4))
@@ -610,6 +621,24 @@ def test_vclean_prunes_the_dirty_carrier_keys_of_the_rung():
                                         nodes=164, cap_hit=False)
 
 
+def test_vclean_on_the_rung_doubles_finds_the_least_degree_of_the_loop():
+    """On the rung of each of helpers.RUNG_DOUBLES, vclean to degree 3
+    finds its least degree, 3, the one loop_survives finds for the
+    doubling loop, after checking 4 classes in the pinned number of
+    definitions, in both modes.  In "each" mode the witness is the
+    regular closure of the degree-3 cover, of degree 6."""
+    for seed, loop, nodes in helpers.RUNG_DOUBLES:
+        dbl = helpers.rung_double(seed, loop)
+        survival = loop_survives(dbl.pair.complex, dbl.loop, SearchBudget(3))
+        assert survival.found and survival.witness.cover.degree == 3
+        for mode in ("some", "each"):
+            out = semi_decide_virtually_clean(dbl.complex, dbl.hyperplane,
+                                              mode, SearchBudget(3))
+            assert out.found, (seed, mode)
+            assert (out.stats.homs_tried, out.stats.nodes) == (4, nodes)
+            assert out.witness.cover.degree == (3 if mode == "some" else 6)
+
+
 def test_vclean_exhausts_doubled_hyperplane_from_its_carrier():
     """No transitive class of degree 1 to 3 of hyperplane 13's carrier
     relators has a clean component, so of D's 163,633 classes of degree
@@ -641,6 +670,9 @@ def test_vclean_input_checks():
     h = hyperplane_of_edge(hyperplanes(t), 1)
     with pytest.raises(ValueError):
         semi_decide_virtually_clean(t, h, "all", SearchBudget(2))
+    for mode in (None, 1, b"some"):
+        with pytest.raises(ValueError, match="mode must be"):
+            semi_decide_virtually_clean(t, h, mode, SearchBudget(2))
     k = helpers.load_complex("klein")
     with pytest.raises(ValueError):
         semi_decide_virtually_clean(k, h, "some", SearchBudget(2))
