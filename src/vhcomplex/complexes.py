@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 V_LABEL = "V"
@@ -31,13 +32,8 @@ class Edge:
 @dataclass(frozen=True)
 class SquareComplex:
     """Edges (Edge values or (tail, head, label) triples) and squares
-    (dart sequences) are stored as tuples, so every complex hashes.
-
-    The hash is that of the three fields, so equal complexes hash
-    equal.  It is computed on the first call and kept on the complex,
-    since every memoized lookup by complex hashes it again; the kept
-    value is left out of the pickled state, because str hashes differ
-    between processes."""
+    (dart sequences) are stored as tuples, so every complex hashes, and
+    equal complexes hash equal."""
     num_vertices: int
     edges: tuple
     squares: tuple
@@ -48,17 +44,11 @@ class SquareComplex:
         object.__setattr__(self, "squares",
                            tuple(tuple(w) for w in self.squares))
 
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.num_vertices, self.edges, self.squares))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
+    @cached_property
+    def _pi1(self) -> dict:
+        """basepoint -> pi1 presentation, kept by pi1_presentation; it
+        dies with the complex, and equality, hashing and repr ignore it."""
+        return {}
 
     @classmethod
     def make(cls, num_vertices, edges, squares=()):

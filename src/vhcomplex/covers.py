@@ -411,21 +411,21 @@ def iter_covers(cx: SquareComplex, degree: int,
     Every cover of a connected complex is isomorphic to one of these.
     Every mode fills a coset table.  Connected covers up to
     conjugacy, one per isomorphism class of (unbased) connected covers,
-    come from perm.iter_low_index: each is the least standard coset
-    table of its class, in the order that search finds them.  Every
-    other mode takes each homomorphism, in lexicographic order of the
-    generators' images, from the labelled fill perm.iter_homs;
-    `up_to_conjugacy` then keeps an assignment only when it is the least
-    among its simultaneous sheet relabelings.  `budget` passes through
-    to the underlying search, which spends one node per definition.
+    come from the low-index search on pres.tables: each is the least
+    standard coset table of its class, in the order that search finds
+    them.  Every other mode takes each homomorphism, in lexicographic
+    order of the generators' images, from the labelled fill
+    perm.iter_homs; `up_to_conjugacy` then keeps an assignment only when
+    it is the least among its simultaneous sheet relabelings.  `budget`
+    passes through to the underlying search, which spends one node per
+    definition.  A degree that is not a positive int raises ValueError.
     """
-    if degree < 1:
-        raise ValueError("degree must be positive")
+    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
+        raise ValueError("degree must be positive (an int >= 1), not %r"
+                         % (degree,))
     pres = pi1_presentation(cx, 0)
     if connected and up_to_conjugacy:
-        for assignment in perm.iter_low_index(len(pres.generators),
-                                              pres.relators, degree,
-                                              budget=budget):
+        for assignment in pres.tables.low_index(degree, budget):
             yield cover_from_assignment(cx, pres, degree, assignment)
         return
     for assignment in perm.iter_homs(len(pres.generators), pres.relators,

@@ -17,6 +17,7 @@ from typing import Optional
 
 from .complexes import (DisjointSet, SquareComplex, require_structure,
                         square_corners)
+from .permutations import CosetTables
 from .presentations import pi1_presentation
 
 
@@ -93,20 +94,19 @@ class Carrier:
     def scan(self) -> tuple:
         """What the virtual-cleanness search reads of the carrier in the
         assignments of pi1_presentation(complex, 0), built on its first
-        call for the hyperplane: (key_pos, letters, relators).  key_pos
+        call for the hyperplane: (key_pos, letters, tables).  key_pos
         has per carrier edge its generator's position, or None for a
         tree edge, whose image is the identity; letters lists the
-        positions the carrier reads, and relators are the crossed
-        squares' relators over those letters renumbered
-        1..len(letters).  Raises pi1_presentation's ValueError."""
+        positions the carrier reads, and tables compile the crossed
+        squares' relators over those letters renumbered 1..len(letters).
+        Raises pi1_presentation's ValueError."""
         pres = pi1_presentation(self.complex, 0)
         key_pos = tuple(pres.edge_generator[e - 1] for e in self.edges)
         letters = tuple(k for k in key_pos if k is not None)
         renumber = {k + 1: i for i, k in enumerate(letters, start=1)}
-        relators = tuple(tuple(renumber[x] if x > 0 else -renumber[-x]
-                               for x in pres.relators[i])
-                         for i in self.crossed)
-        return key_pos, letters, relators
+        relators = [[renumber[x] if x > 0 else -renumber[-x]
+                     for x in pres.relators[i]] for i in self.crossed]
+        return key_pos, letters, CosetTables(len(letters), relators)
 
 
 def midcube_dual_pair(cx: SquareComplex, midcube) -> tuple:

@@ -1,8 +1,10 @@
 """Permutations of {0..d-1} as tuples, and one coset-table search with
-two fill orders: Sims' low-index search for transitive actions up to
-conjugacy (iter_low_index), which drives every search, and a labelled
-fill that yields every relator-respecting homomorphism to S_d in
-lexicographic order (iter_homs), behind the other cover modes.
+two fill orders over a presentation compiled once (CosetTables): Sims'
+low-index search for transitive actions up to conjugacy (low_index),
+which drives every search, and a labelled fill that yields every
+relator-respecting homomorphism to S_d in lexicographic order (homs),
+behind the other cover modes.  iter_low_index and iter_homs run them on
+relators given as plain data.
 
 Composition is in diagram order: compose(p, q) applies p first, then q.
 This matches reading a word left to right and transporting a sheet along
@@ -226,46 +228,108 @@ def _relator_rotations(relators, ncols: int) -> tuple:
     return tuple(tuple(sorted(r)) for r in rots)
 
 
-# A vclean call compiles its complex's presentation and the carrier
-# presentation of its hyperplane.  On the benchmark's doubled complex a
-# pass over its 13 hyperplanes in both modes makes 38 calls on 4
-# distinct presentations (carriers of one shape coincide), and at most
-# 1 + 13.  The tasks come in shuffled order, so every task hits only
-# when all are kept; 64 entries keep that bound for four complexes, at
-# a few KiB each, and a census over many complexes evicts the least
-# recently used.
-@lru_cache(maxsize=64)
-def _compile(num_gens: int, relators: tuple):
-    """The coset-table data of a presentation, computed once per
-    distinct presentation: the table's column count and each
-    generator's column, None when the Tietze moves make it trivial (kept
-    generator k reads column 2k-2 and its inverse column 2k-1, and a
-    generator eliminated as another's inverse reads that one's inverse
-    column), the rotations
-    _relator_rotations gives for the relators eliminate_generators
-    keeps, and the number of definitions the degree-1 fill of
-    iter_low_index makes.  That fill has one class, the trivial action,
-    and no conflict, so it is run here once, uncapped, and
-    iter_low_index(..., 1) only replays its count.  Every part is a
-    tuple or an int, so callers share them.  `relators` must be a tuple
-    of tuples, so that the cache key is the relators' content at call
-    time.  A letter outside +-1..num_gens raises ValueError, which the
-    cache does not keep.
+class CosetTables:
+    """Relators over generators 1..num_gens compiled for the coset-table
+    search when made, read then and not kept; a letter outside
+    +-1..num_gens raises ValueError.  A presentation holds its own
+    (GroupPresentation.tables, Pi1Presentation.tables), and a
+    hyperplane's carrier those of its squares (Carrier.scan).
+
+    ncols: the table's column count, two per generator that
+        eliminate_generators keeps.
+    columns: per generator its column, None when the Tietze moves make
+        it trivial.  Kept generator k reads column 2k-2 and its inverse
+        column 2k-1, and a generator eliminated as another's inverse
+        reads that one's inverse column.
+    rotations: _relator_rotations of the relators eliminate_generators
+        keeps.
+    trivial_definitions: the number of definitions the degree-1 fill of
+        low_index makes.  That fill has one class, the trivial action,
+        and no conflict, so it runs here once, uncapped, and low_index(1)
+        only replays its count.
     """
-    for w in relators:
-        for x in w:
-            if not (isinstance(x, int) and 1 <= abs(x) <= num_gens):
-                raise ValueError("relator letter %r is not a signed "
-                                 "generator index in 1..%d" % (x, num_gens))
-    kept, rels, images = eliminate_generators(num_gens, relators)
-    ncols = 2 * len(kept)
-    columns = tuple(None if not x else 2 * x - 2 if x > 0 else -2 * x - 1
-                    for x in images)
-    compiled = (ncols, columns, _relator_rotations(rels, ncols))
-    budget = NodeBudget()
-    for _ in _fill(compiled, 1, budget, False):
-        pass
-    return compiled + (budget.nodes,)
+
+    def __init__(self, num_gens: int, relators: Sequence[Sequence[int]]):
+        for w in relators:
+            for x in w:
+                if not (isinstance(x, int) and 1 <= abs(x) <= num_gens):
+                    raise ValueError("relator letter %r is not a signed "
+                                     "generator index in 1..%d"
+                                     % (x, num_gens))
+        kept, rels, images = eliminate_generators(num_gens, relators)
+        self.ncols = 2 * len(kept)
+        self.columns = tuple(None if not x else 2 * x - 2 if x > 0
+                             else -2 * x - 1 for x in images)
+        self.rotations = _relator_rotations(rels, self.ncols)
+        budget = NodeBudget()
+        for _ in _fill(self, 1, budget, False):
+            pass
+        self.trivial_definitions = budget.nodes
+
+    def low_index(self, d: int, budget: Optional[NodeBudget] = None, *,
+                  prune=None):
+        """One transitive assignment of permutations in S_d to the
+        generators satisfying every relator, per conjugacy class: Sims'
+        low-index subgroups search.
+
+        The stabilizer of sheet 0 is an index-d subgroup, and conjugate
+        subgroups give relabeled assignments.  The coset table starts
+        with one coset.  Its first undefined entry in row-major order is
+        defined next, as an existing coset in ascending order or as the
+        next new one, so every table is in standard form: cosets first
+        appear in ascending order.  A complete table with d cosets is
+        kept when no other coset, taken as the base, gives a smaller
+        standard table, so each class is yielded once, as its least
+        standard table.  The table, deductions, budget and errors are
+        those of _fill.
+
+        `prune`, when given, is a pair (watch, callback), which _fill
+        describes.  The callback is asked about definitions made once
+        all d cosets exist, when the standard numbering can no longer
+        change; a true answer rejects that definition, as a failed
+        deduction would, and every class below it is skipped.  The other
+        classes come in the same order.
+
+        Without `prune`, degree 1 spends trivial_definitions nodes, one
+        at a time, then yields the trivial assignment: under every cap,
+        the yields, nodes and cap_hit of the fill.
+        """
+        return self._search(d, budget, False, prune)
+
+    def homs(self, d: int, budget: Optional[NodeBudget] = None):
+        """All assignments of permutations in S_d to the generators
+        satisfying every relator, in lexicographic order.
+
+        This is the labelled fill of the coset table behind low_index:
+        it starts with all d cosets and fills the kept generators'
+        columns one after another, rows ascending, trying values in
+        ascending order; each inverse column fills as its generator's
+        mirror.  Every complete table is yielded, so the depth-first
+        order is lexicographic in the kept generators' images.  A
+        generator eliminate_generators drops is trivial or a function of
+        lower-indexed ones, so the order is lexicographic over all
+        generators too.  The table, deductions, budget (one node per
+        definition tried) and errors are those of _fill.
+        """
+        return self._search(d, budget, True)
+
+    def _search(self, d: int, budget: Optional[NodeBudget], labelled: bool,
+                prune=None):
+        """The one entry of both fills, which checks the degree."""
+        if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+            raise ValueError("degree must be positive (an int >= 1), "
+                             "not %r" % (d,))
+        if d == 1 and not labelled and prune is None:
+            return self._trivial_class(budget)
+        return _fill(self, d, budget, labelled, prune)
+
+    def _trivial_class(self, budget: Optional[NodeBudget]):
+        """low_index(1) without a prune callback."""
+        if budget is not None:
+            for _ in range(self.trivial_definitions):
+                if not budget.spend():
+                    return
+        yield (identity(1),) * len(self.columns)
 
 
 def _rebased_is_smaller(table, ncols: int, d: int, base: int) -> bool:
@@ -290,87 +354,28 @@ def _rebased_is_smaller(table, ncols: int, d: int, base: int) -> bool:
 
 def iter_low_index(num_gens: int, relators: Sequence[Sequence[int]], d: int,
                    budget: Optional[NodeBudget] = None, *, prune=None):
-    """One transitive assignment of permutations in S_d to generators
-    1..num_gens satisfying every relator, per conjugacy class: Sims'
-    low-index subgroups search.
-
-    The stabilizer of sheet 0 is an index-d subgroup, and conjugate
-    subgroups give relabeled assignments.  The coset table starts with
-    one coset.  Its first undefined entry in row-major order is defined
-    next, as an existing coset in ascending order or as the next new
-    one, so every table is in standard form: cosets first appear in
-    ascending order.  A complete table with d cosets is kept when no
-    other coset, taken as the base, gives a smaller standard table, so
-    each class is yielded once, as its least standard table.  The
-    table, deductions, budget and errors are those of _coset_tables,
-    which reduces each distinct presentation once per process: a search
-    that calls this degree after degree, or a hyperplane's carrier
-    after another's, repeats no Tietze move.
-
-    `prune`, when given, is a pair (watch, callback), which
-    _coset_tables describes.  The callback is asked about definitions
-    made once all d cosets exist, when the standard numbering can no
-    longer change; a true answer rejects that definition, as a failed
-    deduction would, and every class below it is skipped.  The other
-    classes come in the same order.
-
-    Degree 1 has one class, the trivial action, and without `prune` its
-    table is not filled again: _compile fills it once per presentation
-    and keeps the number of definitions, and this spends that many
-    nodes, one at a time, then yields the trivial assignment.  At a cap
-    it stops quietly, as the fill does, so the yields, nodes and
-    cap_hit are the fill's under every cap.
-    """
-    if d == 1 and prune is None:
-        return _trivial_class(num_gens, relators, budget)
-    return _coset_tables(num_gens, relators, d, budget, labelled=False,
-                         prune=prune)
-
-
-def _trivial_class(num_gens: int, relators, budget: Optional[NodeBudget]):
-    """iter_low_index at degree 1 without a prune callback."""
-    definitions = _compile(num_gens, tuple(map(tuple, relators)))[3]
-    if budget is not None:
-        for _ in range(definitions):
-            if not budget.spend():
-                return
-    yield (identity(1),) * num_gens
+    """CosetTables(num_gens, relators).low_index, compiled afresh."""
+    return CosetTables(num_gens, relators).low_index(d, budget, prune=prune)
 
 
 def iter_homs(num_gens: int, relators: Sequence[Sequence[int]], d: int,
               budget: Optional[NodeBudget] = None):
-    """All assignments of permutations in S_d to generators 1..num_gens
-    satisfying every relator, in lexicographic order.
-
-    This is the labelled fill of the coset table behind iter_low_index:
-    it starts with all d cosets and fills the kept generators' columns
-    one after another, rows ascending, trying values in ascending order;
-    each inverse column fills as its generator's mirror.  Every complete
-    table is yielded, so the depth-first order is lexicographic in the
-    kept generators' images.  A generator eliminate_generators drops is
-    trivial or a function of lower-indexed ones, so the order is
-    lexicographic over all generators too.  The table, deductions,
-    budget (one node per definition tried) and errors are those of
-    _coset_tables.
-    """
-    return _coset_tables(num_gens, relators, d, budget, labelled=True)
+    """CosetTables(num_gens, relators).homs, compiled afresh."""
+    return CosetTables(num_gens, relators).homs(d, budget)
 
 
-def _coset_tables(num_gens: int, relators, d: int,
-                  budget: Optional[NodeBudget], labelled: bool,
-                  prune=None):
-    """Complete coset tables of the relators with d rows, each yielded
-    as its assignment to generators 1..num_gens: standard tables for
-    iter_low_index, labelled ones for iter_homs.
-
-    The relators come compiled by _compile, once per distinct
-    (num_gens, relators) per process; a relator letter outside
-    +-1..num_gens raises ValueError.
+def _fill(tables: CosetTables, d: int, budget: Optional[NodeBudget],
+          labelled: bool, prune=None):
+    """Complete coset tables of the compiled relators with d rows, each
+    yielded as its assignment to the generators: standard tables for
+    low_index, labelled ones for homs.
 
     The table has one column per generator left by eliminate_generators
-    and one per inverse.  Each definition sets an entry and its mirror
-    in the inverse column.  After each definition the search scans, from
-    each newly set entry (c, x), the rotations beginning with x of every
+    and one per inverse.  It is a flat list in which row c of column x
+    is entry c * ncols + x, -1 while unset, with one more -1 after the
+    last row.  Each definition sets an entry and its mirror in the
+    inverse column.  After each definition the search scans, from each
+    newly set entry (c, x), the rotations beginning with x of every
     relator and inverse relator; a scan with one gap left defines that
     entry, and a scan that closes up on the wrong coset rejects the
     definition.  Eliminated generators get their images back in each
@@ -393,20 +398,9 @@ def _coset_tables(num_gens: int, relators, d: int,
     explicit stack, so the recursion limit does not bound the table.
     `budget`, when given, is spent once per definition tried;
     enumeration stops quietly at the first node it refuses, leaving
-    budget.cap_hit set.  A degree below 1 raises ValueError.
+    budget.cap_hit set.
     """
-    if d < 1:
-        raise ValueError("degree must be positive")
-    yield from _fill(_compile(num_gens, tuple(map(tuple, relators))), d,
-                     budget, labelled, prune)
-
-
-def _fill(compiled, d: int, budget: Optional[NodeBudget], labelled: bool,
-          prune=None):
-    """_coset_tables from _compile's data for the relators.  The table
-    is a flat list in which row c of column x is entry c * ncols + x,
-    -1 while unset, with one more -1 after the last row."""
-    ncols, picks, rots = compiled[:3]
+    ncols, picks, rots = tables.ncols, tables.columns, tables.rotations
     # one trailing -1 ends every search for the next undefined entry
     table = [-1] * (d * ncols + 1)
     trail = []

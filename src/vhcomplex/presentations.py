@@ -9,11 +9,18 @@ indices, the same convention square boundary words use for edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .complexes import (EdgePath, SquareComplex, cyclic_reduce, free_reduce,
                         is_connected_complex, require_structure, trace)
+from .permutations import CosetTables
+
+
+def _compiled(pres) -> CosetTables:
+    """A presentation's `tables`: its relators compiled for the
+    coset-table search on first use, and kept on the presentation."""
+    return CosetTables(len(pres.generators), pres.relators)
 
 
 @dataclass(frozen=True)
@@ -53,6 +60,8 @@ class GroupPresentation:
     @property
     def num_generators(self):
         return len(self.generators)
+
+    tables = cached_property(_compiled)
 
 
 def parse_word(s: str, generators: Sequence[str]) -> tuple:
@@ -115,6 +124,8 @@ class Pi1Presentation:
         back = tuple(-d for d in reversed(self._tree_path[e.head]))
         return EdgePath(self.basepoint, out + (eid,) + back)
 
+    tables = cached_property(_compiled)
+
 
 def _letters(edge_generator, darts) -> list:
     """A dart word as signed 1-based generator letters, tree darts cut."""
@@ -126,24 +137,25 @@ def _letters(edge_generator, darts) -> list:
     return word
 
 
-# A search reads the presentation of the one complex it is given, and
-# a vclean call per hyperplane asks for the same one again; the entries
-# also keep their complexes alive, so the memo stays small.
-@lru_cache(maxsize=16)
 def pi1_presentation(cx: SquareComplex, basepoint: int = 0) -> Pi1Presentation:
     """Breadth-first spanning tree from the basepoint, darts tried in
     (edge id, +before-) order.
 
     Every search reads its complex through here.  Raises ValueError on a
-    structurally invalid complex (require_structure's), then on a bad
-    basepoint or a disconnected complex.  Both arguments and the result
-    are immutable, so the complex is checked and its presentation built
-    once per (complex, basepoint) per process and shared by every
-    caller; equal complexes share it too.  Errors are not kept.
+    basepoint that is no vertex (an int in range), then on a structurally
+    invalid complex (require_structure's) or a disconnected one.  The
+    complex is checked and its presentation built on the first call per
+    basepoint, and the presentation is kept on the complex
+    (SquareComplex._pi1), so it lives as long as the complex does.
+    Errors are not kept.
     """
-    require_structure(cx)
-    if not (0 <= basepoint < cx.num_vertices):
+    if (isinstance(basepoint, bool) or not isinstance(basepoint, int)
+            or not 0 <= basepoint < cx.num_vertices):
         raise ValueError("no vertex %r" % (basepoint,))
+    pres = cx._pi1.get(basepoint)
+    if pres is not None:
+        return pres
+    require_structure(cx)
     if not is_connected_complex(cx):
         raise ValueError("complex is not connected")
 
@@ -173,5 +185,7 @@ def pi1_presentation(cx: SquareComplex, basepoint: int = 0) -> Pi1Presentation:
     relators = tuple(cyclic_reduce(_letters(edge_generator, w))
                      for w in cx.squares)
     paths = tuple(tree_path[v] for v in range(cx.num_vertices))
-    return Pi1Presentation(cx, basepoint, frozenset(tree_edges), generators,
-                           relators, edge_generator, paths)
+    pres = cx._pi1[basepoint] = Pi1Presentation(
+        cx, basepoint, frozenset(tree_edges), generators, relators,
+        edge_generator, paths)
+    return pres

@@ -11,34 +11,35 @@ by transporting the certified loop, a cleanness witness by realizing the
 cover and re-running the cleanness test.  The revalidate_* functions do
 exactly that and nothing else.
 
-Every search scans Sims' low-index search (perm.iter_low_index) in
-one thread through one loop, _scan: by ascending degree, one
-transitive action per conjugacy class, each as its least standard coset
-table, in the order that search completes them.  The budget's nodes
-are its definitions, and homs_tried counts the classes checked.  The
-quotient and loop searches start at degree 2, and scanning only
-transitive actions changes none of their verdicts or least degrees: a
-word with nontrivial image in some action of degree d moves a point of
-some orbit, so it acts nontrivially in a transitive action of degree at
-most d, and every transitive action of degree 2 or more has a generator
-that is not the identity.  The virtual-cleanness search starts at degree
-1 and reads each class as a cover with identity tree edges.  Whether a
-preimage component of the hyperplane is clean depends only on the
-permutations on the hyperplane's carrier edges, and far fewer carrier
-restrictions occur than classes, so the search memoizes the cleanness
-of the preimage per carrier restriction and builds a Cover only for a
-witness or for a regular closure.  Every carrier restriction satisfies
-the relators of the squares the hyperplane crosses, and a preimage
-component lives in one orbit of the carrier letters, so before it scans
-a degree d >= 2 the search runs the low-index search on those relators
-alone, and skips the degree while no transitive class of degree at
-most d has a clean component.  A skipped degree adds nothing to the
-statistics and spends none of the node budget, so under a node cap the
-search can reach degrees that the scan alone would not.  In a degree
-d >= 2 that it scans, the search has the low-index search watch the
-carrier generators, and cuts every partial coset table whose carrier
-restriction is already fixed and has no clean component: no class
-below it could give a witness.
+Every search scans Sims' low-index search (perm.CosetTables.low_index,
+on the tables its presentation holds) in one thread through one loop,
+_scan: by ascending degree, one transitive action per conjugacy class,
+each as its least standard coset table, in the order that search
+completes them.  The budget's nodes are its definitions, and homs_tried
+counts the classes checked.  The quotient and loop searches start at
+degree 2, and scanning only transitive actions changes none of their
+verdicts or least degrees: a word with nontrivial image in some action
+of degree d moves a point of some orbit, so it acts nontrivially in a
+transitive action of degree at most d, and every transitive action of
+degree 2 or more has a generator that is not the identity.  The
+virtual-cleanness search starts at degree 1 and reads each class as a
+cover with identity tree edges.  Whether a preimage component of the
+hyperplane is clean depends only on the permutations on the hyperplane's
+carrier edges, and far fewer carrier restrictions occur than classes, so
+the search memoizes the cleanness of the preimage per carrier
+restriction and builds a Cover only for a witness or for a regular
+closure.  Every carrier restriction satisfies the relators of the
+squares the hyperplane crosses, and a preimage component lives in one
+orbit of the carrier letters, so before it scans a degree d >= 2 the
+search runs the low-index search on those relators alone, and skips the
+degree while no transitive class of degree at most d has a clean
+component.  A skipped degree adds nothing to the statistics and spends
+none of the node budget, so under a node cap the search can reach
+degrees that the scan alone would not.  In a degree d >= 2 that it
+scans, the search has the low-index search watch the carrier generators,
+and cuts every partial coset table whose carrier restriction is already
+fixed and has no clean component: no class below it could give a
+witness.
 """
 
 from __future__ import annotations
@@ -177,12 +178,11 @@ def _no_candidates(d, node_budget):
 def _quotients(pres: GroupPresentation, prune=None):
     """Candidates for _scan: one transitive action of each degree per
     conjugacy class, as a tuple of generator images.  prune, when
-    given, is perm.iter_low_index's at every degree but 1, whose one
-    class, the trivial action, is never cut."""
+    given, is low_index's at every degree but 1, whose one class, the
+    trivial action, is never cut."""
     def candidates(d, node_budget):
-        return perm.iter_low_index(len(pres.generators), pres.relators, d,
-                                   budget=node_budget,
-                                   prune=prune if d > 1 else None)
+        return pres.tables.low_index(d, node_budget,
+                                     prune=prune if d > 1 else None)
     return candidates
 
 
@@ -275,7 +275,7 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
     mode "some": a connected cover where some component of the
     hyperplane's preimage is clean.  mode "each": one where every
     component is clean.  Covers are scanned by ascending degree from 1,
-    one representative per conjugacy class, as perm.iter_low_index
+    one representative per conjugacy class, as the low-index search
     gives them: the least standard coset table of each class, in that
     search's order, with identity tree edges.  The budget's nodes are
     that search's definitions.  In "each" mode a cover with a clean
@@ -290,23 +290,23 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
     new key is decided from the key alone, which is all that
     covers._preimage_cleanness reads; a scanned cover is built only to
     report a witness or to take a regular closure.  The carrier's edges,
-    generators and relators depend only on the hyperplane, so they are
-    kept on it (h.carrier.scan) from its first call; the verdicts are
-    kept per call.  The scanned covers
-    satisfy every square relator by construction, so only closures are
-    validated first.
+    generators and compiled relators depend only on the hyperplane, so
+    they are kept on it (h.carrier.scan) from its first call, as the
+    complex keeps its presentation and that its tables; the verdicts
+    are kept per call.  The scanned covers satisfy every square relator
+    by construction, so only closures are validated first.
     revalidate_vclean_witness does realize the witness cover.
 
-    Before it scans a degree d >= 2, the search runs
-    perm.iter_low_index on the carrier squares' relators over the
-    carrier letters alone and decides each class through the same memo.
+    Before it scans a degree d >= 2, the search runs the low-index
+    search on the carrier squares' relators over the carrier letters
+    alone and decides each class through the same memo.
     A preimage component stays on the sheets of one orbit of the carrier
     letters, so the degree is skipped while no transitive class of
     degree at most d has a clean component; from the first degree where
     one has, or where that search hits CARRIER_NODE_CAP definitions,
     every degree is scanned.
 
-    A scanned degree d >= 2 passes perm.iter_low_index the prune
+    A scanned degree d >= 2 passes the low-index search the prune
     (key_pos, dirty).  Once a table has all d cosets and the images of
     the carrier generators are fixed, every class below it has one
     carrier key, and dirty cuts the table when that key has no clean
@@ -333,8 +333,8 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
         raise ValueError("hyperplane is not from this complex")
     pres = pi1_presentation(cx, 0)
     stats = SearchStats()
-    # the carrier's generators and relators, kept on the hyperplane
-    key_pos, letters, carrier_relators = h.carrier.scan
+    # the carrier's generators and compiled relators, kept on h
+    key_pos, letters, carrier_tables = h.carrier.scan
     verdicts = {}    # carrier key -> ((component id, clean), ...)
 
     def carrier_key(d, a):
@@ -356,8 +356,7 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
         hits CARRIER_NODE_CAP."""
         node_budget = perm.NodeBudget(CARRIER_NODE_CAP)
         a = [perm.identity(d)] * len(pres.generators)
-        for images in perm.iter_low_index(len(letters), carrier_relators, d,
-                                          budget=node_budget):
+        for images in carrier_tables.low_index(d, node_budget):
             for k, p in zip(letters, images):
                 a[k] = p
             if any(clean for _, clean in decide(carrier_key(d, a))):

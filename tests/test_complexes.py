@@ -35,10 +35,10 @@ print(cx == fresh, hash(cx) == hash(fresh))
 
 
 def test_equal_complexes_hash_equal_across_processes():
-    """A complex keeps its hash once computed.  Equal complexes built
-    separately hash equal, and a pickled complex whose hash was kept
-    hashes, in a process with another PYTHONHASHSEED, as a freshly built
-    equal complex does there: the kept value does not travel."""
+    """Equal complexes built separately hash equal, also after one of
+    them has been hashed, and a pickled complex hashes, in a process
+    with another PYTHONHASHSEED, as a freshly built equal complex does
+    there: no hash value travels with it."""
     a, b = torus(), SquareComplex.make(
         1, [(0, 0, "V"), (0, 0, "H")], [[1, 2, -1, -2]])
     assert a == b and a is not b and hash(a) == hash(b) == hash(a)

@@ -9,6 +9,7 @@ from vhcomplex import (Edge, EdgePath, GroupPresentation, SquareComplex,
                        hyperplanes, is_clean, is_two_sided, pair_enumerator,
                        pointed_pair, presentation_complex, subdivide_edges,
                        trace, validate, validate_cellular_map)
+from vhcomplex import formats
 
 import helpers
 import oracles
@@ -246,10 +247,16 @@ def test_doubled_fixture_is_the_first_double():
 def test_double75_fixture_is_the_seed_75_rung_double():
     """tests/fixtures/double75.json, which the command-line checks read,
     is the double helpers.rung_double builds for seed 75, and its rung
-    hyperplane has id 15."""
+    hyperplane has id 15.  base75.json and loop75.json, which those
+    checks double, are the complex and loop it doubles."""
     dbl = helpers.rung_double(75, (2, 3))
     assert helpers.load_complex("double75") == dbl.complex
     assert dbl.hyperplane.id == 15
+    assert helpers.load_complex("base75") == helpers.random_vh_complex(
+        random.Random(75), max_squares=10) == dbl.pair.complex
+    loop = formats.path_from_doc(
+        formats.read_doc(helpers.fixture_path("loop75")))
+    assert loop == dbl.loop == EdgePath(0, (2, 3))
 
 
 def test_pair_enumerator_empty_source():

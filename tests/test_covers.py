@@ -242,6 +242,39 @@ def _classes(covers):
     return {perm.canonical_under_relabeling(c.perms) for c in covers}
 
 
+COMMUTATOR = [(1, 2, -1, -2)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: enumerate_covers(helpers.load_complex("torus"), True),
+    lambda: enumerate_covers(helpers.load_complex("torus"), 2.0),
+    lambda: enumerate_covers(helpers.load_complex("torus"), True,
+                             connected=True, up_to_conjugacy=True),
+    lambda: list(perm.iter_low_index(2, COMMUTATOR, 2.0)),
+    lambda: list(perm.iter_low_index(2, COMMUTATOR, True)),
+    lambda: list(perm.iter_homs(2, COMMUTATOR, 2.0)),
+    lambda: list(perm.iter_homs(2, COMMUTATOR, True)),
+    lambda: perm.CosetTables(2, COMMUTATOR).low_index(True),
+    lambda: pi1_presentation(helpers.load_complex("mixed_carrier"), True),
+    lambda: pi1_presentation(helpers.load_complex("mixed_carrier"), 1.0),
+], ids=["covers-bool", "covers-float", "low-index-covers-bool",
+        "low-index-float", "low-index-bool", "homs-float", "homs-bool",
+        "tables-bool", "basepoint-bool", "basepoint-float"])
+def test_degrees_and_basepoints_must_be_ints(call):
+    """A bool or a float is neither a degree nor a vertex, even where it
+    equals one; the degree is checked before the degree-1 replay."""
+    with pytest.raises(ValueError, match="degree must be positive|no vertex"):
+        call()
+
+
+def test_a_rejected_basepoint_leaves_the_kept_presentations_alone():
+    cx = helpers.load_complex("mixed_carrier")
+    pres = pi1_presentation(cx, 1)
+    with pytest.raises(ValueError, match="no vertex True"):
+        pi1_presentation(cx, True)
+    assert pi1_presentation(cx, 1) is pres and type(pres.basepoint) is int
+
+
 def test_connected_covers_up_to_conjugacy_match_brute_force():
     cases = [(helpers.load_complex(name), range(1, 6))
              for name in VALID_FIXTURES]

@@ -6,6 +6,7 @@ is_canonical against canonical_under_relabeling.  The low-index search
 against its defining properties; tests/test_covers.py compares its
 covers with the brute-force path."""
 
+import functools
 import itertools
 import random
 
@@ -358,38 +359,42 @@ def test_low_index_budget_cap_stops_the_scan():
                          [perm.iter_low_index, perm.iter_homs])
 def test_relator_letters_outside_the_generators_are_rejected(
         enumerate_homs, relators):
-    # twice: the compile memo keeps no errors
-    for _ in range(2):
-        with pytest.raises(ValueError, match="relator letter"):
-            list(enumerate_homs(2, relators, 2))
+    with pytest.raises(ValueError, match="relator letter"):
+        list(enumerate_homs(2, relators, 2))
 
 
 @pytest.mark.parametrize("enumerate_homs",
                          [perm.iter_low_index, perm.iter_homs])
 def test_compile_memo_is_invisible(enumerate_homs):
-    """Yields and node counts are the same from an empty memo and from a
-    full one, for relators as tuples and as lists; a list mutated
-    between calls is read afresh."""
-    def run(n, relators, d):
+    """A presentation's held CosetTables give, call after call, the
+    yields and node counts of tables compiled afresh, for relators as
+    tuples and as lists.  Tables read their relators once: a list
+    changed between calls is read afresh by the next compile, and not
+    by tables already made."""
+    method = enumerate_homs.__name__[len("iter_"):]
+
+    def run(search, d):
         budget = perm.NodeBudget()
-        return list(enumerate_homs(n, relators, d, budget=budget)), \
-            budget.nodes
+        return list(search(d, budget=budget)), budget.nodes
 
     for cx, d in ((helpers.load_complex("torus"), 5),
                   (helpers.doubled_complex(), 2)):
+        pres = pi1_presentation(cx, 0)
         n, relators = _pi1(cx)
-        perm._compile.cache_clear()
-        cold = run(n, relators, d)
-        warm = run(n, relators, d)
-        as_lists = run(n, [list(w) for w in relators], d)
-        perm._compile.cache_clear()
-        assert cold == warm == as_lists == run(n, relators, d), (n, d)
+        held = getattr(pres.tables, method)
+        fresh = run(functools.partial(enumerate_homs, n, relators), d)
+        as_lists = [list(w) for w in relators]
+        assert run(held, d) == run(held, d) == fresh == run(
+            functools.partial(enumerate_homs, n, as_lists), d), (n, d)
+        assert pi1_presentation(cx, 0).tables is pres.tables
 
     relators = [[1, 2, -1, -2]]
+    tables = perm.CosetTables(2, relators)
     before = list(enumerate_homs(2, relators, 3))
     relators[0][2:] = []
     after = list(enumerate_homs(2, relators, 3))
     assert after == list(enumerate_homs(2, [(1, 2)], 3)) != before
+    assert list(getattr(tables, method)(3)) == before
 
 
 def test_low_index_is_not_bounded_by_the_recursion_limit():
@@ -402,11 +407,11 @@ def test_low_index_is_not_bounded_by_the_recursion_limit():
 
 
 def test_degree_one_replays_the_fill():
-    """iter_low_index at degree 1 without a prune callback spends the
-    count of definitions _compile's fill made, then yields the trivial
-    class: under every cap it gives the yields, nodes and cap_hit of the
-    table fill itself.  The torus fills its table in 2 definitions and
-    D in 9."""
+    """low_index(1) without a prune callback spends the count of
+    definitions the fill made when the tables were compiled, then
+    yields the trivial class: under every cap it gives the yields,
+    nodes and cap_hit of the table fill itself.  The torus fills its
+    table in 2 definitions and D in 9."""
     complexes = helpers.GOOD_FIXTURES + ("bad_vh", "mixed_carrier", "doubled")
     presentations = [_pi1(helpers.load_complex(name)) for name in complexes]
     for name in ("trivial_group", "z_squared"):
@@ -418,15 +423,17 @@ def test_degree_one_replays_the_fill():
         presentations.append((pres.num_generators, pres.relators))
     counts = []
     for n, relators in presentations:
+        tables = perm.CosetTables(n, relators)
         full = perm.NodeBudget()
-        fill = list(perm._coset_tables(n, relators, 1, full, labelled=False))
+        fill = list(perm._fill(tables, 1, full, False))
         assert fill == [(perm.identity(1),) * n] and not full.cap_hit
+        assert tables.trivial_definitions == full.nodes
+        assert list(tables.low_index(1)) == fill
         assert list(perm.iter_low_index(n, relators, 1)) == fill
         for cap in [None, *range(full.nodes + 2)]:
             budget, reference = perm.NodeBudget(cap), perm.NodeBudget(cap)
-            assert list(perm.iter_low_index(n, relators, 1, budget=budget)) \
-                == list(perm._coset_tables(n, relators, 1, reference,
-                                           labelled=False))
+            assert list(tables.low_index(1, budget)) \
+                == list(perm._fill(tables, 1, reference, False))
             assert (budget.nodes, budget.cap_hit) \
                 == (reference.nodes, reference.cap_hit), (n, relators, cap)
         counts.append(full.nodes)

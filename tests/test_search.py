@@ -1,6 +1,9 @@
 import copy
+import gc
+import itertools
 import json
 import random
+import weakref
 
 import pytest
 
@@ -384,23 +387,33 @@ def test_vclean_matches_per_cover_scan(monkeypatch):
 
 
 def test_vclean_outcomes_do_not_depend_on_the_memos(monkeypatch):
-    """pi1_presentation and the coset-table compile step are memoized
-    per process, and each hyperplane keeps its compiled carrier.  The
-    26 vclean scans of D to degree 2, run in shuffled orders from empty
-    memos on fresh hyperplanes, again on the same hyperplanes, on fresh
-    ones equal to them but distinct, and on deep copies of ones that
-    have run, give byte-identical outcome documents, equal to the
-    per-cover reference but for statistics no larger than its own; no
-    run after the first compiles a presentation again."""
+    """A complex keeps its pi1 presentation, the presentation its
+    compiled coset tables, and each hyperplane its compiled carrier.
+    The 26 vclean scans of D to degree 2, run in shuffled orders on
+    fresh hyperplanes, again on the same hyperplanes, on fresh ones
+    equal to them but distinct, and on deep copies of ones that have
+    run, give byte-identical outcome documents, equal to the per-cover
+    reference but for statistics no larger than its own.  The first run
+    compiles D and its 13 carriers, the fresh hyperplanes their 13
+    carriers, and the other runs nothing."""
     scanned = _record_scanned_degrees(monkeypatch)
+    compiles = []
+    real_init = perm.CosetTables.__init__
+
+    def counting(self, *args):
+        compiles.append(args)
+        real_init(self, *args)
+    monkeypatch.setattr(perm.CosetTables, "__init__", counting)
     cx = helpers.doubled_complex()
     budget = SearchBudget(2)
 
     def run(seed, hyps):
-        """Outcome document and skipped degrees per task."""
+        """Outcome document and skipped degrees per task, and the
+        number of tables compiled."""
         tasks = [(h, mode) for h in hyps for mode in ("some", "each")]
         random.Random(seed).shuffle(tasks)
         docs = {}
+        del compiles[:]
         for h, mode in tasks:
             del scanned[:]
             out = semi_decide_virtually_clean(cx, h, mode, budget)
@@ -408,20 +421,17 @@ def test_vclean_outcomes_do_not_depend_on_the_memos(monkeypatch):
             docs[h.id, mode] = (canonical_json(outcome_to_doc(out)),
                                 frozenset(range(1, reached + 1))
                                 - set(scanned))
-        return docs
+        runs.append(docs)
+        return len(compiles)
 
-    pi1_presentation.cache_clear()
-    perm._compile.cache_clear()
+    runs = []
     hyps = hyperplanes(cx)
-    runs = [run(1, hyps)]
-    misses = perm._compile.cache_info().misses
-    runs.append(run(2, hyps))
+    assert run(1, hyps) == 14
+    assert run(2, hyps) == 0
     fresh = hyperplanes(helpers.doubled_complex())
     assert fresh == hyps and not any(f is h for f, h in zip(fresh, hyps))
-    runs.append(run(3, fresh))
-    runs.append(run(4, copy.deepcopy(hyps)))
-    assert perm._compile.cache_info().misses == misses
-    assert pi1_presentation.cache_info().misses == 1
+    assert run(3, fresh) == 13
+    assert run(4, copy.deepcopy(hyps)) == 0
     assert all(r == runs[0] for r in runs) and len(runs[0]) == 26
     for h in hyps:
         for mode in ("some", "each"):
@@ -429,6 +439,25 @@ def test_vclean_outcomes_do_not_depend_on_the_memos(monkeypatch):
             ref = oracles.reference_vclean(cx, h, mode, budget, skip=skipped)
             _assert_matches_but_for_fewer_stats(json.loads(doc),
                                                 outcome_to_doc(ref))
+
+
+def test_prepared_data_dies_with_its_complex():
+    """The presentation, coset tables and carriers a search prepares are
+    kept on the objects they come from and nowhere else: once the
+    complex and its hyperplanes are dropped, the complex is freed."""
+    cx = helpers.doubled_complex()
+    hyps = hyperplanes(cx)
+    for h in hyps[:2]:
+        semi_decide_virtually_clean(cx, h, "each", SearchBudget(2))
+    loop_survives(cx, pi1_presentation(cx, 0).generator_loop(1),
+                  SearchBudget(2))
+    for connected in (False, True):
+        list(itertools.islice(iter_covers(cx, 2, connected=connected,
+                                          up_to_conjugacy=connected), 3))
+    alive = weakref.ref(cx)
+    del cx, hyps, h
+    gc.collect()
+    assert alive() is None
 
 
 def test_vclean_skips_what_the_labelled_carrier_precheck_rules_out(
@@ -447,12 +476,12 @@ def test_vclean_skips_what_the_labelled_carrier_precheck_rules_out(
     degrees where no transitive carrier class is clean."""
     scanned = _record_scanned_degrees(monkeypatch)
     searched = []    # degrees handed to the low-index search, by anyone
-    real = perm.iter_low_index
+    real = perm.CosetTables.low_index
 
-    def recording(num_gens, relators, d, **kwargs):
+    def recording(tables, d, *args, **kwargs):
         searched.append(d)
-        return real(num_gens, relators, d, **kwargs)
-    monkeypatch.setattr(perm, "iter_low_index", recording)
+        return real(tables, d, *args, **kwargs)
+    monkeypatch.setattr(perm.CosetTables, "low_index", recording)
     cap = 20_000
     skips = set()    # (complex name, hyperplane id, degree)
     past_clean = 0   # tasks scanning a degree after the first clean one
