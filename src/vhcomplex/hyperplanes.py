@@ -17,7 +17,6 @@ from typing import Optional
 
 from .complexes import (DisjointSet, SquareComplex, require_structure,
                         square_corners)
-from .permutations import CosetTables
 from .presentations import pi1_presentation
 
 
@@ -47,11 +46,10 @@ class Hyperplane:
 
 class Carrier:
     """A hyperplane's carrier, compiled for the cleanness verdict of its
-    preimages (covers._preimage_cleanness) and, in `scan`, for the
+    preimages (covers._preimage_cleanness) and, in `key_pos`, for the
     virtual-cleanness search.  Carrier position k is the k-th entry of
     `edges`, and dual index j the j-th entry of `dual`.
 
-    crossed: the squares the hyperplane crosses, ascending.
     edges: the carrier edges, sorted: the dual edges and every edge of
         the crossed squares.
     squares: per crossed square: (darts, pairs).  darts has
@@ -71,7 +69,6 @@ class Carrier:
         for i in crossed:
             edges.update(abs(dart) for dart in cx.squares[i])
         self.complex = cx
-        self.crossed = tuple(crossed)
         self.edges = tuple(sorted(edges))
         pos = {e: k for k, e in enumerate(self.edges)}
         duals = sorted(h.dual_edges)
@@ -91,22 +88,14 @@ class Carrier:
                           for e in duals)
 
     @cached_property
-    def scan(self) -> tuple:
-        """What the virtual-cleanness search reads of the carrier in the
-        assignments of pi1_presentation(complex, 0), built on its first
-        call for the hyperplane: (key_pos, letters, tables).  key_pos
-        has per carrier edge its generator's position, or None for a
-        tree edge, whose image is the identity; letters lists the
-        positions the carrier reads, and tables compile the crossed
-        squares' relators over those letters renumbered 1..len(letters).
-        Raises pi1_presentation's ValueError."""
+    def key_pos(self) -> tuple:
+        """Per carrier edge, the position of its generator in
+        pi1_presentation(complex, 0), or None for a tree edge, whose
+        image is the identity: the virtual-cleanness search's prune
+        watches these.  Built on its first call for the hyperplane;
+        raises pi1_presentation's ValueError."""
         pres = pi1_presentation(self.complex, 0)
-        key_pos = tuple(pres.edge_generator[e - 1] for e in self.edges)
-        letters = tuple(k for k in key_pos if k is not None)
-        renumber = {k + 1: i for i, k in enumerate(letters, start=1)}
-        relators = [[renumber[x] if x > 0 else -renumber[-x]
-                     for x in pres.relators[i]] for i in self.crossed]
-        return key_pos, letters, CosetTables(len(letters), relators)
+        return tuple(pres.edge_generator[e - 1] for e in self.edges)
 
 
 def midcube_dual_pair(cx: SquareComplex, midcube) -> tuple:

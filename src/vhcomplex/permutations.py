@@ -1,7 +1,8 @@
 """Permutations of {0..d-1} as tuples, and one coset-table search with
-two fill orders over a presentation compiled once (CosetTables): Sims'
+two fills over a presentation compiled once (CosetTables): Sims'
 low-index search for transitive actions up to conjugacy (low_index),
-which drives every search, and a labelled fill that yields every
+which drives every search and fills a watched carrier's columns first
+when it prunes, and a labelled fill that yields every
 relator-respecting homomorphism to S_d in lexicographic order (homs),
 behind the other cover modes.  iter_low_index and iter_homs run them on
 relators given as plain data.
@@ -232,8 +233,7 @@ class CosetTables:
     """Relators over generators 1..num_gens compiled for the coset-table
     search when made, read then and not kept; a letter outside
     +-1..num_gens raises ValueError.  A presentation holds its own
-    (GroupPresentation.tables, Pi1Presentation.tables), and a
-    hyperplane's carrier those of its squares (Carrier.scan).
+    (GroupPresentation.tables, Pi1Presentation.tables).
 
     ncols: the table's column count, two per generator that
         eliminate_generators keeps.
@@ -274,21 +274,25 @@ class CosetTables:
 
         The stabilizer of sheet 0 is an index-d subgroup, and conjugate
         subgroups give relabeled assignments.  The coset table starts
-        with one coset.  Its first undefined entry in row-major order is
+        with one coset.  Its first undefined entry in the fill's order is
         defined next, as an existing coset in ascending order or as the
         next new one, so every table is in standard form: cosets first
-        appear in ascending order.  A complete table with d cosets is
-        kept when no other coset, taken as the base, gives a smaller
-        standard table, so each class is yielded once, as its least
-        standard table.  The table, deductions, budget and errors are
-        those of _fill.
+        appear in ascending order when the table is read in that order.
+        A complete table with d cosets is kept when no other coset,
+        taken as the base, gives a smaller standard table, so each class
+        is yielded once, as its least standard table, and the classes
+        come in ascending order of it.  The order is row-major without
+        `prune`.  The table, deductions, budget and errors are those of
+        _fill.
 
         `prune`, when given, is a pair (watch, callback), which _fill
-        describes.  The callback is asked about definitions made once
-        all d cosets exist, when the standard numbering can no longer
-        change; a true answer rejects that definition, as a failed
-        deduction would, and every class below it is skipped.  The other
-        classes come in the same order.
+        describes.  The watched generators' columns are then filled
+        first, row by row, so their images are fixed near the root.
+        The callback is asked about definitions made once all d cosets
+        exist, when the standard numbering can no longer change; a true
+        answer rejects that definition, as a failed deduction would, and
+        every class below it is skipped.  The other classes come in the
+        order they have with a callback that never cuts.
 
         Without `prune`, degree 1 spends trivial_definitions nodes, one
         at a time, then yields the trivial assignment: under every cap,
@@ -332,24 +336,46 @@ class CosetTables:
         yield (identity(1),) * len(self.columns)
 
 
-def _rebased_is_smaller(table, ncols: int, d: int, base: int) -> bool:
+def _rebased_is_smaller(table, ncols: int, d: int, base: int,
+                        reads) -> bool:
     """Whether taking coset `base` as coset 0 and renumbering the others
-    by first appearance in row-major order gives a smaller table."""
+    by first appearance along `reads` gives a smaller table.  `reads`
+    lists the table's entries in its own read order; the re-based table
+    is read in that order too, which is its own while the two agree."""
     label = [-1] * d
     label[base] = 0
     order = [base]
-    pos = 0
-    for row in order:
-        start = row * ncols
-        for col in range(ncols):
-            t = table[start + col]
-            if label[t] < 0:
-                label[t] = len(order)
-                order.append(t)
-            if label[t] != table[pos]:
-                return label[t] < table[pos]
-            pos += 1
+    for pos in reads:
+        row, col = divmod(pos, ncols)
+        t = table[order[row] * ncols + col]
+        if label[t] < 0:
+            label[t] = len(order)
+            order.append(t)
+        if label[t] != table[pos]:
+            return label[t] < table[pos]
     return False
+
+
+def _read_order(table, ncols: int, d: int, first) -> list:
+    """The entries of a complete standard table in carrier-first order:
+    the `first` columns of each row as soon as the row is discovered,
+    and the other columns row-major once no discovered row has one of
+    those left."""
+    others = (r * ncols + x for r in range(d) for x in range(ncols)
+              if x not in first)
+    reads = []
+    found = 1    # rows 0..found-1 are discovered, the table being standard
+    done = 0     # rows whose `first` columns are read
+    while len(reads) < d * ncols:
+        if done < found:
+            batch = [done * ncols + x for x in first]
+            done += 1
+        else:
+            batch = [next(others)]
+        for e in batch:
+            reads.append(e)
+            found = max(found, table[e] + 1)
+    return reads
 
 
 def iter_low_index(num_gens: int, relators: Sequence[Sequence[int]], d: int,
@@ -374,7 +400,14 @@ def _fill(tables: CosetTables, d: int, budget: Optional[NodeBudget],
     and one per inverse.  It is a flat list in which row c of column x
     is entry c * ncols + x, -1 while unset, with one more -1 after the
     last row.  Each definition sets an entry and its mirror in the
-    inverse column.  After each definition the search scans, from each
+    inverse column.  The entry defined next is the first one unset in
+    row-major order, or, in the labelled fill, column by column.  With
+    `prune`, it is the first unset entry of the watched generators'
+    columns and their inverse columns, rows ascending, while the rows
+    of the cosets made so far have one; a complete table is then read
+    in the same order, each row's watched columns as soon as the row
+    is discovered (_read_order), to compare it with its re-based
+    tables.  After each definition the search scans, from each
     newly set entry (c, x), the rotations beginning with x of every
     relator and inverse relator; a scan with one gap left defines that
     entry, and a scan that closes up on the wrong coset rejects the
@@ -391,8 +424,8 @@ def _fill(tables: CosetTables, d: int, budget: Optional[NodeBudget],
     conflict.  key has per position of watch its permutation.  free()
     tells whether some kept generator that watch does not read still
     has two or more images unset.  When watch reads every kept
-    generator the callback is never called: a fixed key there leaves
-    the table nothing to branch on.
+    generator the callback is never called and the fill is row-major:
+    a fixed key there leaves the table nothing to branch on.
 
     Definitions are undone from a trail, and the frames sit on an
     explicit stack, so the recursion limit does not bound the table.
@@ -406,6 +439,7 @@ def _fill(tables: CosetTables, d: int, budget: Optional[NodeBudget],
     trail = []
 
     trivial = identity(d)
+    first = ()    # the columns filled first, row by row
 
     def assignment():
         cols = list(zip(*[table[r * ncols:(r + 1) * ncols]
@@ -421,6 +455,12 @@ def _fill(tables: CosetTables, d: int, budget: Optional[NodeBudget],
                            - {c & ~1 for c in watched})
         if not unwatched:
             prune = None
+        else:
+            first = sorted({c ^ b for c in watched for b in (0, 1)})
+            k = len(first)
+            rank = {x: i for i, x in enumerate(first)}
+            # the entries of the `first` columns, row by row
+            ahead = [r * ncols + x for r in range(d) for x in first]
         size = d * ncols
         # the sum of 0..d-1, less the -1 of the one unset entry
         total = d * (d - 1) // 2 - 1
@@ -497,8 +537,9 @@ def _fill(tables: CosetTables, d: int, budget: Optional[NodeBudget],
         # trailing -1
         fill = [c * ncols + x for x in range(0, ncols, 2) for c in range(d)]
         fill.append(d * ncols)
+    reads = range(d * ncols)
     # a frame: entry, next coset to try, trail mark, cosets
-    stack = [[0, 0, 0, d if labelled else 1]]
+    stack = [[first[0] if first else 0, 0, 0, d if labelled else 1]]
     while stack:
         frame = stack[-1]
         entry, v, mark, n = frame
@@ -529,10 +570,24 @@ def _fill(tables: CosetTables, d: int, budget: Optional[NodeBudget],
             while table[fill[i]] >= 0:
                 i += 1
             after = fill[i]
+        elif first:
+            # the entries of `first` before entry's are set, and so are
+            # those of every row but the last when entry is in another
+            # column; the other entries before entry's are set too
+            i = rank.get(x, -1)
+            start = c * k + i + 1 if i >= 0 else (n - 1) * k
+            after = next((e for e in ahead[start:n * k] if table[e] < 0),
+                         None)
+            if after is None:
+                after = table.index(-1, 0 if i >= 0 else entry + 1)
         else:
             after = table.index(-1, entry + 1)
         if after < n * ncols:
             stack.append([after, 0, len(trail), n])
-        elif n == d and (labelled or not any(
-                _rebased_is_smaller(table, ncols, d, b) for b in range(1, d))):
-            yield assignment()
+        elif n == d:
+            if first:
+                reads = _read_order(table, ncols, d, first)
+            if labelled or not any(_rebased_is_smaller(table, ncols, d, b,
+                                                       reads)
+                                   for b in range(1, d)):
+                yield assignment()

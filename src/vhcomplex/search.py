@@ -28,18 +28,10 @@ hyperplane is clean depends only on the permutations on the hyperplane's
 carrier edges, and far fewer carrier restrictions occur than classes, so
 the search memoizes the cleanness of the preimage per carrier
 restriction and builds a Cover only for a witness or for a regular
-closure.  Every carrier restriction satisfies the relators of the
-squares the hyperplane crosses, and a preimage component lives in one
-orbit of the carrier letters, so before it scans a degree d >= 2 the
-search runs the low-index search on those relators alone, and skips the
-degree while no transitive class of degree at most d has a clean
-component.  A skipped degree adds nothing to the statistics and spends
-none of the node budget, so under a node cap the search can reach
-degrees that the scan alone would not.  In a degree d >= 2 that it
-scans, the search has the low-index search watch the carrier generators,
-and cuts every partial coset table whose carrier restriction is already
-fixed and has no clean component: no class below it could give a
-witness.
+closure.  From degree 2 the search has the low-index search watch the
+carrier generators, whose columns it then fills first, and cuts every
+partial coset table whose carrier restriction is already fixed and has
+no clean component: no class below it could give a witness.
 """
 
 from __future__ import annotations
@@ -59,14 +51,6 @@ from .presentations import GroupPresentation, parse_word, pi1_presentation
 
 FOUND = "FOUND"
 EXHAUSTED = "EXHAUSTED"
-
-# The virtual-cleanness search's carrier pre-check gives up after this
-# many definitions of its low-index search in one degree, and that
-# degree and every later one are scanned.  Two free carrier letters take
-# 301 definitions at d = 4 and 1,911 at d = 5, and hit the cap at d = 6;
-# a larger cap only makes giving up dearer where the class scan is cheap.
-CARRIER_NODE_CAP = 2_000
-
 
 @dataclass(frozen=True)
 class SearchBudget:
@@ -277,7 +261,7 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
     component is clean.  Covers are scanned by ascending degree from 1,
     one representative per conjugacy class, as the low-index search
     gives them: the least standard coset table of each class, in that
-    search's order, with identity tree edges.  The budget's nodes are
+    search's order (below), with identity tree edges.  The budget's nodes are
     that search's definitions.  In "each" mode a cover with a clean
     component but dirty siblings promotes to its regular closure, whose
     homogeneity usually cleans every component; the closure is checked
@@ -289,42 +273,35 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
     the tuple of images on the sorted carrier edges, its carrier key.  A
     new key is decided from the key alone, which is all that
     covers._preimage_cleanness reads; a scanned cover is built only to
-    report a witness or to take a regular closure.  The carrier's edges,
-    generators and compiled relators depend only on the hyperplane, so
-    they are kept on it (h.carrier.scan) from its first call, as the
-    complex keeps its presentation and that its tables; the verdicts
-    are kept per call.  The scanned covers satisfy every square relator
-    by construction, so only closures are validated first.
-    revalidate_vclean_witness does realize the witness cover.
+    report a witness or to take a regular closure.  The carrier's edges
+    and generators depend only on the hyperplane, so they are kept on it
+    (h.carrier.key_pos) from its first call, as the complex keeps its
+    presentation and that its tables; the verdicts are kept per call.
+    The scanned covers satisfy every square relator by construction, so
+    only closures are validated first.  revalidate_vclean_witness does
+    realize the witness cover.
 
-    Before it scans a degree d >= 2, the search runs the low-index
-    search on the carrier squares' relators over the carrier letters
-    alone and decides each class through the same memo.
-    A preimage component stays on the sheets of one orbit of the carrier
-    letters, so the degree is skipped while no transitive class of
-    degree at most d has a clean component; from the first degree where
-    one has, or where that search hits CARRIER_NODE_CAP definitions,
-    every degree is scanned.
+    Each degree d >= 2 passes the low-index search the prune (key_pos,
+    dirty), so that search fills the carrier generators' columns first
+    and gives the classes in ascending order of their least such
+    tables.  Once a table has all d cosets and the images of the
+    carrier generators are fixed, every class below it has one carrier
+    key, and dirty cuts the table when that key has no clean component:
+    check would find no witness, in either mode, in any of those
+    classes.  A key the memo lacks is decided only while free() says
+    that some generator outside the carrier still has two images unset,
+    since below that the table is forced and a verdict costs more than
+    the definitions it could save; the low-index search never calls
+    dirty, and fills row-major, for a carrier that reads every generator
+    it keeps.
 
-    A scanned degree d >= 2 passes the low-index search the prune
-    (key_pos, dirty).  Once a table has all d cosets and the images of
-    the carrier generators are fixed, every class below it has one
-    carrier key, and dirty cuts the table when that key has no clean
-    component: check would find no witness, in either mode, in any of
-    those classes.  A key the memo lacks is decided only while free()
-    says that some generator outside the carrier still has two images
-    unset, since below that the table is forced and a verdict costs
-    more than the definitions it could save; the low-index search never
-    calls dirty for a carrier that reads every generator it keeps.
-
-    Status, least degree and witness are those of the full scan.
-    homs_tried counts the covers checked, and
+    Status, least degree and witness are those of the uncut scan in
+    that order.  homs_tried counts the covers checked, and
     covers_realized counts those plus the closures checked, whether or
     not a Cover was built; nodes counts the low-index search's
-    definitions.  A skipped degree adds to none of them, and a pruned
-    table to none below it.  Raises ValueError on a bad mode, on a
-    hyperplane from another complex, and then, through
-    pi1_presentation, on a structurally invalid complex.
+    definitions.  A pruned table adds to none of them below it.  Raises
+    ValueError on a bad mode, on a hyperplane from another complex, and
+    then, through pi1_presentation, on a structurally invalid complex.
     """
     mode = mode.lower() if isinstance(mode, str) else mode
     if mode not in ("some", "each"):
@@ -333,8 +310,7 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
         raise ValueError("hyperplane is not from this complex")
     pres = pi1_presentation(cx, 0)
     stats = SearchStats()
-    # the carrier's generators and compiled relators, kept on h
-    key_pos, letters, carrier_tables = h.carrier.scan
+    key_pos = h.carrier.key_pos
     verdicts = {}    # carrier key -> ((component id, clean), ...)
 
     def carrier_key(d, a):
@@ -350,36 +326,10 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
             comps = verdicts[key] = _preimage_cleanness(h, len(key[0]), key)
         return comps
 
-    def carrier_has_clean(d):
-        """Whether some transitive class of degree d of the carrier
-        relators has a clean component; True as well when the search
-        hits CARRIER_NODE_CAP."""
-        node_budget = perm.NodeBudget(CARRIER_NODE_CAP)
-        a = [perm.identity(d)] * len(pres.generators)
-        for images in carrier_tables.low_index(d, node_budget):
-            for k, p in zip(letters, images):
-                a[k] = p
-            if any(clean for _, clean in decide(carrier_key(d, a))):
-                return True
-        return node_budget.cap_hit
-
     def dirty(key, free):
         """The prune callback of a scanned degree (see above)."""
         return (key in verdicts or free()) and not any(
             clean for _, clean in decide(key))
-
-    quotients = _quotients(pres, prune=(key_pos, dirty))
-    carrier_clean = False
-
-    def candidates(d, node_budget):
-        # the scan reaches d = 2 only when the one class of degree 1,
-        # the trivial cover, has no clean component
-        nonlocal carrier_clean
-        if d >= 2:
-            carrier_clean = carrier_clean or carrier_has_clean(d)
-            if not carrier_clean:
-                return ()
-        return quotients(d, node_budget)
 
     def check(d, a):
         stats.covers_realized += 1
@@ -398,7 +348,8 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
             return VCleanWitness(mode, h.id, closure, None)
         return None
 
-    return _scan(candidates, check, 1, budget, stats)
+    return _scan(_quotients(pres, prune=(key_pos, dirty)), check, 1, budget,
+                 stats)
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,10 @@ BAD_FIXTURES = ("bad_length", "bad_closure", "bad_vh")
 # (seed, loop, vclean definitions): loops of least degree 3 in
 # random_vh_complex(Random(seed), max_squares=10), by loop_survives, and
 # the definitions vclean spends on the rung of their doubles to degree 3
-RUNG_DOUBLES = ((12, (-2, 1), 8710), (40, (3, 2), 24189),
-                (60, (1, -2), 6878), (75, (2, 3), 46076),
-                (131, (1, 2), 6725), (134, (2, -3), 2844),
-                (148, (1, 3), 2784))
+RUNG_DOUBLES = ((12, (-2, 1), 2249), (40, (3, 2), 9973),
+                (60, (1, -2), 1456), (75, (2, 3), 9739),
+                (131, (1, 2), 1479), (134, (2, -3), 2610),
+                (148, (1, 3), 2742))
 
 
 def fixture_path(name):

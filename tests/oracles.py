@@ -11,12 +11,13 @@ injectively on vertices and edges.
 """
 
 import itertools
+from fractions import Fraction
+from math import factorial
 
 from vhcomplex import permutations as perm
 from vhcomplex.complexes import (CellularMap, Edge, SquareComplex,
                                  cyclic_reduce, free_reduce, square_corners)
-from vhcomplex.covers import (_lift, _preimage_cleanness,
-                              cover_from_assignment,
+from vhcomplex.covers import (Cover, _lift, cover_from_assignment,
                               iter_covers, preimage_cleanness,
                               regular_closure, transport)
 from vhcomplex.presentations import pi1_presentation
@@ -464,9 +465,13 @@ def reference_connected_covers(cx, d):
             if perm.is_transitive(a, d) and perm.is_canonical(a)]
 
 
-def _standard_table(perms, base):
-    """The row-major coset table of the permutations with columns p_1,
-    p_1 inverse, p_2, ..., renumbered from `base` by first appearance."""
+def _read_table(perms, base, first=()):
+    """The coset table of the permutations with columns p_1, p_1
+    inverse, p_2, ..., renumbered from `base` by first appearance, as
+    (its entries in read order, the sheets by their new numbers).  Each
+    row's `first` columns are read as soon as the row is discovered, the
+    other columns row-major once no discovered row has one of them
+    left: an empty `first`, or all the columns, reads row-major."""
     d = len(perms[0])
     cols = []
     for p in perms:
@@ -474,29 +479,109 @@ def _standard_table(perms, base):
         for i, x in enumerate(p):
             inv[x] = i
         cols += [p, inv]
+    others = iter([(row, col) for row in range(d)
+                   for col in range(len(cols)) if col not in first])
     label = {base: 0}
     order = [base]
     table = []
-    for row in order:
-        for col in cols:
-            if col[row] not in label:
-                label[col[row]] = len(order)
-                order.append(col[row])
-            table.append(label[col[row]])
-    return table
+    done = 0      # rows whose `first` columns are read
+    while len(table) < d * len(cols):
+        if done < len(order):
+            batch = [(done, col) for col in first]
+            done += 1
+        else:
+            batch = [next(others)]
+        for row, col in batch:
+            sheet = cols[col][order[row]]
+            if sheet not in label:
+                label[sheet] = len(order)
+                order.append(sheet)
+            table.append(label[sheet])
+    return table, order
 
 
-def is_least_standard_table(perms):
-    """Whether the permutations, read as a coset table, are in standard
-    form and no other base sheet renumbers them into a smaller table."""
+def _standard_table(perms, base, first=()):
+    """The entries, in read order, of the coset table of the
+    permutations renumbered from `base` (see _read_table)."""
+    return _read_table(perms, base, first)[0]
+
+
+def is_least_standard_table(perms, first=()):
+    """Whether the permutations, read as a coset table with the `first`
+    columns first (see _read_table), are in standard form and no other
+    base sheet renumbers them into a smaller table."""
     if not perms:
         return True
     d = len(perms[0])
-    own = _standard_table(perms, 0)
-    flat = [x for row in range(d) for p in perms
-            for x in (p[row], list(p).index(row))]
-    return own == flat and all(own <= _standard_table(perms, b)
-                               for b in range(1, d))
+    own, order = _read_table(perms, 0, first)
+    return order == list(range(d)) and all(
+        own <= _standard_table(perms, b, first) for b in range(1, d))
+
+
+def carrier_watch(cx, h):
+    """(watch, first) for hyperplane h of cx: per edge of
+    _carrier_edges(h), its generator's position in pi1_presentation(cx,
+    0) or None for a tree edge; and the columns of _read_table, over the
+    generators reference_eliminate_generators keeps, of those
+    generators and their inverses, ascending."""
+    pres = pi1_presentation(cx, 0)
+    gen_pos = {eid: k for k, eid in enumerate(pres.generators)}
+    watch = tuple(gen_pos.get(e) for e in _carrier_edges(h))
+    _, _, images = reference_eliminate_generators(len(pres.generators),
+                                                  pres.relators)
+    first = set()
+    for k in watch:
+        if k is not None and images[k]:
+            first.update((2 * abs(images[k]) - 2, 2 * abs(images[k]) - 1))
+    return watch, sorted(first)
+
+
+def least_table(perms, first=()):
+    """The least table of the permutations over every base sheet, with
+    the `first` columns first (see _read_table), as (its entries in read
+    order, the relabeling sigma[old] = new that gives it)."""
+    table, order = min(_read_table(perms, b, first)
+                       for b in range(len(perms[0])))
+    sigma = [0] * len(order)
+    for new, old in enumerate(order):
+        sigma[old] = new
+    return table, sigma
+
+
+def hall_subgroup_counts(homs):
+    """Hall's recursion: from homs[d-1], the number of homomorphisms of
+    a group to S_d for d = 1, 2, ..., the number of its subgroups of
+    each index d,
+        a_d = h_d / (d-1)! - sum over k < d of h_(d-k) / (d-k)! * a_k,
+    as Fractions, so a count that is not an integer shows."""
+    counts = []
+    for d in range(1, len(homs) + 1):
+        counts.append(Fraction(homs[d - 1], factorial(d - 1)) - sum(
+            Fraction(homs[d - k - 1], factorial(d - k)) * counts[k - 1]
+            for k in range(1, d)))
+    return counts
+
+
+def automorphisms(perms):
+    """The order of the centralizer of a transitive action: the number
+    of base sheets b whose re-based table equals the base-0 one, that
+    is, to which a relabeling commuting with every permutation sends
+    0."""
+    count = 0
+    for b in range(len(perms[0])):
+        sigma = {0: b}
+        queue = [0]
+        commutes = True
+        while queue and commutes:
+            x = queue.pop()
+            for p in perms:
+                if p[x] not in sigma:
+                    sigma[p[x]] = p[sigma[x]]
+                    queue.append(p[x])
+                elif sigma[p[x]] != p[sigma[x]]:
+                    commutes = False
+        count += commutes
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -669,23 +754,32 @@ def reference_preimage_cleanness(y, d, perms) -> tuple:
 # virtual cleanness, one cleanness check per cover
 
 
-def reference_vclean(cx, h, mode, budget, skip=frozenset()):
-    """The scan search.semi_decide_virtually_clean made before it kept
-    verdicts per carrier restriction: every connected cover up to
+def reference_vclean(cx, h, mode, budget):
+    """The scan search.semi_decide_virtually_clean makes, one cleanness
+    check per cover, without memo or prune: every connected cover up to
     conjugacy from iter_covers, degree 1 up to the bound, each realized
     as a Cover and checked with preimage_cleanness; in "each" mode a
     cover with a clean component but not all promotes to its regular
-    closure.  The degrees in `skip` are passed over without spending
-    the node budget.  Returns the whole SearchOutcome, stats
-    included."""
+    closure.  Each degree's classes are all taken first, each relabeled
+    to its least table with h's carrier columns first (carrier_watch),
+    and scanned in ascending order of that table.
+    Returns the whole SearchOutcome, stats included."""
     stats = SearchStats()
     node_budget = perm.NodeBudget(budget.max_nodes)
+    pres = pi1_presentation(cx, 0)
+    gens = pres.generators
+    kept = reference_eliminate_generators(len(gens), pres.relators)[0]
+    first = carrier_watch(cx, h)[1]
     witness = None
     for d in range(1, budget.max_degree + 1):
-        if d in skip:
-            continue
+        classes = []
         for cover in iter_covers(cx, d, connected=True, up_to_conjugacy=True,
                                  budget=node_budget):
+            table, sigma = least_table([cover.perm(gens[g - 1])
+                                        for g in kept], first)
+            classes.append((table, sigma, cover.perms))
+        for _, sigma, perms in sorted(classes, key=lambda c: c[0]):
+            cover = Cover(cx, d, tuple(perm.relabel(p, sigma) for p in perms))
             stats.homs_tried += 1
             stats.covers_realized += 1
             comps = preimage_cleanness(cover, h)
@@ -707,40 +801,3 @@ def reference_vclean(cx, h, mode, budget, skip=frozenset()):
     stats.cap_hit = node_budget.cap_hit
     return SearchOutcome(EXHAUSTED if witness is None else FOUND, witness,
                          budget, stats)
-
-
-def reference_carrier_has_clean(cx, h, d, max_nodes):
-    """The carrier pre-check search.semi_decide_virtually_clean made
-    before it ran on the low-index search: every assignment in S_d of
-    the generators on h's carrier edges that satisfies the relators of
-    the squares h crosses (backtrack_homs after the Tietze moves), one
-    per simultaneous relabeling of the sheets, each decided on the cover
-    with those images and the identity on every other edge.  True when
-    one has a clean component, False when none has, None when the
-    backtrack hits max_nodes nodes first."""
-    pres = pi1_presentation(cx, 0)
-    carrier = set(h.dual_edges)
-    for i, _ in h.midcubes:
-        carrier.update(abs(x) for x in cx.squares[i])
-    gen_pos = {eid: k for k, eid in enumerate(pres.generators)}
-    letters = [gen_pos[eid] for eid in sorted(carrier) if eid in gen_pos]
-    renumber = {k + 1: i for i, k in enumerate(letters, start=1)}
-    kept, relators, letter_images = perm.eliminate_generators(
-        len(letters),
-        [tuple(renumber[x] if x > 0 else -renumber[-x]
-               for x in pres.relators[i])
-         for i in sorted({i for i, _ in h.midcubes})])
-    budget = perm.NodeBudget(max_nodes)
-    ident = perm.identity(d)
-    a = [ident] * len(pres.generators)
-    for images in backtrack_homs(len(kept), relators, d, budget=budget):
-        if not perm.is_canonical(images):
-            continue
-        for k, x in zip(letters, letter_images):
-            a[k] = (ident if not x else images[x - 1] if x > 0
-                    else perm.inverse(images[-x - 1]))
-        cover = cover_from_assignment(cx, pres, d, a)
-        key = tuple(cover.perm(e) for e in sorted(carrier))
-        if any(clean for _, clean in _preimage_cleanness(h, d, key)):
-            return True
-    return None if budget.cap_hit else False

@@ -9,11 +9,13 @@ covers with the brute-force path."""
 import functools
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
+from vhcomplex import hyperplanes, pi1_presentation
 from vhcomplex import permutations as perm
-from vhcomplex import pi1_presentation
+from vhcomplex.complexes import is_connected_complex
 
 import helpers
 import oracles
@@ -150,7 +152,43 @@ def test_eliminate_generators_matches_reference():
             == oracles.reference_eliminate_generators(n, relators), relators
 
 
+def _never(key, free):
+    """A prune callback that never cuts."""
+    return False
+
+
+def _carrier_cases():
+    """(complex, hyperplane, max degree) for every hyperplane of the
+    valid fixtures, bad_vh and mixed_carrier to degree 4, of D to degree
+    2, and of the connected seeded random complexes to degree 3."""
+    cases = [(helpers.load_complex(name), 4)
+             for name in helpers.GOOD_FIXTURES + ("bad_vh", "mixed_carrier")]
+    cases.append((helpers.doubled_complex(), 2))
+    for seed in range(20):
+        cx = helpers.random_vh_complex(random.Random(seed))
+        if is_connected_complex(cx):
+            cases.append((cx, 3))
+    for cx, max_degree in cases:
+        for h in hyperplanes(cx):
+            yield cx, h, max_degree
+
+
+def _assert_least_and_ascending(got, kept, first, context):
+    previous = None
+    for a in got:
+        table = tuple(a[g - 1] for g in kept)
+        assert oracles.is_least_standard_table(table, first), (context, a)
+        standard = oracles._standard_table(table, 0, first)
+        assert previous is None or previous < standard, (context, a)
+        previous = standard
+
+
 def test_low_index_yields_least_standard_tables():
+    """Without a prune, each class comes as its least row-major table,
+    in ascending order.  With a prune watching a hyperplane's carrier
+    and a callback that never cuts, each comes as its least table with
+    the carrier's columns filled first (oracles.carrier_watch), in
+    ascending order of that table, and the classes are the same."""
     cases = [(helpers.load_complex(name), 5)
              for name in helpers.GOOD_FIXTURES + ("bad_vh",)]
     cases += [(helpers.load_complex("torus"), 8),
@@ -159,18 +197,29 @@ def test_low_index_yields_least_standard_tables():
         n, relators = _pi1(cx)
         kept, _, _ = perm.eliminate_generators(n, relators)
         for d in range(1, max_degree + 1):
-            previous = None
-            for a in perm.iter_low_index(n, relators, d):
+            got = list(perm.iter_low_index(n, relators, d))
+            for a in got:
                 assert len(a) == n and perm.is_transitive(a, d)
                 images = dict(enumerate(a, start=1))
                 assert all(perm.word_image(r, images, d) == perm.identity(d)
                            for r in relators)
-                table = tuple(a[g - 1] for g in kept)
-                assert oracles.is_least_standard_table(table), (cx, d, a)
-                # yielded in ascending row-major order
-                standard = oracles._standard_table(table, 0)
-                assert previous is None or previous < standard, (cx, d, a)
-                previous = standard
+            _assert_least_and_ascending(got, kept, (), (cx, d))
+
+    carriers = 0
+    for cx, h, max_degree in _carrier_cases():
+        pres = pi1_presentation(cx, 0)
+        kept = oracles.reference_eliminate_generators(
+            len(pres.generators), pres.relators)[0]
+        watch, first = oracles.carrier_watch(cx, h)
+        for d in range(1, max_degree + 1):
+            got = list(pres.tables.low_index(d, prune=(watch, _never)))
+            _assert_least_and_ascending(got, kept, first, (cx, h.id, d))
+            classes = [perm.canonical_under_relabeling(a) for a in got]
+            assert sorted(classes) == sorted(
+                perm.canonical_under_relabeling(a)
+                for a in pres.tables.low_index(d)), (cx, h.id, d)
+        carriers += 0 < len(first) < 2 * len(kept)
+    assert carriers > 20
 
 
 def test_low_index_matches_brute_force_on_random_presentations():
@@ -185,6 +234,45 @@ def test_low_index_matches_brute_force_on_random_presentations():
             classes = {perm.canonical_under_relabeling(a) for a in got}
             assert len(got) == len(want) == len(classes), (pres, d)
             assert classes == set(want), (pres, d)
+
+
+def test_low_index_class_counts_satisfy_halls_recursion():
+    """The subgroups of index d that Hall's recursion counts from the
+    homomorphism counts of homs, h_1..h_d, number sum d/|Aut| over the
+    classes low_index yields, |Aut| being the centralizer of the action.
+    Checked for the row-major fill, and for the carrier-first fill of
+    every distinct carrier column set with a callback that never cuts,
+    so a class yielded twice or missed breaks the count: on the
+    fixtures, bad_vh and mixed_carrier to degree 4, D to degree 2, and
+    the connected seeded random complexes to degree 4."""
+    cases = [(helpers.load_complex(name), 4)
+             for name in helpers.GOOD_FIXTURES + ("bad_vh", "mixed_carrier")]
+    cases.append((helpers.doubled_complex(), 2))
+    for seed in range(12):
+        cx = helpers.random_vh_complex(random.Random(seed))
+        if is_connected_complex(cx):
+            cases.append((cx, 4))
+    carrier_fills = 0
+    for cx, max_degree in cases:
+        pres = pi1_presentation(cx, 0)
+        kept = oracles.reference_eliminate_generators(
+            len(pres.generators), pres.relators)[0]
+        subgroups = oracles.hall_subgroup_counts(
+            [sum(1 for _ in pres.tables.homs(d))
+             for d in range(1, max_degree + 1)])
+        fills = {(): None}    # carrier columns -> a prune filling them first
+        for h in hyperplanes(cx):
+            watch, first = oracles.carrier_watch(cx, h)
+            if 0 < len(first) < 2 * len(kept):
+                fills.setdefault(tuple(first), (watch, _never))
+        for prune in fills.values():
+            for d in range(1, max_degree + 1):
+                assert sum(Fraction(d, oracles.automorphisms(
+                    [a[g - 1] for g in kept]))
+                    for a in pres.tables.low_index(d, prune=prune)) \
+                    == subgroups[d - 1], (cx, prune, d)
+        carrier_fills += len(fills) - 1
+    assert carrier_fills > 20
 
 
 def test_low_index_class_and_node_counts():
@@ -202,7 +290,8 @@ def test_low_index_class_and_node_counts():
 def test_low_index_prune_cuts_exactly_the_classes_below():
     """A prune watching generator 1 whose callback rejects every key
     that maps coset 0 to a given coset removes exactly the classes whose
-    first image sends 0 there, and keeps the others in order, as a
+    first image sends 0 there from those the same watch yields with a
+    callback that never cuts, and keeps the others in order, as a
     failed deduction would; it is asked only while some other kept
     generator exists, gets a permutation of the d points, and never
     spends more of the budget."""
@@ -221,7 +310,8 @@ def test_low_index_prune_cuts_exactly_the_classes_below():
         for d in range(1, 4 if len(kept) <= 4 else 3):
             full = perm.NodeBudget()
             everything = list(perm.iter_low_index(n, relators, d,
-                                                  budget=full))
+                                                  budget=full,
+                                                  prune=(watch, _never)))
             for target in range(d):
                 seen = []
 
@@ -289,12 +379,12 @@ def test_low_index_prune_calls_only_while_an_unwatched_generator_is_open(
     """A watch that reads every kept generator, in any order, with
     repeats and None, gets no callback, and the search is the unpruned
     one.  Otherwise free() is false exactly when the generator left out
-    has at most one image unset: a callback that never cuts leaves the
-    fill the same whatever it watches, so the definitions (counted by
-    the budget) after which watching that generator instead gets a call
-    are the ones where free() is false."""
+    has at most one image unset, read from the search's own table, and
+    a callback that never cuts changes neither the yields nor the
+    definitions of the fill its watch sets."""
     n, relators = _pi1(helpers.load_complex(name))
     assert n == 2 and perm.eliminate_generators(n, relators)[0] == (1, 2)
+    tables = perm.CosetTables(n, relators)
     for d in range(1, 5):
         full = perm.NodeBudget()
         everything = list(perm.iter_low_index(n, relators, d, budget=full))
@@ -308,27 +398,21 @@ def test_low_index_prune_calls_only_while_an_unwatched_generator_is_open(
             assert (got, budget.nodes) == (everything, full.nodes)
 
         for watched, other in ((0, 1), (1, 0)):
-            free_at, fixed_at = {}, set()
-            budget = perm.NodeBudget()
+            column = tables.columns[other]
+            free_at = []
 
             def record(key, free):
-                free_at[budget.nodes] = free()
+                table = search.gi_frame.f_locals["table"]
+                unset = table[column:d * tables.ncols:tables.ncols].count(-1)
+                free_at.append(free())
+                assert free_at[-1] == (unset > 1), (watched, d, table)
                 return False
-
-            def other_fixed(key, free):
-                fixed_at.add(budget.nodes)
-                return False
-            assert list(perm.iter_low_index(
-                n, relators, d, budget=budget,
-                prune=((watched,), record))) == everything
-            budget = perm.NodeBudget()
-            assert list(perm.iter_low_index(
-                n, relators, d, budget=budget,
-                prune=((other,), other_fixed))) == everything
-            assert free_at and fixed_at
-            both = free_at.keys() & fixed_at
-            assert both and all(not free_at[k] for k in both)
-            assert all(free_at[k] for k in free_at.keys() - fixed_at)
+            budget, baseline = perm.NodeBudget(), perm.NodeBudget()
+            search = tables.low_index(d, budget, prune=((watched,), record))
+            assert list(search) == list(tables.low_index(
+                d, baseline, prune=((watched,), _never)))
+            assert budget.nodes == baseline.nodes
+            assert d == 1 or (True in free_at and False in free_at)
 
 
 def test_low_index_rejects_degree_below_one():

@@ -253,7 +253,7 @@ def test_vclean_klein_one_sided_base():
 
 def _count_checked_covers(monkeypatch):
     """Count the covers the vclean scan is handed, one per class its
-    low-index search yields; the carrier pre-check is not counted."""
+    low-index search yields."""
     checked = [0]
     real = search._quotients
 
@@ -278,34 +278,17 @@ def test_vclean_counts_covers_checked(monkeypatch):
     assert out.stats.homs_tried == checked[0] == 1
     assert out.stats.covers_realized == 1
 
-    # an exhausted scan checks every class of every degree it does not
-    # skip; no transitive class of bad_vh's carrier relators of degree
-    # 2 or 3 has a clean component, so only degree 1 is scanned
+    # an exhausted scan checks every class of every degree that the
+    # prune does not cut, here all 11 of bad_vh's of degree 1 to 3
     checked[0] = 0
     cx = helpers.load_complex("bad_vh")
     h = hyperplanes(cx)[0]
     out = semi_decide_virtually_clean(cx, h, "some", SearchBudget(3))
     assert not out.found
-    assert out.stats.homs_tried == checked[0] == len(
-        enumerate_covers(cx, 1, connected=True, up_to_conjugacy=True)) == 1
-    assert out.stats.covers_realized == 1 and out.stats.nodes == 2
-
-
-def _record_scanned_degrees(monkeypatch):
-    """Record the degrees the vclean scan hands to its low-index search;
-    the carrier pre-check's calls are not recorded."""
-    degrees = []
-    real = search._quotients
-
-    def recording(pres, **kwargs):
-        quotients = real(pres, **kwargs)
-
-        def candidates(d, node_budget):
-            degrees.append(d)
-            return quotients(d, node_budget)
-        return candidates
-    monkeypatch.setattr(search, "_quotients", recording)
-    return degrees
+    assert out.stats.homs_tried == checked[0] == 11 == sum(
+        len(enumerate_covers(cx, d, connected=True, up_to_conjugacy=True))
+        for d in (1, 2, 3))
+    assert out.stats.covers_realized == 11 and out.stats.nodes == 68
 
 
 def _vclean_tasks():
@@ -329,16 +312,6 @@ def _vclean_tasks():
                     yield name, cx, h, mode, budget
 
 
-def _has_clean_class(cx, h, d, max_nodes) -> bool:
-    """Whether a connected degree-d cover up to conjugacy, among those
-    the low-index search yields within max_nodes definitions, has a
-    clean preimage component of h."""
-    return any(any(clean for _, clean in preimage_cleanness(cover, h))
-               for cover in iter_covers(cx, d, connected=True,
-                                        up_to_conjugacy=True,
-                                        budget=perm.NodeBudget(max_nodes)))
-
-
 def _assert_matches_but_for_fewer_stats(doc, reference):
     """The outcome document equals the reference's once the statistics
     are set aside, and no statistic is larger: the scan prunes dirty
@@ -351,39 +324,22 @@ def _assert_matches_but_for_fewer_stats(doc, reference):
         assert stats[name] <= ref_stats[name], (name, stats, ref_stats)
 
 
-def test_vclean_matches_per_cover_scan(monkeypatch):
-    """Keeping verdicts per carrier restriction, skipping degrees whose
-    carrier assignments are all dirty and pruning dirty carrier keys
-    change no outcome document but the statistics, and none of those
-    exceeds the per-cover scan's over the degrees scanned.  No class of
-    a skipped degree has a clean component."""
-    scanned = _record_scanned_degrees(monkeypatch)
-    dirty_degrees = set()    # (fixture name, hyperplane id, degree)
+def test_vclean_matches_per_cover_scan():
+    """Keeping verdicts per carrier restriction and pruning dirty
+    carrier keys change no outcome document but the statistics, and none
+    of those exceeds the per-cover scan's, which takes each degree's
+    classes in the order of their least carrier-first tables."""
     tasks = 0
     for name, cx, h, mode, budget in _vclean_tasks():
-        del scanned[:]
         out = semi_decide_virtually_clean(cx, h, mode, budget)
-        reached = (max(scanned, default=0)
-                   if out.found or out.stats.cap_hit else budget.max_degree)
-        skipped = frozenset(range(1, reached + 1)) - set(scanned)
-        assert 1 not in skipped
-        ref = oracles.reference_vclean(cx, h, mode, budget, skip=skipped)
+        ref = oracles.reference_vclean(cx, h, mode, budget)
         _assert_matches_but_for_fewer_stats(outcome_to_doc(out),
                                             outcome_to_doc(ref))
         if out.found:
             assert revalidate_witness(out.witness, complex=cx,
                                       hyperplane=h)
-        for d in skipped:
-            if (name, h.id, d) not in dirty_degrees:
-                assert not _has_clean_class(cx, h, d, budget.max_nodes)
-                dirty_degrees.add((name, h.id, d))
         tasks += 1
     assert tasks == 58
-    assert dirty_degrees == {("bad_vh", 1, 2), ("bad_vh", 1, 3),
-                             ("bad_vh", 1, 4), ("mixed_carrier", 2, 2),
-                             ("mixed_carrier", 4, 2), ("doubled", 13, 2),
-                             ("doubled", 28, 2), ("doubled", 46, 2),
-                             ("doubled", 61, 2), ("doubled", 13, 3)}
 
 
 def test_vclean_outcomes_do_not_depend_on_the_memos(monkeypatch):
@@ -393,10 +349,8 @@ def test_vclean_outcomes_do_not_depend_on_the_memos(monkeypatch):
     fresh hyperplanes, again on the same hyperplanes, on fresh ones
     equal to them but distinct, and on deep copies of ones that have
     run, give byte-identical outcome documents, equal to the per-cover
-    reference but for statistics no larger than its own.  The first run
-    compiles D and its 13 carriers, the fresh hyperplanes their 13
-    carriers, and the other runs nothing."""
-    scanned = _record_scanned_degrees(monkeypatch)
+    reference but for statistics no larger than its own.  Only the
+    first run compiles coset tables, D's."""
     compiles = []
     real_init = perm.CosetTables.__init__
 
@@ -408,37 +362,32 @@ def test_vclean_outcomes_do_not_depend_on_the_memos(monkeypatch):
     budget = SearchBudget(2)
 
     def run(seed, hyps):
-        """Outcome document and skipped degrees per task, and the
-        number of tables compiled."""
+        """Outcome document per task, and the number of tables
+        compiled."""
         tasks = [(h, mode) for h in hyps for mode in ("some", "each")]
         random.Random(seed).shuffle(tasks)
         docs = {}
         del compiles[:]
         for h, mode in tasks:
-            del scanned[:]
             out = semi_decide_virtually_clean(cx, h, mode, budget)
-            reached = max(scanned) if out.found else budget.max_degree
-            docs[h.id, mode] = (canonical_json(outcome_to_doc(out)),
-                                frozenset(range(1, reached + 1))
-                                - set(scanned))
+            docs[h.id, mode] = canonical_json(outcome_to_doc(out))
         runs.append(docs)
         return len(compiles)
 
     runs = []
     hyps = hyperplanes(cx)
-    assert run(1, hyps) == 14
+    assert run(1, hyps) == 1
     assert run(2, hyps) == 0
     fresh = hyperplanes(helpers.doubled_complex())
     assert fresh == hyps and not any(f is h for f, h in zip(fresh, hyps))
-    assert run(3, fresh) == 13
+    assert run(3, fresh) == 0
     assert run(4, copy.deepcopy(hyps)) == 0
     assert all(r == runs[0] for r in runs) and len(runs[0]) == 26
     for h in hyps:
         for mode in ("some", "each"):
-            doc, skipped = runs[0][h.id, mode]
-            ref = oracles.reference_vclean(cx, h, mode, budget, skip=skipped)
-            _assert_matches_but_for_fewer_stats(json.loads(doc),
-                                                outcome_to_doc(ref))
+            ref = oracles.reference_vclean(cx, h, mode, budget)
+            _assert_matches_but_for_fewer_stats(
+                json.loads(runs[0][h.id, mode]), outcome_to_doc(ref))
 
 
 def test_prepared_data_dies_with_its_complex():
@@ -460,79 +409,10 @@ def test_prepared_data_dies_with_its_complex():
     assert alive() is None
 
 
-def test_vclean_skips_what_the_labelled_carrier_precheck_rules_out(
-        monkeypatch):
-    """A degree d >= 2 is skipped exactly when the labelled pre-check,
-    over the carrier assignments in S_k, finds no clean component for
-    every k from 1 to d: a component lives in one orbit of the carrier
-    letters, so the transitive classes of degree at most d see every
-    component the assignments in S_d do.  The pre-check runs at each
-    degree from 2 the search reaches, up to the first where it finds a
-    clean class, and at none after.  Both are checked below the first
-    degree where the reference hits its cap, for every hyperplane of
-    the fixtures and of seeded random complexes to degree 4, and of the
-    doubled complex D to degree 3.  On some random complexes the scan
-    goes on past the first degree with a clean carrier class into
-    degrees where no transitive carrier class is clean."""
-    scanned = _record_scanned_degrees(monkeypatch)
-    searched = []    # degrees handed to the low-index search, by anyone
-    real = perm.CosetTables.low_index
-
-    def recording(tables, d, *args, **kwargs):
-        searched.append(d)
-        return real(tables, d, *args, **kwargs)
-    monkeypatch.setattr(perm.CosetTables, "low_index", recording)
-    cap = 20_000
-    skips = set()    # (complex name, hyperplane id, degree)
-    past_clean = 0   # tasks scanning a degree after the first clean one
-    # (name, complex, search budget, the reference's node cap)
-    cases = [(name, helpers.load_complex(name), SearchBudget(4), cap)
-             for name in helpers.GOOD_FIXTURES + ("bad_vh", "mixed_carrier")]
-    cases.append(("doubled", helpers.load_complex("doubled"),
-                  SearchBudget(3, max_nodes=cap), cap))
-    for seed in range(45):
-        cx = helpers.random_vh_complex(random.Random(seed))
-        if is_connected_complex(cx):
-            cases.append((seed, cx, SearchBudget(4, max_nodes=cap), 2_000))
-    for name, cx, budget, ref_cap in cases:
-        for h in hyperplanes(cx):
-            # the reference's answers at degrees 1, 2, ..., up to its
-            # first that is not False
-            ref = []
-            while len(ref) < budget.max_degree and ref[-1:] in ([], [False]):
-                ref.append(oracles.reference_carrier_has_clean(
-                    cx, h, len(ref) + 1, ref_cap))
-            for mode in ("some", "each"):
-                del scanned[:], searched[:]
-                out = semi_decide_virtually_clean(cx, h, mode, budget)
-                reached = (max(scanned) if out.found or out.stats.cap_hit
-                           else budget.max_degree)
-                prechecked = list(searched)
-                for d in scanned:
-                    prechecked.remove(d)
-                past_clean += reached > max(prechecked, default=1)
-                # the degrees below the first where the reference hits
-                # its cap; the search's pre-check may finish there
-                known = min(reached, ref.index(None) if None in ref
-                            else reached)
-                assert [d for d in prechecked if d <= known] == [
-                    d for d in range(2, known + 1)
-                    if all(r is False for r in ref[:d - 1])]
-                for d in range(2, known + 1):
-                    dirty = len(ref) >= d and all(r is False
-                                                  for r in ref[:d])
-                    assert (d not in scanned) == dirty, (name, h.id, mode, d)
-                    if dirty:
-                        skips.add((name, h.id, d))
-    assert ("bad_vh", 1, 4) in skips and ("doubled", 13, 3) in skips
-    assert past_clean > 0
-
-
 def test_vclean_decides_covers_satisfying_the_carrier_relators(
         monkeypatch):
-    """Every carrier key whose cleanness the search decides, in the
-    pre-check or in the scan, satisfies the relators of the squares its
-    hyperplane crosses."""
+    """Every carrier key whose cleanness the search decides satisfies the
+    relators of the squares its hyperplane crosses."""
     real = search._preimage_cleanness
     decided = []
 
@@ -556,30 +436,19 @@ def test_vclean_decides_covers_satisfying_the_carrier_relators(
     assert 3 in decided
 
 
-def test_vclean_without_carrier_precheck_matches_full_scan(monkeypatch):
-    """With the pre-check's node cap at 0 every degree is scanned, as
-    before the pre-check, with statistics no larger than the full
-    scan's: the prune still cuts dirty carrier keys."""
-    monkeypatch.setattr(search, "CARRIER_NODE_CAP", 0)
-    for name in helpers.GOOD_FIXTURES + ("bad_vh", "mixed_carrier"):
-        cx = helpers.load_complex(name)
-        for h in hyperplanes(cx):
-            for mode in ("some", "each"):
-                budget = SearchBudget(4)
-                out = semi_decide_virtually_clean(cx, h, mode, budget)
-                ref = oracles.reference_vclean(cx, h, mode, budget)
-                _assert_matches_but_for_fewer_stats(outcome_to_doc(out),
-                                                    outcome_to_doc(ref))
-
-
 def test_vclean_checks_a_subsequence_of_the_classes_skipping_dirty_ones(
         monkeypatch):
     """The classes the vclean scan checks in a degree are an in-order
-    subsequence of those the unpruned low-index search yields, and every
-    class it skips, up to its witness, has no clean component on its
-    realized cover.  Status and witness are the per-cover reference's,
-    byte for byte.  Run over _vclean_tasks() and every hyperplane of the
-    seeded random complexes to degree 4."""
+    subsequence of those the low-index search yields when it watches
+    the same carrier with a callback that never cuts, and every class it
+    skips, up to its witness, has no clean component on its realized
+    cover.  Every degree up to the witness's is scanned.  Status and
+    witness are the per-cover reference's, byte for byte.  Run over
+    _vclean_tasks() and every hyperplane of the seeded random complexes
+    to degree 4.  The uncut search is walked within the task's node
+    cap, which only D's hyperplane 13 at degree 3 reaches: D has
+    163,121 classes of degree 3, which the row-major search lists in
+    22.9 M definitions, and the scan checks none of them."""
     scanned = []    # the degrees the scan asks for
     checked = []    # (degree, assignment) handed to the scan's check
     real = search._quotients
@@ -601,22 +470,23 @@ def test_vclean_checks_a_subsequence_of_the_classes_skipping_dirty_ones(
         if is_connected_complex(cx):
             tasks += [(cx, h, mode, SearchBudget(4, max_nodes=20_000))
                       for h in hyperplanes(cx) for mode in ("some", "each")]
-    skipped = 0
+    skipped = capped = 0
     for cx, h, mode, budget in tasks:
         del scanned[:], checked[:]
         out = semi_decide_virtually_clean(cx, h, mode, budget)
         assert not out.stats.cap_hit
         reached = max(scanned) if out.found else budget.max_degree
-        ref = oracles.reference_vclean(
-            cx, h, mode, budget,
-            skip=frozenset(range(1, reached + 1)) - set(scanned))
+        assert scanned == list(range(1, reached + 1))
+        ref = oracles.reference_vclean(cx, h, mode, budget)
         doc, ref_doc = outcome_to_doc(out), outcome_to_doc(ref)
         for name in ("status", "witness"):
             assert canonical_json(doc[name]) == canonical_json(ref_doc[name])
         pres = pi1_presentation(cx, 0)
+        watch = oracles.carrier_watch(cx, h)[0]
         for d in scanned:
-            unpruned = perm.iter_low_index(len(pres.generators),
-                                           pres.relators, d)
+            walked = perm.NodeBudget(budget.max_nodes)
+            unpruned = pres.tables.low_index(
+                d, walked, prune=(watch, lambda key, free: False))
             passed = []
             for a in (a for dd, a in checked if dd == d):
                 for b in unpruned:
@@ -627,27 +497,30 @@ def test_vclean_checks_a_subsequence_of_the_classes_skipping_dirty_ones(
                     raise AssertionError("%r is not yielded in order" % (a,))
             if not out.found or d < reached:
                 passed.extend(unpruned)
+            capped += walked.cap_hit
             for b in passed:
                 cover = cover_from_assignment(cx, pres, d, b)
                 assert not any(clean for _, clean
                                in preimage_cleanness(cover, h))
             skipped += len(passed)
-    assert len(tasks) == 304 and skipped > 0
+    assert len(tasks) == 304 and skipped > 0 and capped == 2
 
 
 def test_vclean_prunes_the_dirty_carrier_keys_of_the_rung():
     """At degree 2 the first class of D with a clean component of the
-    rung hyperplane 67 is the 148th, and the 147 before it read the
-    other 7 carrier keys, all dirty: the full scan checks 149 classes,
-    the trivial cover included, in 997 definitions.  Every table below
-    a fixed dirty key is cut, which leaves 2 classes in 164."""
+    rung hyperplane 67 is the 148th in row-major order, and the 147
+    before it read the other 7 carrier keys, all dirty: the row-major
+    scan checks 149 classes, the trivial cover included, in 997
+    definitions.  The carrier's columns are filled first, and every
+    table below a fixed dirty key is cut, which leaves 2 classes in
+    55."""
     cx = helpers.load_complex("doubled")
     h = hyperplane_of_edge(hyperplanes(cx), 67)
     for mode in ("some", "each"):
         out = semi_decide_virtually_clean(cx, h, mode, SearchBudget(2))
         assert out.found and out.witness.cover.degree == 2
         assert out.stats == SearchStats(homs_tried=2, covers_realized=2,
-                                        nodes=164, cap_hit=False)
+                                        nodes=55, cap_hit=False)
 
 
 def test_vclean_on_the_rung_doubles_finds_the_least_degree_of_the_loop():
@@ -668,30 +541,31 @@ def test_vclean_on_the_rung_doubles_finds_the_least_degree_of_the_loop():
             assert out.witness.cover.degree == (3 if mode == "some" else 6)
 
 
-def test_vclean_exhausts_doubled_hyperplane_from_its_carrier():
-    """No transitive class of degree 1 to 3 of hyperplane 13's carrier
-    relators has a clean component, so of D's 163,633 classes of degree
-    at most 3 only the trivial cover is checked."""
+def test_vclean_exhausts_doubled_hyperplane_13_to_degree_3():
+    """No class of D of degree 1 to 3 has a clean component of
+    hyperplane 13.  Its carrier's columns are filled first, so each
+    dirty carrier key is fixed, and cut, near the root: of D's 163,633
+    classes of degree at most 3 only the trivial cover is checked, in
+    4,751 definitions, where the row-major scan takes 22.9 M."""
     cx = helpers.load_complex("doubled")
     h = hyperplane_of_edge(hyperplanes(cx), 13)
     for mode in ("some", "each"):
         out = semi_decide_virtually_clean(cx, h, mode, SearchBudget(3))
         assert out.status == "EXHAUSTED" and out.witness is None
         assert out.stats == SearchStats(homs_tried=1, covers_realized=1,
-                                        nodes=9, cap_hit=False)
+                                        nodes=4751, cap_hit=False)
 
 
-def test_vclean_skips_bad_vh_to_degree_5_from_its_carrier():
-    """Two free carrier letters take 1,911 definitions of the low-index
-    search at degree 5, under CARRIER_NODE_CAP, and no transitive class
-    of degree 2 to 5 has a clean component, so only the trivial cover is
-    checked."""
+def test_vclean_exhausts_bad_vh_to_degree_5():
+    """No class of bad_vh of degree 1 to 5 has a clean component of
+    hyperplane 1; the prune leaves 134 classes to check, in 2,280
+    definitions."""
     cx = helpers.load_complex("bad_vh")
     h = hyperplanes(cx)[0]
     for mode in ("some", "each"):
         out = semi_decide_virtually_clean(cx, h, mode, SearchBudget(5))
         assert out.status == "EXHAUSTED" and out.witness is None
-        assert out.stats == SearchStats(1, 1, 2, False)
+        assert out.stats == SearchStats(134, 134, 2280, False)
 
 
 def test_vclean_input_checks():
