@@ -231,9 +231,10 @@ def _relator_rotations(relators, ncols: int) -> tuple:
 
 class CosetTables:
     """Relators over generators 1..num_gens compiled for the coset-table
-    search when made, read then and not kept; a letter outside
-    +-1..num_gens raises ValueError.  A presentation holds its own
-    (GroupPresentation.tables, Pi1Presentation.tables).
+    search when made, read then and not kept; a letter that is not an
+    int in +-1..num_gens, or is a bool, raises ValueError.  A
+    presentation holds its own (GroupPresentation.tables,
+    Pi1Presentation.tables).
 
     ncols: the table's column count, two per generator that
         eliminate_generators keeps.
@@ -252,7 +253,8 @@ class CosetTables:
     def __init__(self, num_gens: int, relators: Sequence[Sequence[int]]):
         for w in relators:
             for x in w:
-                if not (isinstance(x, int) and 1 <= abs(x) <= num_gens):
+                if isinstance(x, bool) or not (isinstance(x, int)
+                                               and 1 <= abs(x) <= num_gens):
                     raise ValueError("relator letter %r is not a signed "
                                      "generator index in 1..%d"
                                      % (x, num_gens))
@@ -288,11 +290,12 @@ class CosetTables:
         `prune`, when given, is a pair (watch, callback), which _fill
         describes.  The watched generators' columns are then filled
         first, row by row, so their images are fixed near the root.
-        The callback is asked about definitions made once all d cosets
-        exist, when the standard numbering can no longer change; a true
-        answer rejects that definition, as a failed deduction would, and
-        every class below it is skipped.  The other classes come in the
-        order they have with a callback that never cuts.
+        The callback is asked, with those images, about definitions made
+        once all d cosets exist, when the standard numbering can no
+        longer change; a true answer rejects that definition, as a
+        failed deduction would, and every class below it is skipped.
+        The other classes come in the order they have with a callback
+        that never cuts.
 
         Without `prune`, degree 1 spends trivial_definitions nodes, one
         at a time, then yields the trivial assignment: under every cap,
@@ -420,12 +423,10 @@ def _fill(tables: CosetTables, d: int, budget: Optional[NodeBudget],
     is None for the identity.  After each definition whose deductions
     hold, once all d cosets exist and each watched column has at most
     one entry unset, that entry being the one point left, the search
-    calls callback(key, free); true rejects the definition like a
-    conflict.  key has per position of watch its permutation.  free()
-    tells whether some kept generator that watch does not read still
-    has two or more images unset.  When watch reads every kept
-    generator the callback is never called and the fill is row-major:
-    a fixed key there leaves the table nothing to branch on.
+    calls callback(key); true rejects the definition like a conflict.
+    key has per position of watch its permutation.  When watch reads
+    every kept generator the callback is never called and the fill is
+    row-major: a fixed key there leaves the table nothing to branch on.
 
     Definitions are undone from a trail, and the frames sit on an
     explicit stack, so the recursion limit does not bound the table.
@@ -450,10 +451,7 @@ def _fill(tables: CosetTables, d: int, budget: Optional[NodeBudget],
         watch, callback = prune
         key_cols = [None if k is None else picks[k] for k in watch]
         watched = sorted({c for c in key_cols if c is not None})
-        # one column of each kept generator that watch does not read
-        unwatched = sorted(set(range(0, ncols, 2))
-                           - {c & ~1 for c in watched})
-        if not unwatched:
+        if {c & ~1 for c in watched} == set(range(0, ncols, 2)):
             prune = None
         else:
             first = sorted({c ^ b for c in watched for b in (0, 1)})
@@ -464,9 +462,6 @@ def _fill(tables: CosetTables, d: int, budget: Optional[NodeBudget],
         size = d * ncols
         # the sum of 0..d-1, less the -1 of the one unset entry
         total = d * (d - 1) // 2 - 1
-
-        def free() -> bool:
-            return any(table[c:size:ncols].count(-1) > 1 for c in unwatched)
 
         def cut() -> bool:
             """Whether the callback rejects the table's fixed key; False
@@ -481,7 +476,7 @@ def _fill(tables: CosetTables, d: int, budget: Optional[NodeBudget],
                     column[column.index(-1)] = total - sum(column)
                 images[c] = tuple(column)
             return callback(tuple(trivial if c is None else images[c]
-                                  for c in key_cols), free)
+                                  for c in key_cols))
 
     def deduce(entry) -> bool:
         """Process deductions from a new entry; False on a conflict."""

@@ -30,8 +30,9 @@ class GroupPresentation:
 
     @classmethod
     def make(cls, generators, relators):
-        """Parse and normalize; relators are cyclically reduced on ingest
-        and must not vanish."""
+        """Parse and normalize; relator letters are ints, not bools, in
+        +-1..len(generators), and relators are cyclically reduced on
+        ingest and must not vanish."""
         gens = tuple(generators)
         seen = set()
         for name in gens:
@@ -47,7 +48,9 @@ class GroupPresentation:
         for r in relators:
             word = parse_word(r, gens) if isinstance(r, str) else tuple(r)
             for letter in word:
-                if not (1 <= abs(letter) <= len(gens)):
+                if isinstance(letter, bool) or not (
+                        isinstance(letter, int)
+                        and 1 <= abs(letter) <= len(gens)):
                     raise ValueError("relator letter %r out of range"
                                      % (letter,))
             word = cyclic_reduce(word)

@@ -176,7 +176,8 @@ def _as_word(word, pres: GroupPresentation) -> tuple:
     word = tuple(word)
     n = pres.num_generators
     for x in word:
-        if not (isinstance(x, int) and 1 <= abs(x) <= n):
+        if isinstance(x, bool) or not (isinstance(x, int)
+                                       and 1 <= abs(x) <= n):
             raise ValueError("letter %r is not a signed generator index "
                              "in 1..%d" % (x, n))
     return word
@@ -288,12 +289,10 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
     carrier generators are fixed, every class below it has one carrier
     key, and dirty cuts the table when that key has no clean component:
     check would find no witness, in either mode, in any of those
-    classes.  A key the memo lacks is decided only while free() says
-    that some generator outside the carrier still has two images unset,
-    since below that the table is forced and a verdict costs more than
-    the definitions it could save; the low-index search never calls
-    dirty, and fills row-major, for a carrier that reads every generator
-    it keeps.
+    classes.  A key the memo lacks is decided as soon as it is fixed:
+    the carrier-first fill fixes it near the root, where a dirty verdict
+    cuts the most.  The low-index search never calls dirty, and fills
+    row-major, for a carrier that reads every generator it keeps.
 
     Status, least degree and witness are those of the uncut scan in
     that order.  homs_tried counts the covers checked, and
@@ -326,10 +325,9 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
             comps = verdicts[key] = _preimage_cleanness(h, len(key[0]), key)
         return comps
 
-    def dirty(key, free):
+    def dirty(key):
         """The prune callback of a scanned degree (see above)."""
-        return (key in verdicts or free()) and not any(
-            clean for _, clean in decide(key))
+        return not any(clean for _, clean in decide(key))
 
     def check(d, a):
         stats.covers_realized += 1

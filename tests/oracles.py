@@ -754,6 +754,54 @@ def reference_preimage_cleanness(y, d, perms) -> tuple:
 # virtual cleanness, one cleanness check per cover
 
 
+# (complex, carrier columns, degree) -> (definitions, classes) for each
+# degree _sorted_classes has enumerated in full
+_classes = {}
+# (hyperplane, cover) -> preimage_cleanness(cover, hyperplane)
+_cleanness = {}
+
+
+def cleanness(cover, h):
+    """preimage_cleanness(cover, h), computed once per cover and
+    hyperplane across the modes and tests that check it."""
+    key = (h, cover)
+    if key not in _cleanness:
+        _cleanness[key] = preimage_cleanness(cover, h)
+    return _cleanness[key]
+
+
+def _sorted_classes(cx, first, d, node_budget):
+    """Every connected cover of degree d up to conjugacy from
+    iter_covers, relabeled to its least table with the `first` columns
+    first (least_table), in ascending order of that table, as edge
+    permutations; node_budget is spent as iter_covers spends it.  A
+    degree enumerated in full is kept and replayed, its definitions
+    spent at once, whenever the budget left covers them all: that
+    enumeration then hits no cap either."""
+    key = (cx, tuple(first), d)
+    if key in _classes:
+        spent, classes = _classes[key]
+        if node_budget.cap is None or \
+                node_budget.nodes + spent <= node_budget.cap:
+            node_budget.nodes += spent
+            return classes
+    pres = pi1_presentation(cx, 0)
+    gens = pres.generators
+    kept = reference_eliminate_generators(len(gens), pres.relators)[0]
+    start = node_budget.nodes
+    tables = []
+    for cover in iter_covers(cx, d, connected=True, up_to_conjugacy=True,
+                             budget=node_budget):
+        table, sigma = least_table([cover.perm(gens[g - 1])
+                                    for g in kept], first)
+        tables.append((table, tuple(perm.relabel(p, sigma)
+                                    for p in cover.perms)))
+    classes = [perms for _, perms in sorted(tables, key=lambda c: c[0])]
+    if not node_budget.cap_hit:
+        _classes[key] = (node_budget.nodes - start, classes)
+    return classes
+
+
 def reference_vclean(cx, h, mode, budget):
     """The scan search.semi_decide_virtually_clean makes, one cleanness
     check per cover, without memo or prune: every connected cover up to
@@ -762,27 +810,18 @@ def reference_vclean(cx, h, mode, budget):
     cover with a clean component but not all promotes to its regular
     closure.  Each degree's classes are all taken first, each relabeled
     to its least table with h's carrier columns first (carrier_watch),
-    and scanned in ascending order of that table.
+    and scanned in ascending order of that table (_sorted_classes).
     Returns the whole SearchOutcome, stats included."""
     stats = SearchStats()
     node_budget = perm.NodeBudget(budget.max_nodes)
-    pres = pi1_presentation(cx, 0)
-    gens = pres.generators
-    kept = reference_eliminate_generators(len(gens), pres.relators)[0]
     first = carrier_watch(cx, h)[1]
     witness = None
     for d in range(1, budget.max_degree + 1):
-        classes = []
-        for cover in iter_covers(cx, d, connected=True, up_to_conjugacy=True,
-                                 budget=node_budget):
-            table, sigma = least_table([cover.perm(gens[g - 1])
-                                        for g in kept], first)
-            classes.append((table, sigma, cover.perms))
-        for _, sigma, perms in sorted(classes, key=lambda c: c[0]):
-            cover = Cover(cx, d, tuple(perm.relabel(p, sigma) for p in perms))
+        for perms in _sorted_classes(cx, first, d, node_budget):
+            cover = Cover(cx, d, perms)
             stats.homs_tried += 1
             stats.covers_realized += 1
-            comps = preimage_cleanness(cover, h)
+            comps = cleanness(cover, h)
             clean = [cid for cid, ok in comps if ok]
             if mode == "some" and clean:
                 witness = VCleanWitness(mode, h.id, cover, clean[0])

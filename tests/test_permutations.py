@@ -152,7 +152,7 @@ def test_eliminate_generators_matches_reference():
             == oracles.reference_eliminate_generators(n, relators), relators
 
 
-def _never(key, free):
+def _never(key):
     """A prune callback that never cuts."""
     return False
 
@@ -236,6 +236,23 @@ def test_low_index_matches_brute_force_on_random_presentations():
             assert classes == set(want), (pres, d)
 
 
+def _hall_subgroup_counts(pres, max_degree, prunes):
+    """Hall's subgroup counts of pres to max_degree (see the test
+    below), after checking that each prune's classes number them."""
+    kept = oracles.reference_eliminate_generators(
+        len(pres.generators), pres.relators)[0]
+    subgroups = oracles.hall_subgroup_counts(
+        [sum(1 for _ in pres.tables.homs(d))
+         for d in range(1, max_degree + 1)])
+    for prune in prunes:
+        for d in range(1, max_degree + 1):
+            assert sum(Fraction(d, oracles.automorphisms(
+                [a[g - 1] for g in kept]))
+                for a in pres.tables.low_index(d, prune=prune)) \
+                == subgroups[d - 1], (pres, prune, d)
+    return subgroups
+
+
 def test_low_index_class_counts_satisfy_halls_recursion():
     """The subgroups of index d that Hall's recursion counts from the
     homomorphism counts of homs, h_1..h_d, number sum d/|Aut| over the
@@ -244,7 +261,10 @@ def test_low_index_class_counts_satisfy_halls_recursion():
     every distinct carrier column set with a callback that never cuts,
     so a class yielded twice or missed breaks the count: on the
     fixtures, bad_vh and mixed_carrier to degree 4, D to degree 2, and
-    the connected seeded random complexes to degree 4."""
+    the connected seeded random complexes to degree 4.  Higman's group
+    (tests/fixtures/higman.json) has no nontrivial finite quotient, so
+    to degree 6 h_d = 1 and it has one subgroup of index 1 and none of
+    higher index, also with generator a's columns filled first."""
     cases = [(helpers.load_complex(name), 4)
              for name in helpers.GOOD_FIXTURES + ("bad_vh", "mixed_carrier")]
     cases.append((helpers.doubled_complex(), 2))
@@ -257,22 +277,16 @@ def test_low_index_class_counts_satisfy_halls_recursion():
         pres = pi1_presentation(cx, 0)
         kept = oracles.reference_eliminate_generators(
             len(pres.generators), pres.relators)[0]
-        subgroups = oracles.hall_subgroup_counts(
-            [sum(1 for _ in pres.tables.homs(d))
-             for d in range(1, max_degree + 1)])
         fills = {(): None}    # carrier columns -> a prune filling them first
         for h in hyperplanes(cx):
             watch, first = oracles.carrier_watch(cx, h)
             if 0 < len(first) < 2 * len(kept):
                 fills.setdefault(tuple(first), (watch, _never))
-        for prune in fills.values():
-            for d in range(1, max_degree + 1):
-                assert sum(Fraction(d, oracles.automorphisms(
-                    [a[g - 1] for g in kept]))
-                    for a in pres.tables.low_index(d, prune=prune)) \
-                    == subgroups[d - 1], (cx, prune, d)
+        _hall_subgroup_counts(pres, max_degree, fills.values())
         carrier_fills += len(fills) - 1
     assert carrier_fills > 20
+    assert _hall_subgroup_counts(helpers.load_presentation("higman"), 6,
+                                 (None, ((0,), _never))) == [1] + [0] * 5
 
 
 def test_low_index_class_and_node_counts():
@@ -315,7 +329,7 @@ def test_low_index_prune_cuts_exactly_the_classes_below():
             for target in range(d):
                 seen = []
 
-                def dirty(key, free):
+                def dirty(key):
                     assert len(key) == 1 and perm.is_permutation(key[0], d)
                     seen.append(d)
                     return key[0][0] == target
@@ -344,7 +358,7 @@ def test_low_index_prune_key_reads_the_assignments():
         for d in range(1, max_degree + 1):
             keys = []
 
-            def record(key, free):
+            def record(key):
                 keys.append(key)
                 return False
             for a in perm.iter_low_index(n, relators, d,
@@ -359,18 +373,17 @@ def test_low_index_prune_fills_the_point_left():
     """On the free group of rank 2 at degree 2, watching generator 1,
     the first call comes after 3 definitions: a(0) = 0, then b(0) = 0,
     undone, and b(0) = 1, which makes coset 1.  a(1) is still unset,
-    so the key reads the point left, 1, and b(1) is the one image of b
-    unset, so free() is false."""
+    so the key reads the point left, 1."""
     calls = []
     budget = perm.NodeBudget()
 
-    def record(key, free):
-        calls.append((key, free(), budget.nodes))
+    def record(key):
+        calls.append((key, budget.nodes))
         return False
     for _ in perm.iter_low_index(2, [], 2, budget=budget,
                                  prune=((0, None), record)):
         pass
-    assert calls[0] == (((0, 1), (0, 1)), False, 3)
+    assert calls[0] == (((0, 1), (0, 1)), 3)
 
 
 @pytest.mark.parametrize("name", ["torus", "bad_vh"])
@@ -378,41 +391,20 @@ def test_low_index_prune_calls_only_while_an_unwatched_generator_is_open(
         name):
     """A watch that reads every kept generator, in any order, with
     repeats and None, gets no callback, and the search is the unpruned
-    one.  Otherwise free() is false exactly when the generator left out
-    has at most one image unset, read from the search's own table, and
-    a callback that never cuts changes neither the yields nor the
-    definitions of the fill its watch sets."""
+    one."""
     n, relators = _pi1(helpers.load_complex(name))
     assert n == 2 and perm.eliminate_generators(n, relators)[0] == (1, 2)
-    tables = perm.CosetTables(n, relators)
     for d in range(1, 5):
         full = perm.NodeBudget()
         everything = list(perm.iter_low_index(n, relators, d, budget=full))
         for watch in ((0, 1), (1, None, 0, 1)):
             budget = perm.NodeBudget()
 
-            def never(key, free):
+            def never(key):
                 raise AssertionError("called with %r" % (key,))
             got = list(perm.iter_low_index(n, relators, d, budget=budget,
                                            prune=(watch, never)))
             assert (got, budget.nodes) == (everything, full.nodes)
-
-        for watched, other in ((0, 1), (1, 0)):
-            column = tables.columns[other]
-            free_at = []
-
-            def record(key, free):
-                table = search.gi_frame.f_locals["table"]
-                unset = table[column:d * tables.ncols:tables.ncols].count(-1)
-                free_at.append(free())
-                assert free_at[-1] == (unset > 1), (watched, d, table)
-                return False
-            budget, baseline = perm.NodeBudget(), perm.NodeBudget()
-            search = tables.low_index(d, budget, prune=((watched,), record))
-            assert list(search) == list(tables.low_index(
-                d, baseline, prune=((watched,), _never)))
-            assert budget.nodes == baseline.nodes
-            assert d == 1 or (True in free_at and False in free_at)
 
 
 def test_low_index_rejects_degree_below_one():

@@ -15,7 +15,6 @@ from vhcomplex import (Cover, Edge, EdgePath, GroupPresentation, Hyperplane,
                        element_survives, hyperplane_of_edge, hyperplanes,
                        is_clean, iter_covers, loop_survives, pi1_presentation,
                        pointed_pair,
-                       preimage_cleanness,
                        probe_profinite_triviality, regular_closure,
                        revalidate_witness, semi_decide_virtually_clean,
                        survival_from_clean_cover, transport)
@@ -90,6 +89,17 @@ def test_element_survives_rejects_letters_outside_the_generators():
                          (("a",), "'a'")):
         with pytest.raises(ValueError, match="letter %s is not" % letter):
             element_survives(FREE2, word, SearchBudget(3))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: element_survives(FREE2, [True], SearchBudget(2)),
+    lambda: GroupPresentation.make("ab", [(True, 2)]),
+    lambda: perm.CosetTables(2, [(True, -2)]),
+], ids=["element_survives", "make", "CosetTables"])
+def test_bool_letters_are_rejected(call):
+    """True is an int equal to 1, but not a generator index."""
+    with pytest.raises(ValueError, match="letter True"):
+        call()
 
 
 def test_budget_rejects_negative_bounds():
@@ -486,7 +496,7 @@ def test_vclean_checks_a_subsequence_of_the_classes_skipping_dirty_ones(
         for d in scanned:
             walked = perm.NodeBudget(budget.max_nodes)
             unpruned = pres.tables.low_index(
-                d, walked, prune=(watch, lambda key, free: False))
+                d, walked, prune=(watch, lambda key: False))
             passed = []
             for a in (a for dd, a in checked if dd == d):
                 for b in unpruned:
@@ -501,7 +511,7 @@ def test_vclean_checks_a_subsequence_of_the_classes_skipping_dirty_ones(
             for b in passed:
                 cover = cover_from_assignment(cx, pres, d, b)
                 assert not any(clean for _, clean
-                               in preimage_cleanness(cover, h))
+                               in oracles.cleanness(cover, h))
             skipped += len(passed)
     assert len(tasks) == 304 and skipped > 0 and capped == 2
 
@@ -526,7 +536,7 @@ def test_vclean_prunes_the_dirty_carrier_keys_of_the_rung():
 def test_vclean_on_the_rung_doubles_finds_the_least_degree_of_the_loop():
     """On the rung of each of helpers.RUNG_DOUBLES, vclean to degree 3
     finds its least degree, 3, the one loop_survives finds for the
-    doubling loop, after checking 4 classes in the pinned number of
+    doubling loop, after checking 2 classes in the pinned number of
     definitions, in both modes.  In "each" mode the witness is the
     regular closure of the degree-3 cover, of degree 6."""
     for seed, loop, nodes in helpers.RUNG_DOUBLES:
@@ -537,7 +547,7 @@ def test_vclean_on_the_rung_doubles_finds_the_least_degree_of_the_loop():
             out = semi_decide_virtually_clean(dbl.complex, dbl.hyperplane,
                                               mode, SearchBudget(3))
             assert out.found, (seed, mode)
-            assert (out.stats.homs_tried, out.stats.nodes) == (4, nodes)
+            assert (out.stats.homs_tried, out.stats.nodes) == (2, nodes)
             assert out.witness.cover.degree == (3 if mode == "some" else 6)
 
 
