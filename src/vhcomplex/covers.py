@@ -291,8 +291,18 @@ def preimage_cleanness(c: Cover, y: Hyperplane) -> tuple:
         raise ValueError("hyperplane is not from this cover's base")
     if not validate_cover(c):
         raise ValueError("square relations fail; not a cover")
-    return _preimage_cleanness(y, c.degree,
-                               tuple(c.perm(e) for e in y.carrier.edges))
+    return _key_cleanness(y, tuple(c.perm(e) for e in y.carrier.edges))
+
+
+def _key_cleanness(y: Hyperplane, key: tuple) -> tuple:
+    """_preimage_cleanness(y, len(key[0]), key) for a carrier key of y,
+    the permutations on y.carrier.edges, decided once per key and kept
+    in y.carrier.verdicts."""
+    verdicts = y.carrier.verdicts
+    comps = verdicts.get(key)
+    if comps is None:
+        comps = verdicts[key] = _preimage_cleanness(y, len(key[0]), key)
+    return comps
 
 
 def _preimage_cleanness(y: Hyperplane, d: int, perms: Sequence) -> tuple:

@@ -39,8 +39,9 @@ class Hyperplane:
     @cached_property
     def carrier(self) -> Carrier:
         """The compiled carrier, built on first use and kept on this
-        object, so it lives exactly as long as the hyperplane; equality,
-        hashing and repr ignore it."""
+        object with the cleanness verdicts it has given, so both live
+        exactly as long as the hyperplane; equality, hashing and repr
+        ignore it."""
         return Carrier(self)
 
 
@@ -49,6 +50,12 @@ class Carrier:
     preimages (covers._preimage_cleanness) and, in `key_pos`, for the
     virtual-cleanness search.  Carrier position k is the k-th entry of
     `edges`, and dual index j the j-th entry of `dual`.
+
+    verdicts: carrier key -> ((component id, clean), ...), the verdicts
+        given so far (covers._key_cleanness).  A carrier key is the
+        tuple of permutations on `edges`, which is all the verdict
+        reads, so a verdict kept is exact for every later cover and
+        search of the hyperplane.
 
     edges: the carrier edges, sorted: the dual edges and every edge of
         the crossed squares.
@@ -86,6 +93,7 @@ class Carrier:
                                       if not forward}))
         self.dual = tuple((pos[e], e, cx.edge(e).tail, cx.edge(e).head)
                           for e in duals)
+        self.verdicts = {}
 
     @cached_property
     def key_pos(self) -> tuple:

@@ -26,12 +26,13 @@ virtual-cleanness search starts at degree 1 and reads each class as a
 cover with identity tree edges.  Whether a preimage component of the
 hyperplane is clean depends only on the permutations on the hyperplane's
 carrier edges, and far fewer carrier restrictions occur than classes, so
-the search memoizes the cleanness of the preimage per carrier
-restriction and builds a Cover only for a witness or for a regular
-closure.  From degree 2 the search has the low-index search watch the
-carrier generators, whose columns it then fills first, and cuts every
-partial coset table whose carrier restriction is already fixed and has
-no clean component: no class below it could give a witness.
+the hyperplane's compiled carrier keeps the cleanness of the preimage
+per carrier restriction, and the search builds a Cover only for a
+witness or for a regular closure.  From degree 2 the search has the
+low-index search watch the carrier generators, whose columns it then
+fills first, and cuts every partial coset table whose carrier
+restriction is already fixed and has no clean component: no class
+below it could give a witness.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Callable, Iterable, Optional, Union
 from . import permutations as perm
 from .complexes import EdgePath, SquareComplex, free_reduce, trace
 from .constructions import DoubledComplex
-from .covers import (Cover, _preimage_cleanness, cover_from_assignment,
+from .covers import (Cover, _key_cleanness, cover_from_assignment,
                      is_connected, preimage_cleanness,
                      preimage_hyperplane_components, pullback_cover,
                      regular_closure, transport, validate_cover)
@@ -270,17 +271,20 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
 
     Components are checked from the permutations, never by realizing a
     total space.  Their cleanness depends only on the permutations on
-    the hyperplane's carrier edges, so one call keeps each verdict under
-    the tuple of images on the sorted carrier edges, its carrier key.  A
-    new key is decided from the key alone, which is all that
-    covers._preimage_cleanness reads; a scanned cover is built only to
-    report a witness or to take a regular closure.  The carrier's edges
-    and generators depend only on the hyperplane, so they are kept on it
-    (h.carrier.key_pos) from its first call, as the complex keeps its
-    presentation and that its tables; the verdicts are kept per call.
+    the hyperplane's carrier edges, its carrier key: the tuple of images
+    on the sorted carrier edges.  A new key is decided from the key
+    alone, which is all that covers._preimage_cleanness reads; a scanned
+    cover is built only to report a witness or to take a regular
+    closure.  The carrier's edges and generators depend only on the
+    hyperplane, and so does each key's verdict, so they are kept on it
+    (h.carrier.key_pos and h.carrier.verdicts) from its first call, as
+    the complex keeps its presentation and that its tables: a later
+    call, in either mode or to a higher degree, and preimage_cleanness
+    on a closure reuse every verdict given.  The prune decides every new
+    key the same way, so a kept verdict changes nothing but the work.
     The scanned covers satisfy every square relator by construction, so
     only closures are validated first.  revalidate_vclean_witness does
-    realize the witness cover.
+    realize the witness cover, and reads no kept verdict.
 
     Each degree d >= 2 passes the low-index search the prune (key_pos,
     dirty), so that search fills the carrier generators' columns first
@@ -289,10 +293,10 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
     carrier generators are fixed, every class below it has one carrier
     key, and dirty cuts the table when that key has no clean component:
     check would find no witness, in either mode, in any of those
-    classes.  A key the memo lacks is decided as soon as it is fixed:
-    the carrier-first fill fixes it near the root, where a dirty verdict
-    cuts the most.  The low-index search never calls dirty, and fills
-    row-major, for a carrier that reads every generator it keeps.
+    classes.  A key without a kept verdict is decided as soon as it is
+    fixed: the carrier-first fill fixes it near the root, where a dirty
+    verdict cuts the most.  The low-index search never calls dirty, and
+    fills row-major, for a carrier that reads every generator it keeps.
 
     Status, least degree and witness are those of the uncut scan in
     that order.  homs_tried counts the covers checked, and
@@ -310,28 +314,19 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
     pres = pi1_presentation(cx, 0)
     stats = SearchStats()
     key_pos = h.carrier.key_pos
-    verdicts = {}    # carrier key -> ((component id, clean), ...)
 
     def carrier_key(d, a):
         """The images of assignment a on the carrier edges."""
         ident = perm.identity(d)
         return tuple(ident if k is None else a[k] for k in key_pos)
 
-    def decide(key):
-        """The cleanness of the preimage components in every cover of
-        degree len(key[0]) whose carrier edges carry `key`."""
-        comps = verdicts.get(key)
-        if comps is None:
-            comps = verdicts[key] = _preimage_cleanness(h, len(key[0]), key)
-        return comps
-
     def dirty(key):
         """The prune callback of a scanned degree (see above)."""
-        return not any(clean for _, clean in decide(key))
+        return not any(clean for _, clean in _key_cleanness(h, key))
 
     def check(d, a):
         stats.covers_realized += 1
-        comps = decide(carrier_key(d, a))
+        comps = _key_cleanness(h, carrier_key(d, a))
         if not any(clean for _, clean in comps):
             return None
         cover = cover_from_assignment(cx, pres, d, a)

@@ -536,6 +536,32 @@ def carrier_watch(cx, h):
     return watch, sorted(first)
 
 
+# (complex, watch, degree) -> (definitions, classes) for each degree
+# carrier_first_classes has walked in full within its cap
+_walks = {}
+
+
+def carrier_first_classes(cx, watch, d, cap):
+    """(classes, cap_hit): the classes of degree d that the low-index
+    search of pi1_presentation(cx, 0) yields with the `watch` carrier's
+    columns first and a prune callback that never cuts, walked under a
+    node cap of `cap`, and whether the walk hit it.  A walk that hit no
+    cap is kept, and replayed whenever the cap covers its
+    definitions, as in _sorted_classes: that walk then hits no cap
+    either."""
+    key = (cx, tuple(watch), d)
+    if key in _walks:
+        spent, classes = _walks[key]
+        if cap is None or spent <= cap:
+            return classes, False
+    walked = perm.NodeBudget(cap)
+    classes = list(pi1_presentation(cx, 0).tables.low_index(
+        d, walked, prune=(watch, lambda key: False)))
+    if not walked.cap_hit:
+        _walks[key] = (walked.nodes, classes)
+    return classes, walked.cap_hit
+
+
 def least_table(perms, first=()):
     """The least table of the permutations over every base sheet, with
     the `first` columns first (see _read_table), as (its entries in read

@@ -19,7 +19,7 @@ from vhcomplex import (Cover, Edge, EdgePath, GroupPresentation, Hyperplane,
                        revalidate_witness, semi_decide_virtually_clean,
                        survival_from_clean_cover, transport)
 from vhcomplex import permutations as perm
-from vhcomplex import search
+from vhcomplex import covers, search
 from vhcomplex.complexes import is_connected_complex
 from vhcomplex.constructions import enumerate_simple_loops
 from vhcomplex.covers import cover_from_assignment, enumerate_covers
@@ -354,44 +354,64 @@ def test_vclean_matches_per_cover_scan():
 
 def test_vclean_outcomes_do_not_depend_on_the_memos(monkeypatch):
     """A complex keeps its pi1 presentation, the presentation its
-    compiled coset tables, and each hyperplane its compiled carrier.
-    The 26 vclean scans of D to degree 2, run in shuffled orders on
-    fresh hyperplanes, again on the same hyperplanes, on fresh ones
-    equal to them but distinct, and on deep copies of ones that have
-    run, give byte-identical outcome documents, equal to the per-cover
-    reference but for statistics no larger than its own.  Only the
-    first run compiles coset tables, D's."""
+    compiled coset tables, and each hyperplane its compiled carrier with
+    the cleanness verdicts it has given.  The 26 vclean scans of D to
+    degree 2, run in shuffled orders on fresh hyperplanes, again on the
+    same hyperplanes, on fresh ones equal to them but distinct, and on
+    deep copies of ones that have run, give byte-identical outcome
+    documents, equal to the per-cover reference but for statistics no
+    larger than its own.  Only the first run compiles coset tables,
+    D's.  A run on fresh hyperplanes decides 37 carrier keys, whatever
+    its order, where deciding them per call took 74: the two modes share
+    each verdict.  A run on hyperplanes that have run decides none, and
+    a deep copy carries its own verdicts."""
     compiles = []
+    decided = []
     real_init = perm.CosetTables.__init__
+    real_verdict = covers._preimage_cleanness
 
     def counting(self, *args):
         compiles.append(args)
         real_init(self, *args)
+
+    def deciding(h, d, perms):
+        decided.append((h.id, perms))
+        return real_verdict(h, d, perms)
     monkeypatch.setattr(perm.CosetTables, "__init__", counting)
+    monkeypatch.setattr(covers, "_preimage_cleanness", deciding)
     cx = helpers.doubled_complex()
     budget = SearchBudget(2)
 
     def run(seed, hyps):
-        """Outcome document per task, and the number of tables
-        compiled."""
+        """Outcome document per task, and the numbers of tables
+        compiled and of carrier keys decided."""
         tasks = [(h, mode) for h in hyps for mode in ("some", "each")]
         random.Random(seed).shuffle(tasks)
         docs = {}
-        del compiles[:]
+        del compiles[:], decided[:]
         for h, mode in tasks:
             out = semi_decide_virtually_clean(cx, h, mode, budget)
             docs[h.id, mode] = canonical_json(outcome_to_doc(out))
         runs.append(docs)
-        return len(compiles)
+        assert len(set(decided)) == len(decided)
+        return len(compiles), len(decided)
 
     runs = []
     hyps = hyperplanes(cx)
-    assert run(1, hyps) == 1
-    assert run(2, hyps) == 0
+    assert run(1, hyps) == (1, 37)
+    assert run(2, hyps) == (0, 0)
     fresh = hyperplanes(helpers.doubled_complex())
     assert fresh == hyps and not any(f is h for f, h in zip(fresh, hyps))
-    assert run(3, fresh) == 0
-    assert run(4, copy.deepcopy(hyps)) == 0
+    assert run(3, fresh) == (0, 37)
+    copies = copy.deepcopy(hyps)
+    for c, h in zip(copies, hyps):
+        assert c.carrier.verdicts == h.carrier.verdicts
+        assert c.carrier.verdicts is not h.carrier.verdicts
+    assert run(4, copies) == (0, 0)
+    for c in copies:
+        c.carrier.verdicts.clear()
+    assert run(5, copies) == (0, 37)
+    assert sum(len(h.carrier.verdicts) for h in hyps) == 37
     assert all(r == runs[0] for r in runs) and len(runs[0]) == 26
     for h in hyps:
         for mode in ("some", "each"):
@@ -401,29 +421,39 @@ def test_vclean_outcomes_do_not_depend_on_the_memos(monkeypatch):
 
 
 def test_prepared_data_dies_with_its_complex():
-    """The presentation, coset tables and carriers a search prepares are
-    kept on the objects they come from and nowhere else: once the
-    complex and its hyperplanes are dropped, the complex is freed."""
+    """The presentation, coset tables, carriers and verdicts a search
+    prepares are kept on the objects they come from and nowhere else:
+    once a complex and its hyperplanes are dropped, the complex is
+    freed.  Run on two hyperplanes of D in both modes, and on the rung
+    of a helpers.RUNG_DOUBLES double, whose "each" witness is a regular
+    closure, so that its verdicts come from the scan and the closure."""
     cx = helpers.doubled_complex()
     hyps = hyperplanes(cx)
     for h in hyps[:2]:
-        semi_decide_virtually_clean(cx, h, "each", SearchBudget(2))
+        for mode in ("some", "each"):
+            semi_decide_virtually_clean(cx, h, mode, SearchBudget(2))
     loop_survives(cx, pi1_presentation(cx, 0).generator_loop(1),
                   SearchBudget(2))
     for connected in (False, True):
         list(itertools.islice(iter_covers(cx, 2, connected=connected,
                                           up_to_conjugacy=connected), 3))
-    alive = weakref.ref(cx)
-    del cx, hyps, h
+    seed, loop, _ = helpers.RUNG_DOUBLES[2]
+    dbl = helpers.rung_double(seed, loop)
+    out = semi_decide_virtually_clean(dbl.complex, dbl.hyperplane, "each",
+                                      SearchBudget(3))
+    assert out.witness.cover.degree == 6
+    assert any(len(key[0]) == 6 for key in dbl.hyperplane.carrier.verdicts)
+    alive = [weakref.ref(cx), weakref.ref(dbl.complex)]
+    del cx, hyps, h, dbl, out
     gc.collect()
-    assert alive() is None
+    assert [ref() for ref in alive] == [None, None]
 
 
 def test_vclean_decides_covers_satisfying_the_carrier_relators(
         monkeypatch):
     """Every carrier key whose cleanness the search decides satisfies the
     relators of the squares its hyperplane crosses."""
-    real = search._preimage_cleanness
+    real = covers._preimage_cleanness
     decided = []
 
     def checking(h, d, perms):
@@ -437,7 +467,7 @@ def test_vclean_decides_covers_satisfying_the_carrier_relators(
             assert p == ident
         decided.append(d)
         return real(h, d, perms)
-    monkeypatch.setattr(search, "_preimage_cleanness", checking)
+    monkeypatch.setattr(covers, "_preimage_cleanness", checking)
     for name in ("doubled", "mixed_carrier"):
         cx = helpers.load_complex(name)
         for h in hyperplanes(cx):
@@ -456,7 +486,9 @@ def test_vclean_checks_a_subsequence_of_the_classes_skipping_dirty_ones(
     witness are the per-cover reference's, byte for byte.  Run over
     _vclean_tasks() and every hyperplane of the seeded random complexes
     to degree 4.  The uncut search is walked within the task's node
-    cap, which only D's hyperplane 13 at degree 3 reaches: D has
+    cap, once per complex, carrier and degree unless the walk hits the
+    cap (oracles.carrier_first_classes), which only D's hyperplane 13 at
+    degree 3 does: D has
     163,121 classes of degree 3, which the row-major search lists in
     22.9 M definitions, and the scan checks none of them."""
     scanned = []    # the degrees the scan asks for
@@ -494,9 +526,9 @@ def test_vclean_checks_a_subsequence_of_the_classes_skipping_dirty_ones(
         pres = pi1_presentation(cx, 0)
         watch = oracles.carrier_watch(cx, h)[0]
         for d in scanned:
-            walked = perm.NodeBudget(budget.max_nodes)
-            unpruned = pres.tables.low_index(
-                d, walked, prune=(watch, lambda key: False))
+            classes, cap_hit = oracles.carrier_first_classes(
+                cx, watch, d, budget.max_nodes)
+            unpruned = iter(classes)
             passed = []
             for a in (a for dd, a in checked if dd == d):
                 for b in unpruned:
@@ -507,7 +539,7 @@ def test_vclean_checks_a_subsequence_of_the_classes_skipping_dirty_ones(
                     raise AssertionError("%r is not yielded in order" % (a,))
             if not out.found or d < reached:
                 passed.extend(unpruned)
-            capped += walked.cap_hit
+                capped += cap_hit
             for b in passed:
                 cover = cover_from_assignment(cx, pres, d, b)
                 assert not any(clean for _, clean
