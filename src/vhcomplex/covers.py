@@ -286,6 +286,12 @@ def preimage_cleanness(c: Cover, y: Hyperplane) -> tuple:
     Each class is co-oriented by its parity to the root; flipping a whole
     class only swaps its two sides, so the pushing collisions are the
     ones is_clean finds.  Raises ValueError on a non-cover.
+
+    The verdict is kept in y.carrier.verdicts under the cover's carrier
+    key and reused by every later call on y, vclean searches included.
+    Nothing bounds that dict: it holds every key y has been checked on
+    for as long as y lives.  Drop y, or call y.carrier.verdicts.clear(),
+    to free it.
     """
     if y.complex != c.base:
         raise ValueError("hyperplane is not from this cover's base")

@@ -55,7 +55,9 @@ class Carrier:
         given so far (covers._key_cleanness).  A carrier key is the
         tuple of permutations on `edges`, which is all the verdict
         reads, so a verdict kept is exact for every later cover and
-        search of the hyperplane.
+        search of the hyperplane.  It is never bounded or evicted: it
+        grows with every new key until the hyperplane is dropped or it
+        is cleared (verdicts.clear()).
 
     edges: the carrier edges, sorted: the dual edges and every edge of
         the crossed squares.

@@ -282,6 +282,8 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
     call, in either mode or to a higher degree, and preimage_cleanness
     on a closure reuse every verdict given.  The prune decides every new
     key the same way, so a kept verdict changes nothing but the work.
+    The kept verdicts are not bounded: they grow with every new key for
+    as long as h lives; drop h or clear h.carrier.verdicts to free them.
     The scanned covers satisfy every square relator by construction, so
     only closures are validated first.  revalidate_vclean_witness does
     realize the witness cover, and reads no kept verdict.
