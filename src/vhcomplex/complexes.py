@@ -13,8 +13,8 @@ values can be shared freely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 V_LABEL = "V"
@@ -22,15 +22,103 @@ H_LABEL = "H"
 LABELS = (V_LABEL, H_LABEL)
 
 
-@dataclass(frozen=True)
-class Edge:
+def _initializer(name, names, defaults, post_init, setter):
+    """The `__init__` of a record class: fields by position or keyword,
+    then `post_init` if the class has one.  setter stores one field:
+    `object.__setattr__` gets past a frozen class's `__setattr__`, and
+    a mutable class takes the cheaper plain `setattr`."""
+    n = len(names)
+    blank = tuple(map(defaults.get, names)) if len(defaults) == n else None
+
+    def __init__(self, *args, **kwargs):
+        if not args and not kwargs and blank is not None:
+            args = blank
+        elif kwargs or len(args) != n:
+            values = list(args)
+            for field in names[len(args):]:
+                if field in kwargs:
+                    values.append(kwargs.pop(field))
+                elif field in defaults:
+                    values.append(defaults[field])
+                else:
+                    raise TypeError("%s() is missing the field %r"
+                                    % (name, field))
+            if kwargs or len(values) != n:
+                raise TypeError(
+                    "%s(%s) got %d positional arguments and the keywords %s"
+                    % (name, ", ".join(names), len(args), sorted(kwargs)))
+            args = values
+        # every call stores the fields one by one on the fresh instance,
+        # which keeps them in its shared-key storage, where attribute
+        # reads are fastest
+        for i in range(n):
+            setter(self, names[i], args[i])
+        if post_init is not None:
+            post_init(self)
+    return __init__
+
+
+class Record:
+    """Base of the package's value types: a class body's annotated names
+    are its fields, in order, and a name assigned in the body is that
+    field's default.  Fields are not inherited from a record base.
+
+    A record is built from its fields by position or keyword, then runs
+    `__post_init__` if the class has one.  Two records are equal when
+    they have the same class and equal field tuples, equal records hash
+    equal, and the repr reads `Name(field=value, ...)`.  Records are
+    frozen: assigning or deleting an attribute raises AttributeError,
+    so `__post_init__` normalizes a field with `object.__setattr__`.
+    A class declared with `frozen=False` is mutable and unhashable.
+    `functools.cached_property` works on records, and equality, hashing
+    and repr ignore what it keeps.
+
+    This replaces `dataclasses.dataclass`, which compiles a handful of
+    methods per class with `exec` on every interpreter start.
+    """
+
+    def __init_subclass__(cls, frozen=True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # this class's own annotations: on 3.10 `cls.__annotations__`
+        # can return a base class's
+        cls._fields = names = tuple(cls.__dict__.get("__annotations__", ()))
+        defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+        cls._key = attrgetter(*names)
+        cls.__init__ = _initializer(cls.__name__, names, defaults,
+                                    getattr(cls, "__post_init__", None),
+                                    object.__setattr__ if frozen else setattr)
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
+            "%s=%r" % (n, getattr(self, n)) for n in self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+
+class Edge(Record):
     tail: int
     head: int
     label: str
 
 
-@dataclass(frozen=True)
-class SquareComplex:
+class SquareComplex(Record):
     """Edges (Edge values or (tail, head, label) triples) and squares
     (dart sequences) are stored as tuples, so every complex hashes, and
     equal complexes hash equal."""
@@ -41,8 +129,7 @@ class SquareComplex:
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(
             e if isinstance(e, Edge) else Edge(*e) for e in self.edges))
-        object.__setattr__(self, "squares",
-                           tuple(tuple(w) for w in self.squares))
+        object.__setattr__(self, "squares", tuple(map(tuple, self.squares)))
 
     @cached_property
     def _pi1(self) -> dict:
@@ -92,15 +179,13 @@ def dart_in_end(d: int) -> int:
 # validation
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     kind: str
     cell: tuple
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     ok: bool            # structurally valid
     vh: bool
     npc: bool
@@ -256,8 +341,7 @@ def validate(cx: SquareComplex) -> ValidationReport:
 # paths
 
 
-@dataclass(frozen=True)
-class EdgePath:
+class EdgePath(Record):
     start: int
     word: tuple
 
@@ -445,8 +529,7 @@ def euler_characteristic(cx: SquareComplex) -> int:
 # pointed VH pairs
 
 
-@dataclass(frozen=True)
-class PointedVHPair:
+class PointedVHPair(Record):
     """A complex with a distinguished vertical component and basepoint."""
     complex: SquareComplex
     v_edges: frozenset
@@ -463,8 +546,7 @@ def pointed_pair(cx: SquareComplex, basepoint: int) -> PointedVHPair:
 # cellular maps
 
 
-@dataclass(frozen=True)
-class CellularMap:
+class CellularMap(Record):
     """Combinatorial map between square complexes.
 
     vertex_map[v] is a target vertex.  edge_map[e-1] is a tuple of target
@@ -480,8 +562,7 @@ class CellularMap:
 
     def __post_init__(self):
         object.__setattr__(self, "vertex_map", tuple(self.vertex_map))
-        object.__setattr__(self, "edge_map",
-                           tuple(tuple(w) for w in self.edge_map))
+        object.__setattr__(self, "edge_map", tuple(map(tuple, self.edge_map)))
         object.__setattr__(self, "square_map", tuple(self.square_map))
 
 
@@ -557,8 +638,7 @@ def identity_map(cx: SquareComplex) -> CellularMap:
 # edge subdivision
 
 
-@dataclass(frozen=True)
-class Subdivision:
+class Subdivision(Record):
     """Refinement of a complex obtained by subdividing edges.
 
     Old vertices keep their ids.  edge_chains[e-1] is the tuple of new

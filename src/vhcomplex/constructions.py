@@ -13,13 +13,12 @@ back onto the original complex.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .complexes import (CellularMap, Edge, EdgePath, H_LABEL, PointedVHPair,
-                        SquareComplex, V_LABEL, free_reduce, is_simple_loop,
-                        pointed_pair, subdivide_edges, subdivide_path, trace,
-                        validate)
+                        Record, SquareComplex, V_LABEL, free_reduce,
+                        is_simple_loop, pointed_pair, subdivide_edges,
+                        subdivide_path, trace, validate)
 from .hyperplanes import Hyperplane, hyperplane_of_edge, hyperplanes
 from .presentations import GroupPresentation
 
@@ -44,8 +43,7 @@ def _require_vertical_simple_loop(cx: SquareComplex, p: EdgePath, what: str):
 # presentation wedge
 
 
-@dataclass(frozen=True)
-class PresentationWedge:
+class PresentationWedge(Record):
     presentation: GroupPresentation
     pair: PointedVHPair           # the wedge with basepoint 0
     generator_edges: tuple        # edge id of each generator's petal
@@ -71,8 +69,7 @@ def presentation_complex(pres: GroupPresentation) -> PresentationWedge:
 # relator-cylinder attachment
 
 
-@dataclass(frozen=True)
-class CrushedDisc:
+class CrushedDisc(Record):
     """Cells of one core copy and its cylinder, all of which the crushing
     map sends into the formal relator disc of that relator."""
     relator_index: int
@@ -82,8 +79,7 @@ class CrushedDisc:
     squares: tuple
 
 
-@dataclass(frozen=True)
-class CrushMap:
+class CrushMap(Record):
     """Structured record of the crushing map onto the presentation
     complex.  The wedge part maps by collapsing each petal chain to its
     generator: every chain edge but the last carries no letter, the last
@@ -106,8 +102,7 @@ def crush_word(crush: CrushMap, word) -> tuple:
     return free_reduce(out)
 
 
-@dataclass(frozen=True)
-class CopyInfo:
+class CopyInfo(Record):
     relator_index: int
     core_factor: int
     ring_length: int
@@ -123,8 +118,7 @@ class CopyInfo:
     core_path: EdgePath    # the core-loop side, in final ids
 
 
-@dataclass(frozen=True)
-class RelatorAttachment:
+class RelatorAttachment(Record):
     complex: SquareComplex
     pair: PointedVHPair
     crush: CrushMap
@@ -244,8 +238,7 @@ def attach_loop(pair: PointedVHPair):
             alpha)
 
 
-@dataclass(frozen=True)
-class DoubledComplex:
+class DoubledComplex(Record):
     complex: SquareComplex
     pair: PointedVHPair        # the input pair (the retraction's target)
     loop: EdgePath             # the doubling loop in the input complex
@@ -387,8 +380,7 @@ def enumerate_simple_loops(cx: SquareComplex, basepoint: int,
     return tuple(sorted(found, key=lambda p: (len(p.word), p.word)))
 
 
-@dataclass(frozen=True)
-class PairItem:
+class PairItem(Record):
     index: int                 # position in the enumeration
     presentation_index: int
     loop_index: int

@@ -11,24 +11,22 @@ Conventions: sheets are 0-based, the basepoint lift of interest is sheet
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import permutations as perm
-from .complexes import (CellularMap, DisjointSet, Edge, EdgePath,
+from .complexes import (CellularMap, DisjointSet, Edge, EdgePath, Record,
                         SquareComplex, trace)
 from .hyperplanes import Hyperplane, hyperplanes
 from .presentations import Pi1Presentation, pi1_presentation
 
 
-@dataclass(frozen=True)
-class Cover:
+class Cover(Record):
     base: SquareComplex
     degree: int
     perms: tuple   # per edge id, a tuple permutation
 
     def __post_init__(self):
-        object.__setattr__(self, "perms", tuple(tuple(p) for p in self.perms))
+        object.__setattr__(self, "perms", tuple(map(tuple, self.perms)))
 
     def perm(self, eid: int) -> tuple:
         return self.perms[eid - 1]
@@ -120,8 +118,7 @@ def trivial_cover(cx: SquareComplex) -> Cover:
 # realization
 
 
-@dataclass(frozen=True)
-class TotalSpace:
+class TotalSpace(Record):
     complex: SquareComplex
     cover: Cover
     projection: CellularMap
@@ -224,8 +221,7 @@ def is_normal(c: Cover, basepoint: int = 0) -> bool:
                for s in range(1, c.degree))
 
 
-@dataclass(frozen=True)
-class RegularClosure:
+class RegularClosure(Record):
     cover: Cover
     group: tuple    # monodromy group elements, sorted; the closure's sheets
     factor: tuple   # closure sheet -> sheet of the original basepoint fiber
@@ -414,8 +410,8 @@ def cover_from_assignment(cx: SquareComplex, pres: Pi1Presentation,
                           degree: int, assignment) -> Cover:
     """The cover with identity tree edges and the given non-tree images."""
     ident = perm.identity(degree)
-    return Cover(cx, degree, tuple(ident if k is None else assignment[k]
-                                   for k in pres.edge_generator))
+    return Cover(cx, degree, tuple([ident if k is None else assignment[k]
+                                    for k in pres.edge_generator]))
 
 
 def iter_covers(cx: SquareComplex, degree: int,

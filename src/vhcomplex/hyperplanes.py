@@ -10,18 +10,16 @@ hyperplanes, one-sided behaviour) can be examined rather than rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Optional
 
-from .complexes import (DisjointSet, SquareComplex, require_structure,
-                        square_corners)
+from .complexes import (DisjointSet, Record, SquareComplex,
+                        require_structure, square_corners)
 from .presentations import pi1_presentation
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(Record):
     complex: SquareComplex
     dual_edges: frozenset
     midcubes: tuple   # (square index, pair in {0,1}), sorted
@@ -156,8 +154,7 @@ def self_crossing(h: Hyperplane) -> bool:
 # two-sidedness
 
 
-@dataclass(frozen=True)
-class TwoSidedness:
+class TwoSidedness(Record):
     two_sided: bool
     co_orientation: Optional[dict]  # dual edge -> +1/-1, least edge gets +1
     witness: Optional[tuple]        # midcubes forming an odd flip cycle
@@ -229,8 +226,7 @@ def is_two_sided(h: Hyperplane) -> TwoSidedness:
 # pushing maps
 
 
-@dataclass(frozen=True)
-class PushingMap:
+class PushingMap(Record):
     """One side of the trivialized carrier, mapped into the 1-skeleton.
 
     vertices: dual edge -> the endpoint on this side.
@@ -287,8 +283,7 @@ def pushing_map(h: Hyperplane, side: int,
 # cleanness
 
 
-@dataclass(frozen=True)
-class CleanlinessReport:
+class CleanlinessReport(Record):
     hyperplane: Hyperplane
     two_sided: bool
     self_crossing: bool

@@ -8,12 +8,12 @@ indices, the same convention square boundary words use for edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .complexes import (EdgePath, SquareComplex, cyclic_reduce, free_reduce,
-                        is_connected_complex, require_structure, trace)
+from .complexes import (EdgePath, Record, SquareComplex, cyclic_reduce,
+                        free_reduce, is_connected_complex,
+                        require_structure, trace)
 from .permutations import CosetTables
 
 
@@ -23,8 +23,7 @@ def _compiled(pres) -> CosetTables:
     return CosetTables(len(pres.generators), pres.relators)
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(Record):
     generators: tuple   # single lowercase letters
     relators: tuple     # words: tuples of signed 1-based generator indices
 
@@ -93,8 +92,7 @@ def word_to_string(word: Sequence[int], generators: Sequence[str]) -> str:
 # pi1 via spanning tree
 
 
-@dataclass(frozen=True)
-class Pi1Presentation:
+class Pi1Presentation(Record):
     """Spanning-tree presentation of the fundamental group of a connected
     complex.  Generators are the non-tree edges (by ascending id); relators
     are the square boundary words with tree darts deleted, one per square,

@@ -37,11 +37,10 @@ below it could give a witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
 from . import permutations as perm
-from .complexes import EdgePath, SquareComplex, free_reduce, trace
+from .complexes import EdgePath, Record, SquareComplex, free_reduce, trace
 from .constructions import DoubledComplex
 from .covers import (Cover, _key_cleanness, cover_from_assignment,
                      is_connected, preimage_cleanness,
@@ -53,8 +52,8 @@ from .presentations import GroupPresentation, parse_word, pi1_presentation
 FOUND = "FOUND"
 EXHAUSTED = "EXHAUSTED"
 
-@dataclass(frozen=True)
-class SearchBudget:
+
+class SearchBudget(Record):
     """Degree bound and optional node cap."""
     max_degree: int
     max_nodes: Optional[int] = None
@@ -70,32 +69,28 @@ class SearchBudget:
                 raise ValueError("%s must not be negative" % name)
 
 
-@dataclass
-class SearchStats:
+class SearchStats(Record, frozen=False):
     homs_tried: int = 0
     covers_realized: int = 0
     nodes: int = 0
     cap_hit: bool = False
 
 
-@dataclass(frozen=True)
-class QuotientWitness:
+class QuotientWitness(Record):
     """A finite quotient where the certified word has nontrivial image."""
     degree: int
     images: tuple      # one permutation per presentation generator
     word: tuple        # the certified word, signed generator indices
 
 
-@dataclass(frozen=True)
-class LoopWitness:
+class LoopWitness(Record):
     """A cover in which the certified loop lifts non-closed."""
     cover: Cover
     loop: EdgePath
     sheet: int         # a sheet the loop's transport moves
 
 
-@dataclass(frozen=True)
-class VCleanWitness:
+class VCleanWitness(Record):
     """A connected cover whose preimage components certify cleanness."""
     mode: str                    # "some" or "each"
     hyperplane_id: int           # least dual edge in the base
@@ -106,8 +101,7 @@ class VCleanWitness:
 Witness = Union[QuotientWitness, LoopWitness, VCleanWitness]
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(Record):
     status: str
     witness: Optional[Witness]
     budget: SearchBudget

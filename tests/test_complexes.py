@@ -13,15 +13,26 @@ from vhcomplex import (CellularMap, Edge, EdgePath, SquareComplex, check_npc,
                        is_simple_loop, map_path, path_end, pointed_pair,
                        reverse_path, subdivide_edges, subdivide_path, trace,
                        validate, validate_cellular_map)
-from vhcomplex.complexes import (check_path, cyclic_equal, cyclic_reduce,
-                                 free_reduce, identity_map, square_corners,
+from vhcomplex.complexes import (Record, Violation, check_path,
+                                 cyclic_equal, cyclic_reduce, free_reduce,
+                                 identity_map, square_corners,
                                  structural_violations)
+from vhcomplex.search import SearchBudget, SearchStats
 
 import helpers
 
 
 def torus():
     return helpers.load_complex("torus")
+
+
+def child_env():
+    """The environment with the imported vhcomplex first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.dirname(os.path.dirname(vhcomplex.__file__)),
+                    env.get("PYTHONPATH")) if p)
+    return env
 
 
 # a child interpreter's view of a complex pickled by this one
@@ -44,10 +55,7 @@ def test_equal_complexes_hash_equal_across_processes():
     assert a == b and a is not b and hash(a) == hash(b) == hash(a)
     d = helpers.doubled_complex()
     assert hash(d) == hash(helpers.doubled_complex())
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.dirname(os.path.dirname(vhcomplex.__file__)),
-                    env.get("PYTHONPATH")) if p)
+    env = child_env()
     env["PYTHONHASHSEED"] = "2" if env.get("PYTHONHASHSEED") == "1" else "1"
     for cx, name in ((a, "torus"), (d, "doubled")):
         proc = subprocess.run(
@@ -56,6 +64,99 @@ def test_equal_complexes_hash_equal_across_processes():
             input=pickle.dumps(cx), capture_output=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == [b"True", b"True"], name
+
+
+# ---------------------------------------------------------------------------
+# records
+
+
+def test_record_contract():
+    """Records keep the repr, equality, hashing and immutability that
+    the package's value types have always had."""
+    assert repr(Edge(0, 1, "H")) == "Edge(tail=0, head=1, label='H')"
+    assert repr(SearchBudget(max_degree=2)) == \
+        "SearchBudget(max_degree=2, max_nodes=None)"
+    assert repr(SearchStats()) == ("SearchStats(homs_tried=0, "
+                                   "covers_realized=0, nodes=0, "
+                                   "cap_hit=False)")
+    # __post_init__ normalizes the word to a tuple
+    assert repr(EdgePath(0, [1, -2])) == "EdgePath(start=0, word=(1, -2))"
+
+    class Twin(Record):
+        tail: int
+        head: int
+        label: str
+
+    e = Edge(0, 1, "H")
+    assert e == Edge(tail=0, head=1, label="H") == Edge(0, label="H", head=1)
+    assert e is not Edge(0, 1, "H") and hash(e) == hash(Edge(0, 1, "H"))
+    assert e != (0, 1, "H") and (0, 1, "H") != e
+    assert e != Twin(0, 1, "H") and e != Violation(0, 1, "H")
+    assert e != Edge(0, 1, "V")
+    assert SearchBudget(3) == SearchBudget(max_degree=3, max_nodes=None)
+    assert hash(SearchBudget(3, 7)) == hash(SearchBudget(3, max_nodes=7))
+
+    for action in (lambda: setattr(e, "tail", 2),
+                   lambda: setattr(e, "extra", 2),
+                   lambda: delattr(e, "tail"),
+                   lambda: setattr(SearchBudget(2), "max_nodes", 5)):
+        with pytest.raises(AttributeError):
+            action()
+    assert e.tail == 0 and not hasattr(e, "extra")
+
+    stats = SearchStats()
+    stats.nodes += 5
+    del stats.cap_hit
+    stats.cap_hit = True
+    assert stats == SearchStats(nodes=5, cap_hit=True) != SearchStats()
+    with pytest.raises(TypeError):
+        hash(stats)
+
+    for call in (lambda: Edge(0, 1),                       # missing
+                 lambda: SearchBudget(),                   # missing
+                 lambda: SearchBudget(max_nodes=3),        # missing
+                 lambda: Edge(0, 1, "H", 2),               # too many
+                 lambda: Edge(0, 1, "H", weight=2),        # unknown
+                 lambda: SearchBudget(2, degree=2),        # unknown
+                 lambda: Edge(0, 1, "H", tail=0),          # repeated
+                 lambda: SearchBudget(2, max_degree=2)):   # repeated
+        with pytest.raises(TypeError):
+            call()
+
+    with pytest.raises(ValueError, match="max_degree must be an int"):
+        SearchBudget(max_degree=True)
+    with pytest.raises(ValueError, match="max_nodes must not be negative"):
+        SearchBudget(2, -1)
+
+
+def test_records_ignore_cached_properties():
+    """What a cached property keeps lives on the record's instance and
+    takes no part in its equality, hash or repr."""
+    a, b = torus(), torus()
+    before = (repr(a), hash(a))
+    assert a._pi1 == {} and "_pi1" in vars(a) and "_pi1" not in vars(b)
+    assert a == b and (repr(a), hash(a)) == before == (repr(b), hash(b))
+
+
+# the modules a child interpreter adds by importing the CLI
+IMPORT_CLI = """
+import sys
+before = set(sys.modules)
+import vhcomplex.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """Records are not dataclasses, so start-up compiles no generated
+    methods and loads neither module.  Modules that site imported
+    before the CLI do not count."""
+    proc = subprocess.run([sys.executable, "-c", IMPORT_CLI],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "vhcomplex.complexes" in added and "vhcomplex.cli" in added
+    assert not added & {"dataclasses", "inspect"}, sorted(added)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import copy
 import gc
 import itertools
 import json
+import pickle
 import random
 import weakref
 
@@ -251,6 +252,29 @@ def test_vclean_theta_needs_a_double_cover():
         assert w.component_id == (1 if mode == "some" else None)
         assert revalidate_witness(w, complex=theta, hyperplane=h)
         assert out.stats.covers_realized == 2
+
+
+def test_found_vclean_outcome_survives_pickle_and_deepcopy():
+    """A FOUND outcome nests records (a VCleanWitness holding a Cover
+    over a SquareComplex); a pickled or deep-copied one is equal, is
+    made of new objects, and its witness still revalidates."""
+    theta = helpers.load_complex("theta")
+    h = hyperplane_of_edge(hyperplanes(theta), 1)
+    for mode in ("some", "each"):
+        out = semi_decide_virtually_clean(theta, h, mode,
+                                          SearchBudget(max_degree=4))
+        assert out.found and isinstance(out.witness, VCleanWitness)
+        for back in (pickle.loads(pickle.dumps(out)), copy.deepcopy(out)):
+            assert back == out and repr(back) == repr(out)
+            w = back.witness
+            assert w is not out.witness and w.cover.base is not theta
+            assert w.cover == out.witness.cover and w.cover.base == theta
+            assert revalidate_witness(w, complex=theta, hyperplane=h)
+            # the copy's own complex and hyperplane revalidate it too
+            assert revalidate_witness(
+                w, complex=w.cover.base,
+                hyperplane=hyperplane_of_edge(hyperplanes(w.cover.base), 1))
+            assert outcome_to_doc(back) == outcome_to_doc(out)
 
 
 def test_vclean_klein_one_sided_base():
