@@ -12,13 +12,12 @@ import argparse
 import json
 import os
 import sys
-import traceback
 
 from . import formats
 from .complexes import pointed_pair, validate
 from .constructions import attach_relators, double_along_loop
 from .covers import enumerate_covers, iter_covers
-from .hyperplanes import _no_inter_osculation, hyperplanes, is_clean
+from .hyperplanes import hyperplanes, is_clean, no_inter_osculation
 from .search import (SearchBudget, element_survives, loop_survives,
                      probe_profinite_triviality,
                      semi_decide_virtually_clean)
@@ -48,7 +47,7 @@ def _cmd_hyperplanes(args):
     hyps = hyperplanes(cx)
     reports = [is_clean(h) for h in hyps]
     all_clean = all(r.clean for r in reports)
-    special = all_clean and _no_inter_osculation(cx, hyps)
+    special = all_clean and no_inter_osculation(cx, hyps)
     _emit({
         "hyperplanes": [formats.cleanliness_to_doc(r) for r in reports],
         "all_clean": all_clean,
@@ -262,6 +261,7 @@ def console_main(argv=None) -> int:
         return BAD_INPUT
     except Exception:
         # a bug, not bad input: keep 1 meaning "check failed"
+        import traceback    # only here: it costs a few ms at start-up
         traceback.print_exc()
         return INTERNAL_ERROR
 

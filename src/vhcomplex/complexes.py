@@ -165,6 +165,13 @@ class SquareComplex(Record):
         return self.edges[abs(d) - 1].label
 
 
+def is_signed_index(x, n: int) -> bool:
+    """Whether x is an int, not a bool, with 1 <= |x| <= n: a dart of a
+    complex with n edges, or a letter over n generators."""
+    return (isinstance(x, int) and not isinstance(x, bool)
+            and 0 < abs(x) <= n)
+
+
 def dart_out_end(d: int) -> int:
     """End index (0=tail, 1=head) at which the dart leaves its start vertex."""
     return 0 if d > 0 else 1
@@ -214,7 +221,7 @@ def structural_violations(cx: SquareComplex) -> list:
                                  "boundary length %d, expected 4" % len(w)))
         bad = False
         for d in w:
-            if not isinstance(d, int) or d == 0 or not (1 <= abs(d) <= ne):
+            if not is_signed_index(d, ne):
                 out.append(Violation("reference", ("square", i),
                                      "dart %r is not a signed edge id" % (d,)))
                 bad = True
@@ -360,7 +367,7 @@ def trace(cx: SquareComplex, p: EdgePath) -> list:
         raise ValueError("path starts at missing vertex %r" % (at,))
     verts = [at]
     for d in p.word:
-        if not isinstance(d, int) or d == 0 or not (1 <= abs(d) <= ne):
+        if not is_signed_index(d, ne):
             raise ValueError("dart %r is not a signed edge id" % (d,))
         if cx.dart_tail(d) != at:
             raise ValueError("dart %d starts at %d, path is at %d"

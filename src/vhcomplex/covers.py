@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from . import permutations as perm
 from .complexes import (CellularMap, DisjointSet, Edge, EdgePath, Record,
-                        SquareComplex, trace)
+                        SquareComplex, is_signed_index, trace)
 from .hyperplanes import Hyperplane, hyperplanes
 from .presentations import Pi1Presentation, pi1_presentation
 
@@ -53,7 +53,7 @@ def _check_shape(c: Cover):
     # +-1..num_edges would read another edge's map instead of failing
     for i, w in enumerate(c.base.squares):
         for dart in w:
-            if not 0 < abs(dart) <= c.base.num_edges:
+            if not is_signed_index(dart, c.base.num_edges):
                 raise ValueError("square %d: dart %r is not a signed edge id"
                                  % (i, dart))
 
@@ -63,7 +63,7 @@ def transport(c: Cover, word: Sequence[int]) -> tuple:
     on a dart outside +-1..num_edges."""
     p = perm.identity(c.degree)
     for d in word:
-        if not 0 < abs(d) <= c.base.num_edges:
+        if not is_signed_index(d, c.base.num_edges):
             raise ValueError("dart %r is not a signed edge id" % (d,))
         q = c.perms[abs(d) - 1]
         if d < 0:
@@ -271,135 +271,17 @@ def preimage_hyperplane_components(c: Cover, y: Hyperplane):
 
 def preimage_cleanness(c: Cover, y: Hyperplane) -> tuple:
     """((component id, clean), ...) for the components of the preimage of
-    a base hyperplane, sorted by id, from the permutations alone.
-
-    Agrees with is_clean on preimage_hyperplane_components(c, y) without
-    realizing the total space.  Lifted edge (e, s) has id (e-1)*d+s+1 as
-    in total_space, and a component's id is its least lifted edge.  One
-    parity union-find over the lifted dual edges gives the components:
-    a lifted midcube keeps its base midcube's parity, because lifting
-    keeps dart signs, and a parity conflict makes a component one-sided.
-    Each class is co-oriented by its parity to the root; flipping a whole
-    class only swaps its two sides, so the pushing collisions are the
-    ones is_clean finds.  Raises ValueError on a non-cover.
-
-    The verdict is kept in y.carrier.verdicts under the cover's carrier
-    key and reused by every later call on y, vclean searches included.
-    Nothing bounds that dict: it holds every key y has been checked on
-    for as long as y lives.  Drop y, or call y.carrier.verdicts.clear(),
-    to free it.
+    a base hyperplane, sorted by id, from the permutations alone: the
+    cover is validated, then y.carrier.cleanness decides its carrier key,
+    or gives the verdict it keeps (see hyperplanes.Carrier).  Agrees with
+    is_clean on preimage_hyperplane_components(c, y).  Raises ValueError
+    on a non-cover.
     """
     if y.complex != c.base:
         raise ValueError("hyperplane is not from this cover's base")
     if not validate_cover(c):
         raise ValueError("square relations fail; not a cover")
-    return _key_cleanness(y, tuple(c.perm(e) for e in y.carrier.edges))
-
-
-def _key_cleanness(y: Hyperplane, key: tuple) -> tuple:
-    """_preimage_cleanness(y, len(key[0]), key) for a carrier key of y,
-    the permutations on y.carrier.edges, decided once per key and kept
-    in y.carrier.verdicts."""
-    verdicts = y.carrier.verdicts
-    comps = verdicts.get(key)
-    if comps is None:
-        comps = verdicts[key] = _preimage_cleanness(y, len(key[0]), key)
-    return comps
-
-
-def _preimage_cleanness(y: Hyperplane, d: int, perms: Sequence) -> tuple:
-    """preimage_cleanness without its checks, from the degree d and
-    `perms`, the permutations on y.carrier.edges in that order, which
-    must satisfy the relators of the squares y crosses.  These are its
-    only inputs: every cover of y's complex with these permutations on
-    the carrier gets this answer, whatever it does on the other edges
-    and whether or not their squares' relators hold.
-
-    It reads y's compiled carrier (hyperplanes.Carrier) and inverts only
-    the permutations that a crossed square reads backwards.  The lift of
-    carrier position k whose tail is on sheet s is known as k*d+s.  The
-    parity union-find covers only the lifts of the dual edges: dual
-    index j on sheet s is slot j*d+s, so slots ascend with the lifted
-    edge ids (e-1)*d+s+1 that name the components."""
-    carrier = y.carrier
-    sheets = range(d)
-    inverses = {k: perm.inverse(perms[k]) for k in carrier.inverted}
-    parent = list(range(len(carrier.dual) * d))
-    rel = [0] * len(parent)    # parity between a slot and its parent
-
-    def find(x):
-        path = []
-        while parent[x] != x:
-            path.append(x)
-            x = parent[x]
-        par = 0
-        for node in reversed(path):
-            par ^= rel[node]
-            rel[node] = par
-            parent[node] = x
-        return x
-
-    lifted = []      # (darts, tails, pairs) per square and sheet
-    conflicts = []
-    for darts, pairs in carrier.squares:
-        for s in sheets:
-            tails = []    # the sheet at each dart's edge tail
-            t = s
-            for k, forward in darts:
-                if forward:
-                    tails.append(t)
-                    t = perms[k][t]
-                else:
-                    t = inverses[k][t]
-                    tails.append(t)
-            lifted.append((darts, tails, pairs))
-            for pair, p, ja, jb in pairs:
-                a, b = ja * d + tails[pair], jb * d + tails[pair + 2]
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-                    rel[ra] = rel[a] ^ rel[b] ^ p
-                elif rel[a] ^ rel[b] != p:
-                    conflicts.append(a)
-    dirty = {find(a) for a in conflicts}
-    for darts, tails, pairs in lifted:
-        if len(pairs) == 2:
-            # both midcubes of the square: sides 0 and 1 are dual edges
-            r = find(pairs[0][2] * d + tails[0])
-            if r == find(pairs[1][2] * d + tails[1]):
-                dirty.add(r)
-
-    # pushing maps: with parity 0, side 0 is at the tail of an edge
-    component_id = {}
-    pushed = set()
-    for j, (k, e, tail, head) in enumerate(carrier.dual):
-        q = perms[k]
-        for s in sheets:
-            x = j * d + s
-            r = find(x)
-            component_id.setdefault(r, (e - 1) * d + s + 1)
-            near, far = tail * d + s, head * d + q[s]
-            if rel[x]:
-                near, far = far, near
-            for key in ((r, 0, near), (r, 1, far)):
-                if key in pushed:
-                    dirty.add(r)
-                pushed.add(key)
-    pushed.clear()
-    for darts, tails, pairs in lifted:
-        for pair, _, ja, _ in pairs:
-            x = ja * d + tails[pair]
-            r = find(x)
-            before, after = (darts[i][0] * d + tails[i]
-                             for i in ((pair + 3) % 4, (pair + 1) % 4))
-            if (rel[x] == 0) != darts[pair][1]:
-                before, after = after, before
-            for key in ((r, 0, before), (r, 1, after)):
-                if key in pushed:
-                    dirty.add(r)
-                pushed.add(key)
-    return tuple(sorted((x, r not in dirty)
-                        for r, x in component_id.items()))
+    return y.carrier.cleanness(tuple(c.perm(e) for e in y.carrier.edges))
 
 
 # ---------------------------------------------------------------------------

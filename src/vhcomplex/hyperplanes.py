@@ -14,6 +14,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Optional
 
+from . import permutations as perm
 from .complexes import (DisjointSet, Record, SquareComplex,
                         require_structure, square_corners)
 from .presentations import pi1_presentation
@@ -44,29 +45,29 @@ class Hyperplane(Record):
 
 
 class Carrier:
-    """A hyperplane's carrier, compiled for the cleanness verdict of its
-    preimages (covers._preimage_cleanness) and, in `key_pos`, for the
-    virtual-cleanness search.  Carrier position k is the k-th entry of
-    `edges`, and dual index j the j-th entry of `dual`.
-
-    verdicts: carrier key -> ((component id, clean), ...), the verdicts
-        given so far (covers._key_cleanness).  A carrier key is the
-        tuple of permutations on `edges`, which is all the verdict
-        reads, so a verdict kept is exact for every later cover and
-        search of the hyperplane.  It is never bounded or evicted: it
-        grows with every new key until the hyperplane is dropped or it
-        is cleared (verdicts.clear()).
+    """A hyperplane's carrier, compiled for the cleanness of its
+    preimages: the one place that verdict is decided (`cleanness`) and
+    kept (`verdicts`), for preimage_cleanness and the virtual-cleanness
+    search alike.
 
     edges: the carrier edges, sorted: the dual edges and every edge of
-        the crossed squares.
-    squares: per crossed square: (darts, pairs).  darts has
-        (carrier position, forward) per boundary dart; pairs has
-        (pair, parity, dual index of side pair, of side pair + 2) per
-        midcube of the hyperplane in the square, with
-        _midcube_parity's parity.
-    inverted: the carrier positions some crossed square reads backwards.
-    dual: per dual edge, ascending: (carrier position, edge id, tail,
-        head).
+        the crossed squares.  A carrier key is the tuple of permutations
+        on them, which is all a verdict reads, so a verdict kept is
+        exact for every later cover and search of the hyperplane.
+    verdicts: carrier key -> cleanness(key), for every key decided so
+        far.  It is never bounded or evicted: it grows with every new
+        key until the hyperplane is dropped or it is cleared
+        (verdicts.clear()), after which keys are decided afresh with
+        the same verdicts.
+
+    Carrier position k is the k-th entry of `edges`, and dual index j
+    the j-th entry of `_dual`.  _squares: per crossed square: (darts,
+    pairs).  darts has (carrier position, forward) per boundary dart;
+    pairs has (pair, parity, dual index of side pair, of side pair + 2)
+    per midcube of the hyperplane in the square, with _midcube_parity's
+    parity.  _inverted: the carrier positions some crossed square reads
+    backwards.  _dual: per dual edge, ascending: (carrier position, edge
+    id, tail, head).
     """
 
     def __init__(self, h: Hyperplane):
@@ -87,12 +88,12 @@ class Carrier:
                            dual[abs(w[pair])], dual[abs(w[pair + 2])])
                           for j, pair in h.midcubes if j == i)
             squares.append((tuple((pos[abs(x)], x > 0) for x in w), pairs))
-        self.squares = tuple(squares)
-        self.inverted = tuple(sorted({k for darts, _ in self.squares
-                                      for k, forward in darts
-                                      if not forward}))
-        self.dual = tuple((pos[e], e, cx.edge(e).tail, cx.edge(e).head)
-                          for e in duals)
+        self._squares = tuple(squares)
+        self._inverted = tuple(sorted({k for darts, _ in self._squares
+                                       for k, forward in darts
+                                       if not forward}))
+        self._dual = tuple((pos[e], e, cx.edge(e).tail, cx.edge(e).head)
+                           for e in duals)
         self.verdicts = {}
 
     @cached_property
@@ -104,6 +105,120 @@ class Carrier:
         raises pi1_presentation's ValueError."""
         pres = pi1_presentation(self.complex, 0)
         return tuple(pres.edge_generator[e - 1] for e in self.edges)
+
+    def key(self, d: int, assignment) -> tuple:
+        """The carrier key of the degree-d cover with identity tree edges
+        whose generators take the images `assignment`, as
+        cover_from_assignment builds it."""
+        ident = perm.identity(d)
+        return tuple(ident if k is None else assignment[k]
+                     for k in self.key_pos)
+
+    def cleanness(self, key: tuple) -> tuple:
+        """((component id, clean), ...) for the components of the
+        preimage of the hyperplane, sorted by id, in every cover whose
+        permutations on `edges` are `key`.  The key must satisfy the
+        relators of the crossed squares; nothing else is read or
+        checked, whatever the cover does on the other edges.  Decided
+        once per key and kept in `verdicts`.
+
+        Agrees with is_clean on preimage_hyperplane_components without
+        realizing the total space.  Lifted edge (e, s) has id
+        (e-1)*d+s+1 as in total_space, and a component's id is its least
+        lifted edge.  One parity union-find over the lifted dual edges
+        gives the components: a lifted midcube keeps its base midcube's
+        parity, because lifting keeps dart signs, and a parity conflict
+        makes a component one-sided.  Each class is co-oriented by its
+        parity to the root; flipping a whole class only swaps its two
+        sides, so the pushing collisions are the ones is_clean finds.
+        Only the permutations a crossed square reads backwards are
+        inverted.  The lift of carrier position k whose tail is on sheet
+        s is known as k*d+s, and dual index j on sheet s is slot j*d+s,
+        so slots ascend with the lifted edge ids that name the
+        components."""
+        comps = self.verdicts.get(key)
+        if comps is not None:
+            return comps
+        d = len(key[0])
+        sheets = range(d)
+        inverses = {k: perm.inverse(key[k]) for k in self._inverted}
+        parent = list(range(len(self._dual) * d))
+        rel = [0] * len(parent)    # parity between a slot and its parent
+
+        def find(x):
+            path = []
+            while parent[x] != x:
+                path.append(x)
+                x = parent[x]
+            par = 0
+            for node in reversed(path):
+                par ^= rel[node]
+                rel[node] = par
+                parent[node] = x
+            return x
+
+        lifted = []      # (darts, tails, pairs) per square and sheet
+        conflicts = []
+        for darts, pairs in self._squares:
+            for s in sheets:
+                tails = []    # the sheet at each dart's edge tail
+                t = s
+                for k, forward in darts:
+                    if forward:
+                        tails.append(t)
+                        t = key[k][t]
+                    else:
+                        t = inverses[k][t]
+                        tails.append(t)
+                lifted.append((darts, tails, pairs))
+                for pair, p, ja, jb in pairs:
+                    a, b = ja * d + tails[pair], jb * d + tails[pair + 2]
+                    ra, rb = find(a), find(b)
+                    if ra != rb:
+                        parent[ra] = rb
+                        rel[ra] = rel[a] ^ rel[b] ^ p
+                    elif rel[a] ^ rel[b] != p:
+                        conflicts.append(a)
+        dirty = {find(a) for a in conflicts}
+        for darts, tails, pairs in lifted:
+            if len(pairs) == 2:
+                # both midcubes of the square: sides 0 and 1 are dual edges
+                r = find(pairs[0][2] * d + tails[0])
+                if r == find(pairs[1][2] * d + tails[1]):
+                    dirty.add(r)
+
+        # pushing maps: with parity 0, side 0 is at the tail of an edge
+        component_id = {}
+        pushed = set()
+        for j, (k, e, tail, head) in enumerate(self._dual):
+            q = key[k]
+            for s in sheets:
+                x = j * d + s
+                r = find(x)
+                component_id.setdefault(r, (e - 1) * d + s + 1)
+                near, far = tail * d + s, head * d + q[s]
+                if rel[x]:
+                    near, far = far, near
+                for slot in ((r, 0, near), (r, 1, far)):
+                    if slot in pushed:
+                        dirty.add(r)
+                    pushed.add(slot)
+        pushed.clear()
+        for darts, tails, pairs in lifted:
+            for pair, _, ja, _ in pairs:
+                x = ja * d + tails[pair]
+                r = find(x)
+                before, after = (darts[i][0] * d + tails[i]
+                                 for i in ((pair + 3) % 4, (pair + 1) % 4))
+                if (rel[x] == 0) != darts[pair][1]:
+                    before, after = after, before
+                for slot in ((r, 0, before), (r, 1, after)):
+                    if slot in pushed:
+                        dirty.add(r)
+                    pushed.add(slot)
+        comps = self.verdicts[key] = tuple(sorted(
+            (x, r not in dirty) for r, x in component_id.items()))
+        return comps
 
 
 def midcube_dual_pair(cx: SquareComplex, midcube) -> tuple:
@@ -393,10 +508,10 @@ def is_special(cx: SquareComplex) -> bool:
     hyps = hyperplanes(cx)
     if not all(is_clean(h).clean for h in hyps):
         return False
-    return _no_inter_osculation(cx, hyps)
+    return no_inter_osculation(cx, hyps)
 
 
-def _no_inter_osculation(cx: SquareComplex, hyps) -> bool:
+def no_inter_osculation(cx: SquareComplex, hyps) -> bool:
     """Whether no two of the complex's hyperplanes, given as
     hyperplanes(cx), inter-osculate.
 

@@ -18,7 +18,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .complexes import cyclic_reduce
+from .complexes import cyclic_reduce, is_signed_index
 
 
 def identity(d: int) -> tuple:
@@ -253,8 +253,7 @@ class CosetTables:
     def __init__(self, num_gens: int, relators: Sequence[Sequence[int]]):
         for w in relators:
             for x in w:
-                if isinstance(x, bool) or not (isinstance(x, int)
-                                               and 1 <= abs(x) <= num_gens):
+                if not is_signed_index(x, num_gens):
                     raise ValueError("relator letter %r is not a signed "
                                      "generator index in 1..%d"
                                      % (x, num_gens))

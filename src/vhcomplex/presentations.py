@@ -12,7 +12,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .complexes import (EdgePath, Record, SquareComplex, cyclic_reduce,
-                        free_reduce, is_connected_complex,
+                        free_reduce, is_connected_complex, is_signed_index,
                         require_structure, trace)
 from .permutations import CosetTables
 
@@ -47,9 +47,7 @@ class GroupPresentation(Record):
         for r in relators:
             word = parse_word(r, gens) if isinstance(r, str) else tuple(r)
             for letter in word:
-                if isinstance(letter, bool) or not (
-                        isinstance(letter, int)
-                        and 1 <= abs(letter) <= len(gens)):
+                if not is_signed_index(letter, len(gens)):
                     raise ValueError("relator letter %r out of range"
                                      % (letter,))
             word = cyclic_reduce(word)

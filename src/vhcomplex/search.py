@@ -40,12 +40,13 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional, Union
 
 from . import permutations as perm
-from .complexes import EdgePath, Record, SquareComplex, free_reduce, trace
+from .complexes import (EdgePath, Record, SquareComplex, free_reduce,
+                        is_signed_index, trace)
 from .constructions import DoubledComplex
-from .covers import (Cover, _key_cleanness, cover_from_assignment,
-                     is_connected, preimage_cleanness,
-                     preimage_hyperplane_components, pullback_cover,
-                     regular_closure, transport, validate_cover)
+from .covers import (Cover, cover_from_assignment, is_connected,
+                     preimage_cleanness, preimage_hyperplane_components,
+                     pullback_cover, regular_closure, transport,
+                     validate_cover)
 from .hyperplanes import Hyperplane, is_clean
 from .presentations import GroupPresentation, parse_word, pi1_presentation
 
@@ -171,8 +172,7 @@ def _as_word(word, pres: GroupPresentation) -> tuple:
     word = tuple(word)
     n = pres.num_generators
     for x in word:
-        if isinstance(x, bool) or not (isinstance(x, int)
-                                       and 1 <= abs(x) <= n):
+        if not is_signed_index(x, n):
             raise ValueError("letter %r is not a signed generator index "
                              "in 1..%d" % (x, n))
     return word
@@ -264,26 +264,19 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
     honestly and only reported if it passes.
 
     Components are checked from the permutations, never by realizing a
-    total space.  Their cleanness depends only on the permutations on
-    the hyperplane's carrier edges, its carrier key: the tuple of images
-    on the sorted carrier edges.  A new key is decided from the key
-    alone, which is all that covers._preimage_cleanness reads; a scanned
-    cover is built only to report a witness or to take a regular
-    closure.  The carrier's edges and generators depend only on the
-    hyperplane, and so does each key's verdict, so they are kept on it
-    (h.carrier.key_pos and h.carrier.verdicts) from its first call, as
-    the complex keeps its presentation and that its tables: a later
-    call, in either mode or to a higher degree, and preimage_cleanness
-    on a closure reuse every verdict given.  The prune decides every new
-    key the same way, so a kept verdict changes nothing but the work.
-    The kept verdicts are not bounded: they grow with every new key for
-    as long as h lives; drop h or clear h.carrier.verdicts to free them.
-    The scanned covers satisfy every square relator by construction, so
-    only closures are validated first.  revalidate_vclean_witness does
-    realize the witness cover, and reads no kept verdict.
+    total space: h.carrier.cleanness decides each cover's carrier key,
+    h.carrier.key(d, a), and keeps the verdict for every later call on
+    h, in either mode or to a higher degree, and for preimage_cleanness
+    on a closure (see hyperplanes.Carrier).  The prune decides every new
+    key the same way, so a kept verdict changes nothing but the work.  A
+    scanned cover is built only to report a witness or to take a regular
+    closure.  The scanned covers satisfy every square relator by
+    construction, so only closures are validated first.
+    revalidate_vclean_witness does realize the witness cover, and reads
+    no kept verdict.
 
-    Each degree d >= 2 passes the low-index search the prune (key_pos,
-    dirty), so that search fills the carrier generators' columns first
+    Each degree d >= 2 passes the low-index search the prune
+    (h.carrier.key_pos, dirty), so that search fills the carrier generators' columns first
     and gives the classes in ascending order of their least such
     tables.  Once a table has all d cosets and the images of the
     carrier generators are fixed, every class below it has one carrier
@@ -309,20 +302,15 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
         raise ValueError("hyperplane is not from this complex")
     pres = pi1_presentation(cx, 0)
     stats = SearchStats()
-    key_pos = h.carrier.key_pos
-
-    def carrier_key(d, a):
-        """The images of assignment a on the carrier edges."""
-        ident = perm.identity(d)
-        return tuple(ident if k is None else a[k] for k in key_pos)
+    carrier = h.carrier
 
     def dirty(key):
         """The prune callback of a scanned degree (see above)."""
-        return not any(clean for _, clean in _key_cleanness(h, key))
+        return not any(clean for _, clean in carrier.cleanness(key))
 
     def check(d, a):
         stats.covers_realized += 1
-        comps = _key_cleanness(h, carrier_key(d, a))
+        comps = carrier.cleanness(carrier.key(d, a))
         if not any(clean for _, clean in comps):
             return None
         cover = cover_from_assignment(cx, pres, d, a)
@@ -337,8 +325,8 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
             return VCleanWitness(mode, h.id, closure, None)
         return None
 
-    return _scan(_quotients(pres, prune=(key_pos, dirty)), check, 1, budget,
-                 stats)
+    return _scan(_quotients(pres, prune=(carrier.key_pos, dirty)), check, 1,
+                 budget, stats)
 
 
 # ---------------------------------------------------------------------------

@@ -693,8 +693,8 @@ def _carrier_edges(y) -> tuple:
 
 
 def reference_preimage_cleanness(y, d, perms) -> tuple:
-    """covers._preimage_cleanness as it was before it read a compiled
-    carrier: preimage_cleanness without its checks, from the degree d and
+    """The verdict of Carrier.cleanness as it was computed before it read
+    a compiled carrier: preimage_cleanness without its checks, from the degree d and
     `perms`, the permutations on _carrier_edges(y) in that order, which
     must satisfy the relators of the squares y crosses.  These are its
     only inputs: every cover of y's complex with these permutations on

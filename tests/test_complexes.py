@@ -1,3 +1,5 @@
+import ast
+import glob
 import os
 import pickle
 import subprocess
@@ -15,8 +17,8 @@ from vhcomplex import (CellularMap, Edge, EdgePath, SquareComplex, check_npc,
                        validate, validate_cellular_map)
 from vhcomplex.complexes import (Record, Violation, check_path,
                                  cyclic_equal, cyclic_reduce, free_reduce,
-                                 identity_map, square_corners,
-                                 structural_violations)
+                                 identity_map, is_signed_index,
+                                 square_corners, structural_violations)
 from vhcomplex.search import SearchBudget, SearchStats
 
 import helpers
@@ -149,14 +151,33 @@ print(" ".join(sorted(set(sys.modules) - before)))
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     """Records are not dataclasses, so start-up compiles no generated
-    methods and loads neither module.  Modules that site imported
+    methods and loads neither module.  Nor does it load traceback, which
+    only the internal-error path imports.  Modules that site imported
     before the CLI do not count."""
     proc = subprocess.run([sys.executable, "-c", IMPORT_CLI],
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     added = set(proc.stdout.split())
     assert "vhcomplex.complexes" in added and "vhcomplex.cli" in added
-    assert not added & {"dataclasses", "inspect"}, sorted(added)
+    assert not added & {"dataclasses", "inspect", "traceback"}, \
+        sorted(added)
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A module of the package reaches its siblings through their public
+    names only: no relative `from .x import _name`."""
+    src = os.path.dirname(vhcomplex.__file__)
+    found = []
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found += ["%s:%d %s" % (os.path.basename(path), node.lineno,
+                                        alias.name)
+                          for alias in node.names
+                          if alias.name.startswith("_")]
+    assert found == []
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +261,22 @@ def test_trace_and_closure():
     assert trace(t, p) == [0, 0, 0, 0, 0]
     assert is_closed(t, p)
     assert path_end(t, p) == 0
+
+
+def test_bool_darts_are_not_edge_ids():
+    """True equals 1, but it is not a dart: trace and the structural
+    check reject it as they reject any dart outside +-1..num_edges."""
+    assert is_signed_index(1, 2) and is_signed_index(-2, 2)
+    for x in (True, False, 0, 3, -3, 1.0, "1", None):
+        assert not is_signed_index(x, 2), x
+    t = torus()
+    with pytest.raises(ValueError, match="dart True is not a signed edge"):
+        trace(t, EdgePath(0, (True,)))
+    bad = SquareComplex(1, t.edges, ((True, 2, -1, -2),))
+    assert structural_violations(bad) == [
+        Violation("reference", ("square", 0),
+                  "dart True is not a signed edge id")]
+    assert not validate(bad).ok
 
 
 def test_trace_rejects_breaks():

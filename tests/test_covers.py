@@ -15,7 +15,6 @@ from vhcomplex import (Cover, Edge, EdgePath, SquareComplex,
                        validate_cellular_map, validate_cover)
 from vhcomplex import permutations as perm
 from vhcomplex.complexes import is_connected_complex
-from vhcomplex.covers import _preimage_cleanness
 
 import helpers
 import oracles
@@ -39,10 +38,14 @@ def test_transport_folds_darts():
 
 def test_transport_rejects_darts_that_are_not_edges():
     c = torus_cover([1, 2, 0], [0, 2, 1])
-    for dart in (0, 3, -3):
-        with pytest.raises(ValueError, match="dart %d is not a signed edge "
+    for dart in (0, 3, -3, True, False):
+        with pytest.raises(ValueError, match="dart %r is not a signed edge "
                            "id" % dart):
             transport(c, (1, dart))
+    # nor may a square of the base read a bool dart
+    bad = SquareComplex(1, c.base.edges, ((True, 2, -1, -2),))
+    with pytest.raises(ValueError, match="dart True is not a signed edge"):
+        validate_cover(Cover(bad, 3, c.perms))
 
 
 def test_validate_cover():
@@ -421,7 +424,7 @@ def test_preimage_cleanness_on_regular_closures():
 
 
 def test_compiled_verdict_matches_the_edge_wide_reference():
-    """_preimage_cleanness reads the hyperplane's compiled carrier;
+    """Carrier.cleanness reads the hyperplane's compiled carrier;
     oracles.reference_preimage_cleanness is the verdict over every
     lifted edge that it replaced.  They agree on every hyperplane of the
     structurally valid fixtures, the bigon, D and the first 60 connected
@@ -443,7 +446,7 @@ def test_compiled_verdict_matches_the_edge_wide_reference():
             for c in itertools.islice(iter_covers(cx, d), 40):
                 for y in hyps:
                     key = tuple(c.perm(e) for e in y.carrier.edges)
-                    comps = _preimage_cleanness(y, d, key)
+                    comps = y.carrier.cleanness(key)
                     assert comps == oracles.reference_preimage_cleanness(
                         y, d, key), (cx, y.id, key)
                     verdicts.update(clean for _, clean in comps)

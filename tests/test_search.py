@@ -20,11 +20,12 @@ from vhcomplex import (Cover, Edge, EdgePath, GroupPresentation, Hyperplane,
                        revalidate_witness, semi_decide_virtually_clean,
                        survival_from_clean_cover, transport)
 from vhcomplex import permutations as perm
-from vhcomplex import covers, search
+from vhcomplex import search
 from vhcomplex.complexes import is_connected_complex
 from vhcomplex.constructions import enumerate_simple_loops
 from vhcomplex.covers import cover_from_assignment, enumerate_covers
 from vhcomplex.formats import canonical_json, outcome_to_doc
+from vhcomplex.hyperplanes import Carrier
 
 import helpers
 import oracles
@@ -392,17 +393,18 @@ def test_vclean_outcomes_do_not_depend_on_the_memos(monkeypatch):
     compiles = []
     decided = []
     real_init = perm.CosetTables.__init__
-    real_verdict = covers._preimage_cleanness
+    real_cleanness = Carrier.cleanness
 
     def counting(self, *args):
         compiles.append(args)
         real_init(self, *args)
 
-    def deciding(h, d, perms):
-        decided.append((h.id, perms))
-        return real_verdict(h, d, perms)
+    def deciding(self, key):
+        if key not in self.verdicts:
+            decided.append((id(self), key))
+        return real_cleanness(self, key)
     monkeypatch.setattr(perm.CosetTables, "__init__", counting)
-    monkeypatch.setattr(covers, "_preimage_cleanness", deciding)
+    monkeypatch.setattr(Carrier, "cleanness", deciding)
     cx = helpers.doubled_complex()
     budget = SearchBudget(2)
 
@@ -477,21 +479,23 @@ def test_vclean_decides_covers_satisfying_the_carrier_relators(
         monkeypatch):
     """Every carrier key whose cleanness the search decides satisfies the
     relators of the squares its hyperplane crosses."""
-    real = covers._preimage_cleanness
+    real = Carrier.cleanness
     decided = []
 
-    def checking(h, d, perms):
-        images = dict(zip(h.carrier.edges, perms))
-        ident = perm.identity(d)
-        for i, _ in h.midcubes:
-            p = ident
-            for dart in h.complex.squares[i]:
-                q = images[abs(dart)]
-                p = perm.compose(p, q if dart > 0 else perm.inverse(q))
-            assert p == ident
-        decided.append(d)
-        return real(h, d, perms)
-    monkeypatch.setattr(covers, "_preimage_cleanness", checking)
+    def checking(self, key):
+        assert self is h.carrier
+        if key not in self.verdicts:
+            images = dict(zip(self.edges, key))
+            ident = perm.identity(len(key[0]))
+            for i, _ in h.midcubes:
+                p = ident
+                for dart in h.complex.squares[i]:
+                    q = images[abs(dart)]
+                    p = perm.compose(p, q if dart > 0 else perm.inverse(q))
+                assert p == ident
+            decided.append(len(key[0]))
+        return real(self, key)
+    monkeypatch.setattr(Carrier, "cleanness", checking)
     for name in ("doubled", "mixed_carrier"):
         cx = helpers.load_complex(name)
         for h in hyperplanes(cx):
