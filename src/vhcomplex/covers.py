@@ -40,11 +40,10 @@ def _check_shape(c: Cover):
                          % (len(c.perms), c.base.num_edges))
     checked = set()    # each distinct permutation is checked once
     for eid, p in enumerate(c.perms, start=1):
-        try:
-            if p in checked:
-                continue
-        except TypeError:
-            pass    # unhashable entries, which is_permutation rejects
+        # (True, False) and (1.0, 0) equal (1, 0): only a tuple of plain
+        # ints, hashable too, can be one already checked
+        if {int}.issuperset(map(type, p)) and p in checked:
+            continue
         if not perm.is_permutation(p, c.degree):
             raise ValueError("edge %d: %r is not a permutation of %d sheets"
                              % (eid, p, c.degree))

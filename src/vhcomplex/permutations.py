@@ -38,7 +38,12 @@ def inverse(p):
 
 
 def is_permutation(p, d: int) -> bool:
-    return len(p) == d and sorted(p) == list(range(d))
+    """Whether p lists 0..d-1 in some order, each entry an int and not a
+    bool (so True, 1.0 and 0.0 are no sheets)."""
+    return (len(p) == d
+            and all(isinstance(x, int) and not isinstance(x, bool)
+                    for x in p)
+            and sorted(p) == list(range(d)))
 
 
 @lru_cache(maxsize=None)
@@ -282,9 +287,13 @@ class CosetTables:
         A complete table with d cosets is kept when no other coset,
         taken as the base, gives a smaller standard table, so each class
         is yielded once, as its least standard table, and the classes
-        come in ascending order of it.  The order is row-major without
-        `prune`.  The table, deductions, budget and errors are those of
-        _fill.
+        come in ascending order of it.  The bases are tried in ascending
+        order, and a base that an automorphism found on a tie reaches
+        from a base already tried is skipped, since both give the same
+        re-based table (_is_least): a regular class costs a few
+        comparisons, not d - 1, and the kept tables are the same.  The
+        order is row-major without `prune`.  The table, deductions,
+        budget and errors are those of _fill.
 
         `prune`, when given, is a pair (watch, callback), which _fill
         describes.  The watched generators' columns are then filled
@@ -338,12 +347,15 @@ class CosetTables:
         yield (identity(1),) * len(self.columns)
 
 
-def _rebased_is_smaller(table, ncols: int, d: int, base: int,
-                        reads) -> bool:
+def _rebased_is_smaller(table, ncols: int, d: int, base: int, reads):
     """Whether taking coset `base` as coset 0 and renumbering the others
-    by first appearance along `reads` gives a smaller table.  `reads`
-    lists the table's entries in its own read order; the re-based table
-    is read in that order too, which is its own while the two agree."""
+    by first appearance along `reads` gives a smaller table: True when
+    smaller, False when larger, and on a tie the renumbering `order`
+    (new coset -> old).  `reads` lists the table's entries in its own
+    read order; the re-based table is read in that order too, which is
+    its own while the two agree.  A tie is an equal table, so `order`
+    then commutes with every column: an automorphism of the table that
+    takes coset 0 to `base`."""
     label = [-1] * d
     label[base] = 0
     order = [base]
@@ -355,7 +367,40 @@ def _rebased_is_smaller(table, ncols: int, d: int, base: int,
             order.append(t)
         if label[t] != table[pos]:
             return label[t] < table[pos]
-    return False
+    return order
+
+
+def _is_least(table, ncols: int, d: int, reads) -> bool:
+    """Whether no coset, taken as the base, gives a smaller table than
+    the complete standard table's own (_rebased_is_smaller).
+
+    The bases are tried in ascending order, and each tie's automorphism
+    joins every coset x with order[x] in a union-find over the cosets.
+    A base joined to a smaller coset is skipped: an automorphism taking
+    b to b' takes the table re-based at b to the one re-based at b',
+    entry for entry, so the two re-based tables are equal, in either
+    read order, and b' gives the answer of a base already tried (or of
+    coset 0, the table itself).  A regular class has an automorphism
+    for every coset, so a few ties settle all its bases."""
+    root = list(range(d))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    for b in range(1, d):
+        if find(b) < b:
+            continue
+        order = _rebased_is_smaller(table, ncols, d, b, reads)
+        if order is True:
+            return False
+        if order is not False:
+            for x, y in enumerate(order):
+                x, y = find(x), find(y)
+                if x != y:
+                    root[max(x, y)] = min(x, y)
+    return True
 
 
 def _read_order(table, ncols: int, d: int, first) -> list:
@@ -409,7 +454,8 @@ def _fill(tables: CosetTables, d: int, budget: Optional[NodeBudget],
     of the cosets made so far have one; a complete table is then read
     in the same order, each row's watched columns as soon as the row
     is discovered (_read_order), to compare it with its re-based
-    tables.  After each definition the search scans, from each
+    tables; _is_least skips the bases that the automorphisms found on
+    ties reach.  After each definition the search scans, from each
     newly set entry (c, x), the rotations beginning with x of every
     relator and inverse relator; a scan with one gap left defines that
     entry, and a scan that closes up on the wrong coset rejects the
@@ -434,17 +480,17 @@ def _fill(tables: CosetTables, d: int, budget: Optional[NodeBudget],
     budget.cap_hit set.
     """
     ncols, picks, rots = tables.ncols, tables.columns, tables.rotations
+    size = d * ncols
     # one trailing -1 ends every search for the next undefined entry
-    table = [-1] * (d * ncols + 1)
+    table = [-1] * (size + 1)
     trail = []
 
     trivial = identity(d)
     first = ()    # the columns filled first, row by row
 
     def assignment():
-        cols = list(zip(*[table[r * ncols:(r + 1) * ncols]
-                          for r in range(d)]))
-        return tuple(trivial if k is None else cols[k] for k in picks)
+        return tuple(trivial if k is None else tuple(table[k:size:ncols])
+                     for k in picks)
 
     if prune is not None:
         watch, callback = prune
@@ -458,7 +504,6 @@ def _fill(tables: CosetTables, d: int, budget: Optional[NodeBudget],
             rank = {x: i for i, x in enumerate(first)}
             # the entries of the `first` columns, row by row
             ahead = [r * ncols + x for r in range(d) for x in first]
-        size = d * ncols
         # the sum of 0..d-1, less the -1 of the one unset entry
         total = d * (d - 1) // 2 - 1
 
@@ -581,7 +626,5 @@ def _fill(tables: CosetTables, d: int, budget: Optional[NodeBudget],
         elif n == d:
             if first:
                 reads = _read_order(table, ncols, d, first)
-            if labelled or not any(_rebased_is_smaller(table, ncols, d, b,
-                                                       reads)
-                                   for b in range(1, d)):
+            if labelled or _is_least(table, ncols, d, reads):
                 yield assignment()

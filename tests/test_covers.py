@@ -68,6 +68,18 @@ def test_validate_cover():
                 f(c)
 
 
+def test_validate_cover_rejects_sheets_that_are_not_ints():
+    """(True, False) and (1.0, 0) equal (1, 0) but name no sheets: they
+    are rejected with ValueError, also where an equal permutation of
+    ints was checked first."""
+    torus = helpers.load_complex("torus")
+    for perms in (((1.0, 0), (0, 1)), ((True, False), (0, 1)),
+                  ((1, 0), (1.0, 0)), ((1, 0), (True, False)),
+                  ((0, 1), ("a", 0))):
+        with pytest.raises(ValueError, match="is not a permutation"):
+            validate_cover(Cover(torus, 2, perms))
+
+
 def test_trivial_cover():
     t = helpers.load_complex("torus")
     c = trivial_cover(t)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from vhcomplex import hyperplanes, pi1_presentation
+from vhcomplex import hyperplanes, iter_covers, pi1_presentation
 from vhcomplex import permutations as perm
 from vhcomplex.complexes import is_connected_complex
 
@@ -191,7 +191,7 @@ def test_low_index_yields_least_standard_tables():
     ascending order of that table, and the classes are the same."""
     cases = [(helpers.load_complex(name), 5)
              for name in helpers.GOOD_FIXTURES + ("bad_vh",)]
-    cases += [(helpers.load_complex("torus"), 8),
+    cases += [(helpers.load_complex("torus"), 12),
               (helpers.doubled_complex(), 2)]
     for cx, max_degree in cases:
         n, relators = _pi1(cx)
@@ -299,6 +299,86 @@ def test_low_index_class_and_node_counts():
         budget = perm.NodeBudget()
         got = list(perm.iter_low_index(n, relators, d, budget=budget))
         assert (len(got), budget.nodes) == (classes, nodes), d
+
+
+def test_is_permutation_requires_int_entries():
+    assert perm.is_permutation((1, 0), 2)
+    for p in ((True, False), (1.0, 0), (0.0, 1), (0, True), ("a", 0),
+              (0, 1, 2), (0, 0)):
+        assert not perm.is_permutation(p, 2), p
+
+
+def _two_generator_table(a):
+    """The coset table of an assignment a to two generators: per row,
+    generator 1, its inverse, generator 2, its inverse."""
+    d = len(a[0])
+    cols = [a[0], perm.inverse(a[0]), a[1], perm.inverse(a[1])]
+    return [cols[x][c] for c in range(d) for x in range(4)]
+
+
+def test_rebased_ties_are_automorphisms():
+    """Z^2 is abelian, so each torus class is regular: every base gives
+    the class's own table, and each tie's renumbering is an
+    automorphism of the table taking coset 0 to the base."""
+    n, relators = _pi1(helpers.load_complex("torus"))
+    for d in range(1, 8):
+        for a in perm.iter_low_index(n, relators, d):
+            table = _two_generator_table(a)
+            for b in range(1, d):
+                order = perm._rebased_is_smaller(table, 4, d, b,
+                                                 range(4 * d))
+                assert isinstance(order, list) and order[0] == b, (a, b)
+                assert all(table[order[c] * 4 + x] == order[table[c * 4 + x]]
+                           for c in range(d) for x in range(4)), (a, b)
+
+
+def test_orbit_skipping_accepts_what_every_base_accepts():
+    """On every transitive labelled table of the torus and the Klein
+    bottle to degree 5 and of the free group of rank 2 to degree 4,
+    standard or not, the canonicity test that skips the orbits of the
+    automorphisms found accepts exactly the tables that trying every
+    base to the end accepts: in row-major order, and in carrier-first
+    order (generator 1 first) on the tables standard in it."""
+    for name, max_degree in (("torus", 5), ("klein", 5), ("wedge2", 4)):
+        tables = pi1_presentation(helpers.load_complex(name), 0).tables
+        assert (tables.ncols, tables.columns) == (4, (0, 2))
+        for d in range(1, max_degree + 1):
+            for a in tables.homs(d):
+                if not perm.is_transitive(a, d):
+                    continue
+                table = _two_generator_table(a)
+                orders = [range(4 * d)]
+                if oracles._read_table(a, 0, [0, 1])[1] == list(range(d)):
+                    orders.append(perm._read_order(table, 4, d, [0, 1]))
+                for reads in orders:
+                    every = not any(perm._rebased_is_smaller(
+                        table, 4, d, b, reads) is True for b in range(1, d))
+                    assert perm._is_least(table, 4, d, reads) == every, \
+                        (name, a)
+
+
+def test_regular_classes_are_compared_once_per_orbit(monkeypatch):
+    """Per torus census degree 1..6, the re-base comparisons the
+    low-index search makes.  Trying every base to the end made 0, 3, 8,
+    21, 24 and 60; a tie's automorphism now settles the bases in its
+    orbit."""
+    calls = []
+    rebased = perm._rebased_is_smaller
+
+    def counted(*args):
+        calls.append(args[3])
+        return rebased(*args)
+
+    monkeypatch.setattr(perm, "_rebased_is_smaller", counted)
+    torus = helpers.load_complex("torus")
+    counts = []
+    for d in range(1, 7):
+        calls.clear()
+        classes = sum(1 for _ in iter_covers(torus, d, connected=True,
+                                             up_to_conjugacy=True))
+        counts.append((classes, len(calls)))
+    # sigma(d) classes
+    assert counts == [(1, 0), (3, 3), (4, 4), (7, 9), (6, 6), (12, 17)]
 
 
 def test_low_index_prune_cuts_exactly_the_classes_below():

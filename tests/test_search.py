@@ -138,6 +138,14 @@ def test_probe_profinite_triviality():
     assert revalidate_witness(w, pres=z2)
 
 
+def test_quotient_witness_images_must_be_int_permutations():
+    z2 = helpers.load_presentation("z_squared")
+    assert revalidate_witness(QuotientWitness(2, ((1, 0),), (1,)), pres=z2)
+    for images in (((True, False),), ((1.0, 0),)):
+        assert not search.revalidate_quotient_witness(
+            z2, QuotientWitness(2, images, (1,))), images
+
+
 def test_probe_with_word_delegates():
     z2 = helpers.load_presentation("z_squared")
     out = probe_profinite_triviality(z2, word="a",
