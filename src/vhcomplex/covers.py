@@ -11,6 +11,7 @@ Conventions: sheets are 0-based, the basepoint lift of interest is sheet
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Optional, Sequence
 
 from . import permutations as perm
@@ -29,25 +30,30 @@ class Cover(Record):
         object.__setattr__(self, "perms", tuple(map(tuple, self.perms)))
 
     def perm(self, eid: int) -> tuple:
+        """Edge eid's permutation.  Raises ValueError unless eid is an
+        int, not a bool, in 1..num_edges of the base."""
+        if not is_signed_index(eid, self.base.num_edges) or eid < 0:
+            raise ValueError("no edge %r in 1..%d"
+                             % (eid, self.base.num_edges))
         return self.perms[eid - 1]
 
 
 def _check_shape(c: Cover):
-    if c.degree < 1:
-        raise ValueError("degree must be positive")
+    perm.check_degree(c.degree)
     if len(c.perms) != c.base.num_edges:
         raise ValueError("%d permutations for %d edges"
                          % (len(c.perms), c.base.num_edges))
-    checked = set()    # each distinct permutation is checked once
-    for eid, p in enumerate(c.perms, start=1):
-        # (True, False) and (1.0, 0) equal (1, 0): only a tuple of plain
-        # ints, hashable too, can be one already checked
-        if {int}.issuperset(map(type, p)) and p in checked:
-            continue
+    # (True, False) and (1.0, 0) equal (1, 0), so each distinct value is
+    # checked once only when every entry, tested for all edges at once,
+    # is a plain int; otherwise every edge is checked
+    perms = c.perms
+    if {int}.issuperset(map(type, chain.from_iterable(perms))):
+        perms = dict.fromkeys(perms)    # keeps each value's first tuple
+    for p in perms:
         if not perm.is_permutation(p, c.degree):
+            eid = next(e for e, q in enumerate(c.perms, start=1) if q is p)
             raise ValueError("edge %d: %r is not a permutation of %d sheets"
                              % (eid, p, c.degree))
-        checked.add(p)
     # _dart_maps tables index darts from both ends: a dart outside
     # +-1..num_edges would read another edge's map instead of failing
     for i, w in enumerate(c.base.squares):
@@ -313,9 +319,7 @@ def iter_covers(cx: SquareComplex, degree: int,
     passes through to the underlying search, which spends one node per
     definition.  A degree that is not a positive int raises ValueError.
     """
-    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
-        raise ValueError("degree must be positive (an int >= 1), not %r"
-                         % (degree,))
+    perm.check_degree(degree)
     pres = pi1_presentation(cx, 0)
     if connected and up_to_conjugacy:
         for assignment in pres.tables.low_index(degree, budget):

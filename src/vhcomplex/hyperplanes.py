@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Optional
 
 from . import permutations as perm
-from .complexes import (DisjointSet, Record, SquareComplex,
+from .complexes import (DisjointSet, Record, SquareComplex, cyclic_reduce,
                         require_structure, square_corners)
 from .presentations import pi1_presentation
 
@@ -59,6 +59,25 @@ class Carrier:
         key until the hyperplane is dropped or it is cleared
         (verdicts.clear()), after which keys are decided afresh with
         the same verdicts.
+    degrees: d -> (definitions, clean) for every degree d >= 2 that
+        has_clean_class has searched without meeting a node cap: the
+        definitions the carrier presentation's low_index(d) spent, up
+        to its first clean class or in all, and whether it met one.
+        Kept, like verdicts, as long as the hyperplane; at most one
+        entry per degree asked.
+
+    The carrier presentation (`tables`) has one letter per carrier edge
+    that key_pos names a generator (`letters`), and one relator per
+    crossed square: its boundary word with tree darts cut, cyclically
+    reduced, dropped when empty.  A component of the hyperplane's
+    preimage in a cover lives on one orbit of the carrier edges'
+    permutations, and its verdict reads only their action on that
+    orbit, which is a transitive action of the carrier presentation.
+    So a cover of degree d with a clean component has a clean carrier
+    class of degree at most d: where none exists, no cover of degree
+    at most d has a clean component, in either mode.  The converse
+    fails (the paper's non-locality): a clean carrier class need not
+    extend to a cover of the whole complex.
 
     Carrier position k is the k-th entry of `edges`, and dual index j
     the j-th entry of `_dual`.  _squares: per crossed square: (darts,
@@ -95,6 +114,7 @@ class Carrier:
         self._dual = tuple((pos[e], e, cx.edge(e).tail, cx.edge(e).head)
                            for e in duals)
         self.verdicts = {}
+        self.degrees = {}
 
     @cached_property
     def key_pos(self) -> tuple:
@@ -110,9 +130,63 @@ class Carrier:
         """The carrier key of the degree-d cover with identity tree edges
         whose generators take the images `assignment`, as
         cover_from_assignment builds it."""
-        ident = perm.identity(d)
-        return tuple(ident if k is None else assignment[k]
-                     for k in self.key_pos)
+        return _key(self.key_pos, d, assignment)
+
+    @cached_property
+    def letters(self) -> tuple:
+        """Per carrier edge, the 0-based index of its letter in the
+        carrier presentation, or None for a tree edge: the edges that
+        key_pos names a generator, numbered in carrier order."""
+        letters = []
+        n = 0
+        for k in self.key_pos:
+            letters.append(None if k is None else n)
+            n += k is not None
+        return tuple(letters)
+
+    @cached_property
+    def tables(self) -> perm.CosetTables:
+        """The carrier presentation, compiled on first use: a letter per
+        generator on the carrier (`letters`), and the crossed squares'
+        boundary words with tree darts cut, cyclically reduced, the
+        empty ones dropped."""
+        letters = self.letters
+        relators = []
+        for darts, _ in self._squares:
+            w = cyclic_reduce([letters[k] + 1 if forward else -letters[k] - 1
+                               for k, forward in darts
+                               if letters[k] is not None])
+            if w:
+                relators.append(w)
+        return perm.CosetTables(len(letters) - letters.count(None),
+                                relators)
+
+    def has_clean_class(self, d: int, budget: perm.NodeBudget):
+        """Whether some transitive action of degree d >= 2 of the carrier
+        presentation has a clean component: True or False, or None when
+        the budget's cap stops the search first.
+
+        Runs tables.low_index(d, budget) and decides each class's key,
+        the identity on tree edges and the letter's image elsewhere (the
+        key Carrier.key gives a cover with that carrier action), with
+        cleanness, up to the first clean one.  A search that meets no
+        cap is kept in `degrees`; a kept degree spends its definitions
+        at once (NodeBudget.replay), so the answer, nodes and cap_hit are
+        the fresh search's under every cap."""
+        kept = self.degrees.get(d)
+        if kept is not None:
+            spent, clean = kept
+            return clean if budget.replay(spent) else None
+        start = budget.nodes
+        clean = False
+        for a in self.tables.low_index(d, budget):
+            if any(ok for _, ok in self.cleanness(_key(self.letters, d, a))):
+                clean = True
+                break
+        if not clean and budget.cap_hit:
+            return None
+        self.degrees[d] = (budget.nodes - start, clean)
+        return clean
 
     def cleanness(self, key: tuple) -> tuple:
         """((component id, clean), ...) for the components of the
@@ -219,6 +293,13 @@ class Carrier:
         comps = self.verdicts[key] = tuple(sorted(
             (x, r not in dirty) for r, x in component_id.items()))
         return comps
+
+
+def _key(positions, d: int, assignment) -> tuple:
+    """Per position, the identity of S_d for None, else the image
+    `assignment` gives that index."""
+    ident = perm.identity(d)
+    return tuple(ident if k is None else assignment[k] for k in positions)
 
 
 def midcube_dual_pair(cx: SquareComplex, midcube) -> tuple:

@@ -46,6 +46,14 @@ def is_permutation(p, d: int) -> bool:
             and sorted(p) == list(range(d)))
 
 
+def check_degree(d) -> None:
+    """Raise ValueError unless d is an int, not a bool, with d >= 1: a
+    number of sheets."""
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+        raise ValueError("degree must be positive (an int >= 1), not %r"
+                         % (d,))
+
+
 @lru_cache(maxsize=None)
 def all_permutations(d: int) -> tuple:
     """All of S_d in lexicographic order."""
@@ -160,6 +168,16 @@ class NodeBudget:
             self.cap_hit = True
             return False
         self.nodes += 1
+        return True
+
+    def replay(self, n: int) -> bool:
+        """Count n nodes at once, as n calls of spend would: False, with
+        the cap reached and cap_hit set, when the cap refuses one."""
+        if self.cap is not None and self.nodes + n > self.cap:
+            self.nodes = self.cap
+            self.cap_hit = True
+            return False
+        self.nodes += n
         return True
 
 
@@ -305,9 +323,9 @@ class CosetTables:
         The other classes come in the order they have with a callback
         that never cuts.
 
-        Without `prune`, degree 1 spends trivial_definitions nodes, one
-        at a time, then yields the trivial assignment: under every cap,
-        the yields, nodes and cap_hit of the fill.
+        Without `prune`, degree 1 spends trivial_definitions nodes at once
+        (NodeBudget.replay), then yields the trivial assignment: under
+        every cap, the yields, nodes and cap_hit of the fill.
         """
         return self._search(d, budget, False, prune)
 
@@ -331,19 +349,15 @@ class CosetTables:
     def _search(self, d: int, budget: Optional[NodeBudget], labelled: bool,
                 prune=None):
         """The one entry of both fills, which checks the degree."""
-        if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-            raise ValueError("degree must be positive (an int >= 1), "
-                             "not %r" % (d,))
+        check_degree(d)
         if d == 1 and not labelled and prune is None:
             return self._trivial_class(budget)
         return _fill(self, d, budget, labelled, prune)
 
     def _trivial_class(self, budget: Optional[NodeBudget]):
         """low_index(1) without a prune callback."""
-        if budget is not None:
-            for _ in range(self.trivial_definitions):
-                if not budget.spend():
-                    return
+        if budget is not None and not budget.replay(self.trivial_definitions):
+            return
         yield (identity(1),) * len(self.columns)
 
 

@@ -32,7 +32,10 @@ witness or for a regular closure.  From degree 2 the search has the
 low-index search watch the carrier generators, whose columns it then
 fills first, and cuts every partial coset table whose carrier
 restriction is already fixed and has no clean component: no class
-below it could give a witness.
+below it could give a witness.  Before that, while no carrier class of
+a lower degree has been clean, it skips every degree in which no
+transitive action of the carrier presentation has a clean component
+(hyperplanes.Carrier.has_clean_class): no cover of that degree has one.
 """
 
 from __future__ import annotations
@@ -287,11 +290,30 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
     verdict cuts the most.  The low-index search never calls dirty, and
     fills row-major, for a carrier that reads every generator it keeps.
 
+    Degree certificate.  A clean component of a cover lives on one
+    orbit of the carrier edges' permutations, and restricts there to a
+    clean transitive action of the carrier presentation (see
+    hyperplanes.Carrier) of degree at most d.  So before the scan of a
+    degree d >= 2, while no clean carrier class of degree 2..d-1 has
+    been met, h.carrier.has_clean_class(d) is asked, and a degree
+    without one is skipped: no cover of it has a clean component, in
+    either mode.  Once a clean carrier class is met, every later degree
+    is scanned as above.  Degree 1 is always scanned: its one class is
+    the trivial cover, whose one component is the hyperplane, so it is
+    the trivial carrier class, and no witness there means it is dirty.
+    The carrier's answer for each degree is kept in h.carrier.degrees
+    with the definitions it cost, which a later call spends again at
+    once, so the outcome does not depend on what was kept.  A clean
+    carrier class does not make a witness: the local data can say
+    "maybe" where the whole complex says "no".
+
     Status, least degree and witness are those of the uncut scan in
     that order.  homs_tried counts the covers checked, and
     covers_realized counts those plus the closures checked, whether or
-    not a Cover was built; nodes counts the low-index search's
-    definitions.  A pruned table adds to none of them below it.  Raises
+    not a Cover was built; nodes counts the definitions of the
+    low-index searches, pi1's and the carrier presentation's, all from
+    one budget, so max_nodes bounds the certificate too.  A pruned
+    table and a skipped degree add to none of them below it.  Raises
     ValueError on a bad mode, on a hyperplane from another complex, and
     then, through pi1_presentation, on a structurally invalid complex.
     """
@@ -325,8 +347,20 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
             return VCleanWitness(mode, h.id, closure, None)
         return None
 
-    return _scan(_quotients(pres, prune=(carrier.key_pos, dirty)), check, 1,
-                 budget, stats)
+    quotients = _quotients(pres, prune=(carrier.key_pos, dirty))
+    clean_class = False    # a clean carrier class of degree 2..d-1
+
+    def candidates(d, node_budget):
+        """The classes of degree d, none while no carrier class of
+        degree 2..d is clean (see above)."""
+        nonlocal clean_class
+        if d > 1 and not clean_class:
+            clean_class = carrier.has_clean_class(d, node_budget)
+            if not clean_class:
+                return ()
+        return quotients(d, node_budget)
+
+    return _scan(candidates, check, 1, budget, stats)
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,10 @@ BAD_FIXTURES = ("bad_length", "bad_closure", "bad_vh")
 # (seed, loop, vclean definitions): loops of least degree 3 in
 # random_vh_complex(Random(seed), max_squares=10), by loop_survives, and
 # the definitions vclean spends on the rung of their doubles to degree 3
-RUNG_DOUBLES = ((12, (-2, 1), 2232), (40, (3, 2), 9950),
-                (60, (1, -2), 1437), (75, (2, 3), 9715),
-                (131, (1, 2), 1460), (134, (2, -3), 2593),
-                (148, (1, 3), 2725))
+RUNG_DOUBLES = ((12, (-2, 1), 2260), (40, (3, 2), 9978),
+                (60, (1, -2), 1468), (75, (2, 3), 9746),
+                (131, (1, 2), 1491), (134, (2, -3), 2624),
+                (148, (1, 3), 2756))
 
 
 def fixture_path(name):

@@ -331,7 +331,8 @@ def reference_check_shape(c):
     """The shape check covers.validate_cover made before it checked each
     distinct permutation once: every edge's permutation, in edge order."""
     if c.degree < 1:
-        raise ValueError("degree must be positive")
+        raise ValueError("degree must be positive (an int >= 1), not %r"
+                         % (c.degree,))
     if len(c.perms) != c.base.num_edges:
         raise ValueError("%d permutations for %d edges"
                          % (len(c.perms), c.base.num_edges))
@@ -776,6 +777,44 @@ def reference_preimage_cleanness(y, d, perms) -> tuple:
                         for r, x in component_id.items()))
 
 
+def carrier_presentation(cx, h):
+    """(letters, relators): per edge of _carrier_edges(h), the 0-based
+    index of its letter, or None for an edge of the spanning tree of
+    pi1_presentation(cx, 0); the letters are the other carrier edges in
+    ascending order.  One relator per square h crosses: its boundary
+    word in the letters, tree darts cut, cyclically reduced, dropped
+    when empty."""
+    tree = pi1_presentation(cx, 0).tree_edges
+    edges = _carrier_edges(h)
+    letter = {}
+    for e in edges:
+        if e not in tree:
+            letter[e] = len(letter)
+    relators = []
+    for i in sorted({i for i, _ in h.midcubes}):
+        w = cyclic_reduce([letter[x] + 1 if x > 0 else -letter[-x] - 1
+                           for x in cx.squares[i] if abs(x) in letter])
+        if w:
+            relators.append(w)
+    return tuple(map(letter.get, edges)), relators
+
+
+def least_clean_carrier_degree(cx, h, max_degree):
+    """The least degree k in 2..max_degree of a transitive action of h's
+    carrier presentation (carrier_presentation, one per class from
+    iter_low_index) in which some preimage component is clean
+    (reference_preimage_cleanness), or None."""
+    letters, relators = carrier_presentation(cx, h)
+    n = len(letters) - letters.count(None)
+    for k in range(2, max_degree + 1):
+        ident = perm.identity(k)
+        for a in perm.iter_low_index(n, relators, k):
+            perms = [ident if x is None else a[x] for x in letters]
+            if any(ok for _, ok in reference_preimage_cleanness(h, k, perms)):
+                return k
+    return None
+
+
 # ---------------------------------------------------------------------------
 # virtual cleanness, one cleanness check per cover
 
@@ -866,3 +905,66 @@ def reference_vclean(cx, h, mode, budget):
     stats.cap_hit = node_budget.cap_hit
     return SearchOutcome(EXHAUSTED if witness is None else FOUND, witness,
                          budget, stats)
+
+
+def reference_pruned_vclean(cx, h, mode, budget):
+    """The scan search.semi_decide_virtually_clean made before it skipped
+    the degrees that have no clean carrier class: every degree from 1
+    up to the bound, each from degree 2 on the low-index search with
+    the prune (h.carrier.key_pos, dirty), every class's carrier key
+    decided by h.carrier.cleanness, and in "each" mode a cover with a
+    clean component but not all promoted to its regular closure.
+    Returns the whole SearchOutcome, stats included."""
+    pres = pi1_presentation(cx, 0)
+    carrier = h.carrier
+    stats = SearchStats()
+    node_budget = perm.NodeBudget(budget.max_nodes)
+
+    def dirty(key):
+        return not any(ok for _, ok in carrier.cleanness(key))
+
+    witness = None
+    for d in range(1, budget.max_degree + 1):
+        prune = (carrier.key_pos, dirty) if d > 1 else None
+        for a in pres.tables.low_index(d, node_budget, prune=prune):
+            stats.homs_tried += 1
+            stats.covers_realized += 1
+            comps = carrier.cleanness(carrier.key(d, a))
+            clean = [cid for cid, ok in comps if ok]
+            if not clean:
+                continue
+            cover = cover_from_assignment(cx, pres, d, a)
+            if mode == "some":
+                witness = VCleanWitness(mode, h.id, cover, clean[0])
+            elif len(clean) == len(comps):
+                witness = VCleanWitness(mode, h.id, cover, None)
+            else:
+                closure = regular_closure(cover).cover
+                stats.covers_realized += 1
+                if all(ok for _, ok in preimage_cleanness(closure, h)):
+                    witness = VCleanWitness(mode, h.id, closure, None)
+            if witness is not None:
+                break
+        if witness is not None or node_budget.cap_hit:
+            break
+    stats.nodes = node_budget.nodes
+    stats.cap_hit = node_budget.cap_hit
+    return SearchOutcome(EXHAUSTED if witness is None else FOUND, witness,
+                         budget, stats)
+
+
+# ---------------------------------------------------------------------------
+# the Euler transform
+
+
+def euler_transform(counts, d):
+    """The coefficient of x^d in the product over k of (1 - x^k)^(-c_k),
+    with c_k = counts[k-1]: the number of multisets of classes, c_k of
+    them of degree k, whose degrees sum to d."""
+    series = [1] + [0] * d
+    for k, c in enumerate(counts[:d], start=1):
+        for _ in range(c):
+            # one factor 1 / (1 - x^k)
+            for n in range(k, d + 1):
+                series[n] += series[n - k]
+    return series[d]

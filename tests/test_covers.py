@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -78,6 +79,32 @@ def test_validate_cover_rejects_sheets_that_are_not_ints():
                   ((0, 1), ("a", 0))):
         with pytest.raises(ValueError, match="is not a permutation"):
             validate_cover(Cover(torus, 2, perms))
+
+
+def test_validate_cover_rejects_degrees_that_are_not_positive_ints():
+    """A degree that is a bool, a float or below 1 is no number of
+    sheets: ValueError with iter_covers' message, before any
+    permutation is read."""
+    torus = helpers.load_complex("torus")
+    for degree in (True, False, 2.0, 1.0, 0, -1, "2", None):
+        with pytest.raises(ValueError, match=r"degree must be positive "
+                           r"\(an int >= 1\), not %s" % re.escape(
+                               repr(degree))):
+            validate_cover(Cover(torus, degree, ((0,), (0,))))
+        with pytest.raises(ValueError, match="degree must be positive"):
+            next(iter_covers(torus, degree))
+
+
+def test_cover_perm_reads_only_edge_ids():
+    """Cover.perm(eid) is edge eid's permutation for eid in
+    1..num_edges, and a ValueError for anything else: 0 and negative
+    ids do not read from the end, and True is not edge 1."""
+    c = torus_cover([1, 2, 0], [0, 2, 1])
+    assert c.perm(1) == (1, 2, 0) and c.perm(2) == (0, 2, 1)
+    for eid in (0, -1, -2, 3, True, False, 1.0, "1", None):
+        with pytest.raises(ValueError, match="no edge %s in 1..2"
+                           % re.escape(repr(eid))):
+            c.perm(eid)
 
 
 def test_trivial_cover():
@@ -305,6 +332,27 @@ def test_connected_covers_up_to_conjugacy_match_brute_force():
                 assert validate_cover(c) and is_connected(c)
     # D's index-2 subgroups: H1(D; Z/2) has rank 9
     assert len(want) == 511
+
+
+def test_covers_up_to_conjugacy_are_the_euler_transform_of_the_classes():
+    """A homomorphism to S_d up to conjugacy is a multiset of transitive
+    classes whose degrees sum to d, so iter_covers(up_to_conjugacy=True)
+    yields as many covers as the Euler transform of the low-index class
+    counts (oracles.euler_transform) gives: 39, 92 and 170 for the torus
+    at d = 5, 6 and 7.  Checked on the torus to degree 7 and the other
+    valid fixtures to degree 5."""
+    for name in VALID_FIXTURES:
+        cx = helpers.load_complex(name)
+        top = 7 if name == "torus" else 5
+        tables = pi1_presentation(cx, 0).tables
+        classes = [sum(1 for _ in tables.low_index(d))
+                   for d in range(1, top + 1)]
+        counts = [sum(1 for _ in iter_covers(cx, d, up_to_conjugacy=True))
+                  for d in range(1, top + 1)]
+        assert counts == [oracles.euler_transform(classes, d)
+                          for d in range(1, top + 1)], name
+        if name == "torus":
+            assert counts[4:] == [39, 92, 170]
 
 
 def test_pullback_along_identity():

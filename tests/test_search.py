@@ -322,16 +322,22 @@ def test_vclean_counts_covers_checked(monkeypatch):
     assert out.stats.covers_realized == 1
 
     # an exhausted scan checks every class of every degree that the
-    # prune does not cut, here all 11 of bad_vh's of degree 1 to 3
+    # certificate does not skip and the prune does not cut.  bad_vh has
+    # 11 classes of degree 1 to 3, and no carrier class of degree 2 or 3
+    # of its hyperplane 1 is clean, so only the trivial cover is checked.
+    # Its carrier presentation is pi1's, free on two letters, so the
+    # carrier classes cost the definitions the scan of pi1 cost: 68
     checked[0] = 0
     cx = helpers.load_complex("bad_vh")
     h = hyperplanes(cx)[0]
     out = semi_decide_virtually_clean(cx, h, "some", SearchBudget(3))
     assert not out.found
-    assert out.stats.homs_tried == checked[0] == 11 == sum(
+    assert 11 == sum(
         len(enumerate_covers(cx, d, connected=True, up_to_conjugacy=True))
         for d in (1, 2, 3))
-    assert out.stats.covers_realized == 11 and out.stats.nodes == 68
+    assert out.stats.homs_tried == checked[0] == 1
+    assert out.stats.covers_realized == 1 and out.stats.nodes == 68
+    assert h.carrier.degrees == {2: (11, False), 3: (55, False)}
 
 
 def _vclean_tasks():
@@ -388,16 +394,20 @@ def test_vclean_matches_per_cover_scan():
 def test_vclean_outcomes_do_not_depend_on_the_memos(monkeypatch):
     """A complex keeps its pi1 presentation, the presentation its
     compiled coset tables, and each hyperplane its compiled carrier with
-    the cleanness verdicts it has given.  The 26 vclean scans of D to
-    degree 2, run in shuffled orders on fresh hyperplanes, again on the
-    same hyperplanes, on fresh ones equal to them but distinct, and on
-    deep copies of ones that have run, give byte-identical outcome
+    the cleanness verdicts it has given, its carrier presentation's
+    tables and the degrees it has certified.  The 26 vclean scans of D
+    to degree 2, run in shuffled orders on fresh hyperplanes, again on
+    the same hyperplanes, on fresh ones equal to them but distinct, and
+    on deep copies of ones that have run, give byte-identical outcome
     documents, equal to the per-cover reference but for statistics no
-    larger than its own.  Only the first run compiles coset tables,
-    D's.  A run on fresh hyperplanes decides 37 carrier keys, whatever
-    its order, where deciding them per call took 74: the two modes share
-    each verdict.  A run on hyperplanes that have run decides none, and
-    a deep copy carries its own verdicts."""
+    larger than its own.  The first run compiles D's tables and the
+    carrier presentations of the 5 hyperplanes that reach degree 2, and
+    decides 33 carrier keys, whatever its order: the two modes share
+    each verdict and each degree.  A run on hyperplanes that have run
+    decides none, and a deep copy carries its own verdicts and degrees.
+    With its verdicts cleared, a carrier still replays its kept degrees,
+    so only the 21 keys of the scanned covers are decided again; with
+    its degrees cleared too, all 33."""
     compiles = []
     decided = []
     real_init = perm.CosetTables.__init__
@@ -432,20 +442,27 @@ def test_vclean_outcomes_do_not_depend_on_the_memos(monkeypatch):
 
     runs = []
     hyps = hyperplanes(cx)
-    assert run(1, hyps) == (1, 37)
+    assert run(1, hyps) == (6, 33)
+    assert {h.id for h in hyps if h.carrier.degrees} == {13, 28, 46, 61, 67}
     assert run(2, hyps) == (0, 0)
     fresh = hyperplanes(helpers.doubled_complex())
     assert fresh == hyps and not any(f is h for f, h in zip(fresh, hyps))
-    assert run(3, fresh) == (0, 37)
+    assert run(3, fresh) == (5, 33)
     copies = copy.deepcopy(hyps)
     for c, h in zip(copies, hyps):
-        assert c.carrier.verdicts == h.carrier.verdicts
-        assert c.carrier.verdicts is not h.carrier.verdicts
+        for name in ("verdicts", "degrees"):
+            kept = getattr(h.carrier, name)
+            assert getattr(c.carrier, name) == kept
+            assert getattr(c.carrier, name) is not kept
     assert run(4, copies) == (0, 0)
     for c in copies:
         c.carrier.verdicts.clear()
-    assert run(5, copies) == (0, 37)
-    assert sum(len(h.carrier.verdicts) for h in hyps) == 37
+    assert run(5, copies) == (0, 21)
+    for c in copies:
+        c.carrier.verdicts.clear()
+        c.carrier.degrees.clear()
+    assert run(6, copies) == (0, 33)
+    assert sum(len(h.carrier.verdicts) for h in hyps) == 33
     assert all(r == runs[0] for r in runs) and len(runs[0]) == 26
     for h in hyps:
         for mode in ("some", "each"):
@@ -518,8 +535,11 @@ def test_vclean_checks_a_subsequence_of_the_classes_skipping_dirty_ones(
     subsequence of those the low-index search yields when it watches
     the same carrier with a callback that never cuts, and every class it
     skips, up to its witness, has no clean component on its realized
-    cover.  Every degree up to the witness's is scanned.  Status and
-    witness are the per-cover reference's, byte for byte.  Run over
+    cover.  The degrees scanned are 1 and every degree from the least
+    one of a clean carrier class (oracles.least_clean_carrier_degree) up
+    to the witness's; every class of a degree skipped before it is
+    skipped.  Status and witness are the per-cover reference's, byte for
+    byte.  Run over
     _vclean_tasks() and every hyperplane of the seeded random complexes
     to degree 4.  The uncut search is walked within the task's node
     cap, once per complex, carrier and degree unless the walk hits the
@@ -554,14 +574,16 @@ def test_vclean_checks_a_subsequence_of_the_classes_skipping_dirty_ones(
         out = semi_decide_virtually_clean(cx, h, mode, budget)
         assert not out.stats.cap_hit
         reached = max(scanned) if out.found else budget.max_degree
-        assert scanned == list(range(1, reached + 1))
+        first = oracles.least_clean_carrier_degree(cx, h, reached)
+        assert scanned == [1] + ([] if first is None
+                                 else list(range(first, reached + 1)))
         ref = oracles.reference_vclean(cx, h, mode, budget)
         doc, ref_doc = outcome_to_doc(out), outcome_to_doc(ref)
         for name in ("status", "witness"):
             assert canonical_json(doc[name]) == canonical_json(ref_doc[name])
         pres = pi1_presentation(cx, 0)
         watch = oracles.carrier_watch(cx, h)[0]
-        for d in scanned:
+        for d in range(1, reached + 1):
             classes, cap_hit = oracles.carrier_first_classes(
                 cx, watch, d, budget.max_nodes)
             unpruned = iter(classes)
@@ -590,15 +612,17 @@ def test_vclean_prunes_the_dirty_carrier_keys_of_the_rung():
     before it read the other 7 carrier keys, all dirty: the row-major
     scan checks 149 classes, the trivial cover included, in 997
     definitions.  The carrier's columns are filled first, and every
-    table below a fixed dirty key is cut, which leaves 2 classes in
-    55."""
+    table below a fixed dirty key is cut, which leaves 2 classes in 55.
+    Before that scan, the carrier presentation's low-index search meets
+    a clean class of degree 2 in 31 definitions: 86 in all."""
     cx = helpers.load_complex("doubled")
     h = hyperplane_of_edge(hyperplanes(cx), 67)
     for mode in ("some", "each"):
         out = semi_decide_virtually_clean(cx, h, mode, SearchBudget(2))
         assert out.found and out.witness.cover.degree == 2
         assert out.stats == SearchStats(homs_tried=2, covers_realized=2,
-                                        nodes=55, cap_hit=False)
+                                        nodes=86, cap_hit=False)
+        assert h.carrier.degrees == {2: (31, True)}
 
 
 def test_vclean_on_the_rung_doubles_finds_the_least_degree_of_the_loop():
@@ -606,7 +630,9 @@ def test_vclean_on_the_rung_doubles_finds_the_least_degree_of_the_loop():
     finds its least degree, 3, the one loop_survives finds for the
     doubling loop, after checking 2 classes in the pinned number of
     definitions, in both modes.  In "each" mode the witness is the
-    regular closure of the degree-3 cover, of degree 6."""
+    regular closure of the degree-3 cover, of degree 6.  Each rung has a
+    clean carrier class of degree 2, which the pinned definitions
+    include, so no degree is skipped."""
     for seed, loop, nodes in helpers.RUNG_DOUBLES:
         dbl = helpers.rung_double(seed, loop)
         survival = loop_survives(dbl.pair.complex, dbl.loop, SearchBudget(3))
@@ -621,29 +647,135 @@ def test_vclean_on_the_rung_doubles_finds_the_least_degree_of_the_loop():
 
 def test_vclean_exhausts_doubled_hyperplane_13_to_degree_3():
     """No class of D of degree 1 to 3 has a clean component of
-    hyperplane 13.  Its carrier's columns are filled first, so each
-    dirty carrier key is fixed, and cut, near the root: of D's 163,633
-    classes of degree at most 3 only the trivial cover is checked, in
-    4,751 definitions, where the row-major scan takes 22.9 M."""
+    hyperplane 13: no transitive action of degree 2 or 3 of its carrier
+    presentation (7 letters, 5 relators) has one, so both degrees are
+    skipped.  Only the trivial cover is checked, in 9 definitions, and
+    the carrier classes cost 11 and 55: 75 in all, where the pruned scan
+    of pi1 took 4,751 and the row-major scan 22.9 M."""
     cx = helpers.load_complex("doubled")
     h = hyperplane_of_edge(hyperplanes(cx), 13)
     for mode in ("some", "each"):
         out = semi_decide_virtually_clean(cx, h, mode, SearchBudget(3))
         assert out.status == "EXHAUSTED" and out.witness is None
         assert out.stats == SearchStats(homs_tried=1, covers_realized=1,
-                                        nodes=4751, cap_hit=False)
+                                        nodes=75, cap_hit=False)
+        assert h.carrier.degrees == {2: (11, False), 3: (55, False)}
+
+
+def test_vclean_exhausts_doubled_hyperplanes_13_and_46_to_degree_4():
+    """Hyperplanes 13 and 46 of D have no clean carrier class of degree
+    2 to 4 either, so vclean to degree 4 is EXHAUSTED after the trivial
+    cover, in 9 + 11 + 55 + 301 = 376 definitions, where the scan of pi1
+    took 15.2 M (about 2 minutes) for hyperplane 13.  Both modes, on a
+    fresh hyperplane and on one that kept its degrees, under a cap of
+    376 and not under one of 375."""
+    for hid in (13, 46):
+        for mode in ("some", "each"):
+            h = hyperplane_of_edge(
+                hyperplanes(helpers.load_complex("doubled")), hid)
+            for cap in (None, 376, 375):
+                out = semi_decide_virtually_clean(
+                    h.complex, h, mode, SearchBudget(4, max_nodes=cap))
+                assert out.status == "EXHAUSTED" and out.witness is None
+                assert out.stats == SearchStats(
+                    homs_tried=1, covers_realized=1,
+                    nodes=376 if cap is None else cap, cap_hit=cap == 375)
+                assert h.carrier.degrees == {2: (11, False), 3: (55, False),
+                                             4: (301, False)}
+            fresh = hyperplane_of_edge(
+                hyperplanes(helpers.load_complex("doubled")), hid)
+            out = semi_decide_virtually_clean(
+                fresh.complex, fresh, mode, SearchBudget(4, max_nodes=375))
+            assert out.stats.cap_hit and out.stats.nodes == 375
+            assert fresh.carrier.degrees == {2: (11, False), 3: (55, False)}
+
+
+def test_vclean_certificate_keeps_status_least_degree_and_witness():
+    """Skipping the degrees with no clean carrier class keeps the
+    outcome of the scan that scans them (oracles.reference_pruned_vclean)
+    but for the statistics: status, and on every FOUND the witness, its
+    degree and its component id, byte for byte.  Run in both modes on
+    every hyperplane of the connected seeded random complexes 0-44 to
+    degree 4 under a 20,000-definition cap and of D to degree 2, on the
+    rung of each of the seven rung doubles to degree 3, and on bad_vh's
+    hyperplane 1 to degree 6.  The certificate, Carrier.has_clean_class, agrees
+    with oracles.least_clean_carrier_degree, and both of its directions
+    hold: where no carrier class of degree 1 up to the bound is clean,
+    the scan finds nothing; and a witness of degree d comes with a clean
+    carrier class of degree at most d.  No task hits its cap.  The rung
+    of double75 to degree 2 is pinned as the case where a clean carrier
+    class exists and the search is still EXHAUSTED."""
+    tasks = []
+    for seed in range(45):
+        cx = helpers.random_vh_complex(random.Random(seed))
+        if is_connected_complex(cx):
+            tasks += [(cx, h, SearchBudget(4, max_nodes=20_000))
+                      for h in hyperplanes(cx)]
+    assert len(tasks) == 123
+    for seed, loop, _ in helpers.RUNG_DOUBLES:
+        dbl = helpers.rung_double(seed, loop)
+        tasks.append((dbl.complex, dbl.hyperplane, SearchBudget(3)))
+    cx = helpers.doubled_complex()
+    tasks += [(cx, h, SearchBudget(2)) for h in hyperplanes(cx)]
+    cx = helpers.load_complex("bad_vh")
+    tasks.append((cx, hyperplanes(cx)[0], SearchBudget(6)))
+    certified = found = 0
+    for cx, h, budget in tasks:
+        carrier = h.carrier
+        least = next((d for d in range(2, budget.max_degree + 1)
+                      if carrier.has_clean_class(d, perm.NodeBudget())),
+                     None)
+        assert least == oracles.least_clean_carrier_degree(
+            cx, h, budget.max_degree)
+        # the one component of the trivial cover decides degree 1
+        if any(ok for _, ok in carrier.cleanness(
+                tuple((0,) for _ in carrier.edges))):
+            least = 1
+        for mode in ("some", "each"):
+            out = semi_decide_virtually_clean(cx, h, mode, budget)
+            ref = oracles.reference_pruned_vclean(cx, h, mode, budget)
+            assert not out.stats.cap_hit and not ref.stats.cap_hit
+            doc, ref_doc = outcome_to_doc(out), outcome_to_doc(ref)
+            for name in ("status", "witness"):
+                assert canonical_json(doc[name]) == \
+                    canonical_json(ref_doc[name])
+            if least is None:
+                assert not ref.found
+                certified += 1
+            if ref.found:
+                assert least is not None
+                assert least <= ref.witness.cover.degree
+                assert revalidate_witness(out.witness, complex=cx,
+                                          hyperplane=h)
+                found += 1
+    assert (certified, found) == (22, 266)
+
+    # the paper's non-locality in miniature: the rung of double75 has a
+    # clean carrier class of degree 2, so degree 2 is scanned, and yet
+    # no cover of degree at most 2 has a clean component; the loop it
+    # doubles along first survives in degree 3
+    cx = helpers.load_complex("double75")
+    h = hyperplane_of_edge(hyperplanes(cx), 15)
+    for mode in ("some", "each"):
+        out = semi_decide_virtually_clean(cx, h, mode, SearchBudget(2))
+        ref = oracles.reference_pruned_vclean(cx, h, mode, SearchBudget(2))
+        assert out.status == ref.status == "EXHAUSTED"
+        assert out.stats == SearchStats(homs_tried=1, covers_realized=1,
+                                        nodes=80, cap_hit=False)
+        assert h.carrier.degrees == {2: (31, True)}
 
 
 def test_vclean_exhausts_bad_vh_to_degree_5():
     """No class of bad_vh of degree 1 to 5 has a clean component of
-    hyperplane 1; the prune leaves 134 classes to check, in 2,280
-    definitions."""
+    hyperplane 1, and no carrier class of degree 2 to 5 has one either:
+    only the trivial cover is checked, and the carrier classes take the
+    2,280 definitions the pruned scan of pi1 took for 134 classes."""
     cx = helpers.load_complex("bad_vh")
     h = hyperplanes(cx)[0]
     for mode in ("some", "each"):
         out = semi_decide_virtually_clean(cx, h, mode, SearchBudget(5))
         assert out.status == "EXHAUSTED" and out.witness is None
-        assert out.stats == SearchStats(134, 134, 2280, False)
+        assert out.stats == SearchStats(1, 1, 2280, False)
 
 
 def test_vclean_input_checks():
