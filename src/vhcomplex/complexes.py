@@ -137,6 +137,18 @@ class SquareComplex(Record):
         dies with the complex, and equality, hashing and repr ignore it."""
         return {}
 
+    @cached_property
+    def _bad_dart(self):
+        """(square index, dart) of the first dart of a square outside
+        +-1..num_edges, or None: checked once and kept like _pi1, for
+        every cover of the complex (covers._check_shape)."""
+        n = len(self.edges)
+        for i, w in enumerate(self.squares):
+            for dart in w:
+                if not is_signed_index(dart, n):
+                    return i, dart
+        return None
+
     @classmethod
     def make(cls, num_vertices, edges, squares=()):
         """Build a complex from (tail, head, label) triples and dart words."""

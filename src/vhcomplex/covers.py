@@ -56,11 +56,9 @@ def _check_shape(c: Cover):
                              % (eid, p, c.degree))
     # _dart_maps tables index darts from both ends: a dart outside
     # +-1..num_edges would read another edge's map instead of failing
-    for i, w in enumerate(c.base.squares):
-        for dart in w:
-            if not is_signed_index(dart, c.base.num_edges):
-                raise ValueError("square %d: dart %r is not a signed edge id"
-                                 % (i, dart))
+    bad = c.base._bad_dart
+    if bad is not None:
+        raise ValueError("square %d: dart %r is not a signed edge id" % bad)
 
 
 def transport(c: Cover, word: Sequence[int]) -> tuple:

@@ -55,10 +55,12 @@ class Carrier:
         on them, which is all a verdict reads, so a verdict kept is
         exact for every later cover and search of the hyperplane.
     verdicts: carrier key -> cleanness(key), for every key decided so
-        far.  It is never bounded or evicted: it grows with every new
-        key until the hyperplane is dropped or it is cleared
-        (verdicts.clear()), after which keys are decided afresh with
-        the same verdicts.
+        far: the keys of covers, and, from the virtual-cleanness
+        search's prune, those of single carrier orbits, renumbered to
+        their own degree, which may be below the cover's.  It is never
+        bounded or evicted: it grows with every new key until the
+        hyperplane is dropped or it is cleared (verdicts.clear()), after
+        which keys are decided afresh with the same verdicts.
     degrees: d -> (definitions, clean) for every degree d >= 2 that
         has_clean_class has searched without meeting a node cap: the
         definitions the carrier presentation's low_index(d) spent, up

@@ -2,7 +2,8 @@
 two fills over a presentation compiled once (CosetTables): Sims'
 low-index search for transitive actions up to conjugacy (low_index),
 which drives every search and fills a watched carrier's columns first
-when it prunes, and a labelled fill that yields every
+when it prunes, cutting tables by their closed carrier orbits, and a
+labelled fill that yields every
 relator-respecting homomorphism to S_d in lexicographic order (homs),
 behind the other cover modes.  iter_low_index and iter_homs run them on
 relators given as plain data.
@@ -313,15 +314,19 @@ class CosetTables:
         order is row-major without `prune`.  The table, deductions,
         budget and errors are those of _fill.
 
-        `prune`, when given, is a pair (watch, callback), which _fill
-        describes.  The watched generators' columns are then filled
-        first, row by row, so their images are fixed near the root.
-        The callback is asked, with those images, about definitions made
-        once all d cosets exist, when the standard numbering can no
-        longer change; a true answer rejects that definition, as a
-        failed deduction would, and every class below it is skipped.
-        The other classes come in the order they have with a callback
-        that never cuts.
+        `prune`, when given, is a triple (watch, dirty, least), which
+        _fill describes.  The watched generators' columns are then
+        filled first, row by row, so the table closes their orbits one
+        at a time, near the root.  dirty is asked about each orbit as
+        it closes, as an action of its own degree, until it passes one.
+        While it has passed none, a dirty orbit cuts the table, as a
+        failed deduction would, and every class below it is skipped,
+        once fewer than `least` cosets are left to make: no orbit of
+        degree `least` or more fits in them.  So with `least` at most
+        the least degree of an orbit dirty passes, every class cut has
+        only dirty orbits, and all the others are kept; `least` 1 cuts
+        only complete tables, and 0 cuts none.  The classes kept come in
+        the order they have with a callback that never cuts.
 
         Without `prune`, degree 1 spends trivial_definitions nodes at once
         (NodeBudget.replay), then yields the trivial assignment: under
@@ -476,16 +481,24 @@ def _fill(tables: CosetTables, d: int, budget: Optional[NodeBudget],
     definition.  Eliminated generators get their images back in each
     yielded assignment.
 
-    `prune`, when given, is a pair (watch, callback).  Each position of
-    watch names a generator by its 0-based index, read through its
-    column or as the identity when the Tietze moves make it trivial, or
-    is None for the identity.  After each definition whose deductions
-    hold, once all d cosets exist and each watched column has at most
-    one entry unset, that entry being the one point left, the search
-    calls callback(key); true rejects the definition like a conflict.
-    key has per position of watch its permutation.  When watch reads
-    every kept generator the callback is never called and the fill is
-    row-major: a fixed key there leaves the table nothing to branch on.
+    `prune`, when given, is a triple (watch, dirty, least).  Each
+    position of watch names a generator by its 0-based index, read
+    through its column or as the identity when the Tietze moves make it
+    trivial, or is None for the identity.  The watched columns fill
+    first, so the rows are discovered one orbit of the watched
+    generators at a time: a definition after which no discovered row
+    has a watched entry unset closes an orbit, the rows made since the
+    last one closed, `closed`..n-1.  No deduction makes a coset, and no
+    entry of those rows can point to an earlier row, whose watched
+    entries are set already.  The search then calls dirty(key), key
+    having per position of watch its permutation of the orbit, each
+    coset less `closed`.  A false answer stops the calls below that
+    definition: `closed` becomes d in its frame.  A true one rejects
+    the definition like a conflict when d - n < least, and otherwise
+    makes the orbit's rows closed.  When watch reads every kept
+    generator or none of them, dirty is never called and the fill is
+    row-major: a fixed key there leaves the table nothing to branch on,
+    or reads no column.
 
     Definitions are undone from a trail, and the frames sit on an
     explicit stack, so the recursion limit does not bound the table.
@@ -507,10 +520,11 @@ def _fill(tables: CosetTables, d: int, budget: Optional[NodeBudget],
                      for k in picks)
 
     if prune is not None:
-        watch, callback = prune
+        watch, dirty, least = prune
         key_cols = [None if k is None else picks[k] for k in watch]
         watched = sorted({c for c in key_cols if c is not None})
-        if {c & ~1 for c in watched} == set(range(0, ncols, 2)):
+        if not watched or \
+                {c & ~1 for c in watched} == set(range(0, ncols, 2)):
             prune = None
         else:
             first = sorted({c ^ b for c in watched for b in (0, 1)})
@@ -518,23 +532,17 @@ def _fill(tables: CosetTables, d: int, budget: Optional[NodeBudget],
             rank = {x: i for i, x in enumerate(first)}
             # the entries of the `first` columns, row by row
             ahead = [r * ncols + x for r in range(d) for x in first]
-        # the sum of 0..d-1, less the -1 of the one unset entry
-        total = d * (d - 1) // 2 - 1
 
-        def cut() -> bool:
-            """Whether the callback rejects the table's fixed key; False
-            while a watched column has two entries unset."""
-            images = {}
+        def orbit_dirty(lo: int, hi: int) -> bool:
+            """Whether dirty rejects the orbit on rows lo..hi-1, each
+            watched column read as a permutation of 0..hi-lo-1."""
+            images = {None: identity(hi - lo)}
             for c in watched:
-                column = table[c:size:ncols]
-                unset = column.count(-1)
-                if unset:
-                    if unset > 1:
-                        return False
-                    column[column.index(-1)] = total - sum(column)
-                images[c] = tuple(column)
-            return callback(tuple(trivial if c is None else images[c]
-                                  for c in key_cols))
+                column = table[lo * ncols + c:hi * ncols:ncols]
+                # most orbits that close are the first, with lo == 0
+                images[c] = tuple(t - lo for t in column) if lo \
+                    else tuple(column)
+            return dirty(tuple(images[c] for c in key_cols))
 
     def deduce(entry) -> bool:
         """Process deductions from a new entry; False on a conflict."""
@@ -591,11 +599,12 @@ def _fill(tables: CosetTables, d: int, budget: Optional[NodeBudget],
         fill = [c * ncols + x for x in range(0, ncols, 2) for c in range(d)]
         fill.append(d * ncols)
     reads = range(d * ncols)
-    # a frame: entry, next coset to try, trail mark, cosets
-    stack = [[first[0] if first else 0, 0, 0, d if labelled else 1]]
+    # a frame: entry, next coset to try, trail mark, cosets, and the
+    # rows in closed watched orbits, d once dirty has passed one
+    stack = [[first[0] if first else 0, 0, 0, d if labelled else 1, 0]]
     while stack:
         frame = stack[-1]
-        entry, v, mark, n = frame
+        entry, v, mark, n, closed = frame
         while len(trail) > mark:
             table[trail.pop()] = -1
         c, x = divmod(entry, ncols)
@@ -616,7 +625,7 @@ def _fill(tables: CosetTables, d: int, budget: Optional[NodeBudget],
         table[mirror] = c
         trail.append(entry)
         trail.append(mirror)
-        if not deduce(entry) or (prune is not None and n == d and cut()):
+        if not deduce(entry):
             continue
         if labelled:
             i = (x >> 1) * d + c + 1    # the place after entry's in fill
@@ -632,11 +641,20 @@ def _fill(tables: CosetTables, d: int, budget: Optional[NodeBudget],
             after = next((e for e in ahead[start:n * k] if table[e] < 0),
                          None)
             if after is None:
+                if n > closed:
+                    # the rows made since the last closure, closed..n-1,
+                    # are one watched orbit, and its action is fixed
+                    if not orbit_dirty(closed, n):
+                        closed = d
+                    elif d - n < least:
+                        continue
+                    else:
+                        closed = n
                 after = table.index(-1, 0 if i >= 0 else entry + 1)
         else:
             after = table.index(-1, entry + 1)
         if after < n * ncols:
-            stack.append([after, 0, len(trail), n])
+            stack.append([after, 0, len(trail), n, closed])
         elif n == d:
             if first:
                 reads = _read_order(table, ncols, d, first)

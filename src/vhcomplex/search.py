@@ -30,11 +30,12 @@ the hyperplane's compiled carrier keeps the cleanness of the preimage
 per carrier restriction, and the search builds a Cover only for a
 witness or for a regular closure.  From degree 2 the search has the
 low-index search watch the carrier generators, whose columns it then
-fills first, and cuts every partial coset table whose carrier
-restriction is already fixed and has no clean component: no class
-below it could give a witness.  Before that, while no carrier class of
-a lower degree has been clean, it skips every degree in which no
-transitive action of the carrier presentation has a clean component
+fills first, so that the carrier's orbits close one at a time, and cuts
+a partial coset table once its closed orbits are dirty and the cosets
+left are too few for a clean carrier class: no class below it could
+give a witness.  Before that, while no carrier class of a lower degree
+has been clean, it skips every degree in which no transitive action of
+the carrier presentation has a clean component
 (hyperplanes.Carrier.has_clean_class): no cover of that degree has one.
 """
 
@@ -279,16 +280,21 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
     no kept verdict.
 
     Each degree d >= 2 passes the low-index search the prune
-    (h.carrier.key_pos, dirty), so that search fills the carrier generators' columns first
-    and gives the classes in ascending order of their least such
-    tables.  Once a table has all d cosets and the images of the
-    carrier generators are fixed, every class below it has one carrier
-    key, and dirty cuts the table when that key has no clean component:
-    check would find no witness, in either mode, in any of those
-    classes.  A key without a kept verdict is decided as soon as it is
-    fixed: the carrier-first fill fixes it near the root, where a dirty
-    verdict cuts the most.  The low-index search never calls dirty, and
-    fills row-major, for a carrier that reads every generator it keeps.
+    (h.carrier.key_pos, dirty, least), so that search fills the carrier
+    generators' columns first and gives the classes in ascending order
+    of their least such tables.  That fill closes the orbits of the
+    carrier generators one at a time, near the root, and dirty decides
+    each as it closes, by its key renumbered to the orbit's own degree:
+    a component of the cover lives on one orbit and reads only that
+    orbit's action (see hyperplanes.Carrier).  `least` is the least
+    degree of a clean carrier class, met by the degree certificate
+    below.  A table whose closed orbits are all dirty is cut once fewer
+    than `least` cosets are left to make: no orbit of the classes below
+    it can be clean, so check would find no witness, in either mode, in
+    any of them.  At d cosets that is the cut of a dirty full key.  A
+    clean orbit ends the questions below it.  The low-index search
+    never calls dirty, and fills row-major, for a carrier that reads
+    every generator it keeps.
 
     Degree certificate.  A clean component of a cover lives on one
     orbit of the carrier edges' permutations, and restricts there to a
@@ -347,18 +353,18 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
             return VCleanWitness(mode, h.id, closure, None)
         return None
 
-    quotients = _quotients(pres, prune=(carrier.key_pos, dirty))
-    clean_class = False    # a clean carrier class of degree 2..d-1
+    least = None    # the least degree >= 2 of a clean carrier class
 
     def candidates(d, node_budget):
         """The classes of degree d, none while no carrier class of
         degree 2..d is clean (see above)."""
-        nonlocal clean_class
-        if d > 1 and not clean_class:
-            clean_class = carrier.has_clean_class(d, node_budget)
-            if not clean_class:
+        nonlocal least
+        if d > 1 and least is None:
+            if not carrier.has_clean_class(d, node_budget):
                 return ()
-        return quotients(d, node_budget)
+            least = d
+        return _quotients(pres, prune=(carrier.key_pos, dirty, least))(
+            d, node_budget)
 
     return _scan(candidates, check, 1, budget, stats)
 

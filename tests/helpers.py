@@ -19,10 +19,10 @@ BAD_FIXTURES = ("bad_length", "bad_closure", "bad_vh")
 # (seed, loop, vclean definitions): loops of least degree 3 in
 # random_vh_complex(Random(seed), max_squares=10), by loop_survives, and
 # the definitions vclean spends on the rung of their doubles to degree 3
-RUNG_DOUBLES = ((12, (-2, 1), 2260), (40, (3, 2), 9978),
-                (60, (1, -2), 1468), (75, (2, 3), 9746),
-                (131, (1, 2), 1491), (134, (2, -3), 2624),
-                (148, (1, 3), 2756))
+RUNG_DOUBLES = ((12, (-2, 1), 2055), (40, (3, 2), 8923),
+                (60, (1, -2), 1304), (75, (2, 3), 8788),
+                (131, (1, 2), 1331), (134, (2, -3), 2396),
+                (148, (1, 3), 2532))
 
 
 def fixture_path(name):

@@ -557,7 +557,7 @@ def carrier_first_classes(cx, watch, d, cap):
             return classes, False
     walked = perm.NodeBudget(cap)
     classes = list(pi1_presentation(cx, 0).tables.low_index(
-        d, walked, prune=(watch, lambda key: False)))
+        d, walked, prune=(watch, lambda key: False, 1)))
     if not walked.cap_hit:
         _walks[key] = (walked.nodes, classes)
     return classes, walked.cap_hit
@@ -909,12 +909,15 @@ def reference_vclean(cx, h, mode, budget):
 
 def reference_pruned_vclean(cx, h, mode, budget):
     """The scan search.semi_decide_virtually_clean made before it skipped
-    the degrees that have no clean carrier class: every degree from 1
-    up to the bound, each from degree 2 on the low-index search with
-    the prune (h.carrier.key_pos, dirty), every class's carrier key
-    decided by h.carrier.cleanness, and in "each" mode a cover with a
-    clean component but not all promoted to its regular closure.
-    Returns the whole SearchOutcome, stats included."""
+    the degrees that have no clean carrier class and cut partial tables
+    by their closed carrier orbits: every degree from 1 up to the bound,
+    each from degree 2 on the low-index search with the prune
+    (h.carrier.key_pos, dirty, 1), which cuts a table only once all d
+    cosets exist and every carrier orbit is dirty, the cut of a dirty
+    full key; every class's carrier key decided by h.carrier.cleanness,
+    and in "each" mode a cover with a clean component but not all
+    promoted to its regular closure.  Returns the whole SearchOutcome,
+    stats included."""
     pres = pi1_presentation(cx, 0)
     carrier = h.carrier
     stats = SearchStats()
@@ -925,7 +928,7 @@ def reference_pruned_vclean(cx, h, mode, budget):
 
     witness = None
     for d in range(1, budget.max_degree + 1):
-        prune = (carrier.key_pos, dirty) if d > 1 else None
+        prune = (carrier.key_pos, dirty, 1) if d > 1 else None
         for a in pres.tables.low_index(d, node_budget, prune=prune):
             stats.homs_tried += 1
             stats.covers_realized += 1

@@ -58,15 +58,20 @@ def test_validate_cover():
     with pytest.raises(ValueError):
         validate_cover(Cover(helpers.load_complex("torus"), 2,
                              ((0, 0), (0, 1))))
-    # a dart outside +-1..num_edges is rejected, not read from the table
+    # a dart outside +-1..num_edges is rejected, not read from the table;
+    # the darts are checked once per complex, which keeps the answer
     for dart in (0, 3, 4, -3):
         cx = SquareComplex(1, (Edge(0, 0, "V"), Edge(0, 0, "H")),
                            ((1, dart, -1, -2),))
         c = Cover(cx, 2, ((1, 0), (0, 1)))
         for f in (validate_cover, total_space,
                   lambda c: lift_path(c, EdgePath(0, (1,)))):
-            with pytest.raises(ValueError, match="not a signed edge id"):
+            with pytest.raises(ValueError, match="^square 0: dart %d is not "
+                               "a signed edge id$" % dart):
                 f(c)
+        assert vars(cx)["_bad_dart"] == (0, dart)
+    c = torus_cover([1, 2, 0], [0, 1, 2])
+    assert validate_cover(c) and vars(c.base)["_bad_dart"] is None
 
 
 def test_validate_cover_rejects_sheets_that_are_not_ints():

@@ -153,7 +153,7 @@ def test_eliminate_generators_matches_reference():
 
 
 def _never(key):
-    """A prune callback that never cuts."""
+    """A prune callback that never cuts: every orbit is clean."""
     return False
 
 
@@ -212,7 +212,7 @@ def test_low_index_yields_least_standard_tables():
             len(pres.generators), pres.relators)[0]
         watch, first = oracles.carrier_watch(cx, h)
         for d in range(1, max_degree + 1):
-            got = list(pres.tables.low_index(d, prune=(watch, _never)))
+            got = list(pres.tables.low_index(d, prune=(watch, _never, 1)))
             _assert_least_and_ascending(got, kept, first, (cx, h.id, d))
             classes = [perm.canonical_under_relabeling(a) for a in got]
             assert sorted(classes) == sorted(
@@ -281,12 +281,12 @@ def test_low_index_class_counts_satisfy_halls_recursion():
         for h in hyperplanes(cx):
             watch, first = oracles.carrier_watch(cx, h)
             if 0 < len(first) < 2 * len(kept):
-                fills.setdefault(tuple(first), (watch, _never))
+                fills.setdefault(tuple(first), (watch, _never, 1))
         _hall_subgroup_counts(pres, max_degree, fills.values())
         carrier_fills += len(fills) - 1
     assert carrier_fills > 20
     assert _hall_subgroup_counts(helpers.load_presentation("higman"), 6,
-                                 (None, ((0,), _never))) == [1] + [0] * 5
+                                 (None, ((0,), _never, 1))) == [1] + [0] * 5
 
 
 def test_low_index_class_and_node_counts():
@@ -381,109 +381,159 @@ def test_regular_classes_are_compared_once_per_orbit(monkeypatch):
     assert counts == [(1, 0), (3, 3), (4, 4), (7, 9), (6, 6), (12, 17)]
 
 
-def test_low_index_prune_cuts_exactly_the_classes_below():
-    """A prune watching generator 1 whose callback rejects every key
-    that maps coset 0 to a given coset removes exactly the classes whose
-    first image sends 0 there from those the same watch yields with a
-    callback that never cuts, and keeps the others in order, as a
-    failed deduction would; it is asked only while some other kept
-    generator exists, gets a permutation of the d points, and never
-    spends more of the budget."""
-    cases = [_pi1(helpers.load_complex(name)) for name in
-             helpers.GOOD_FIXTURES + ("bad_vh",)]
-    cases.append(_pi1(helpers.doubled_complex()))
-    rng = random.Random(8)
-    for _ in range(20):
-        pres = helpers.random_presentation(rng)
-        cases.append((pres.num_generators, pres.relators))
-    for n, relators in cases:
-        kept, _, images = perm.eliminate_generators(n, relators)
-        watch = (0,) if n else ()
-        # generator 1 reads at most one kept generator, or none if trivial
-        called = len(kept) > (1 if n and images[0] else 0)
-        for d in range(1, 4 if len(kept) <= 4 else 3):
-            full = perm.NodeBudget()
-            everything = list(perm.iter_low_index(n, relators, d,
-                                                  budget=full,
-                                                  prune=(watch, _never)))
-            for target in range(d):
-                seen = []
-
-                def dirty(key):
-                    assert len(key) == 1 and perm.is_permutation(key[0], d)
-                    seen.append(d)
-                    return key[0][0] == target
-                budget = perm.NodeBudget()
-                got = list(perm.iter_low_index(n, relators, d, budget=budget,
-                                               prune=(watch, dirty)))
-                assert got == [a for a in everything
-                               if not (called and a[0][0] == target)]
-                assert budget.nodes <= full.nodes
-                assert bool(seen) == (called and bool(everything))
+def _oracle_dirty(h):
+    """A prune callback for hyperplane h: whether no component of the
+    preimage is clean for a carrier key of any degree, by
+    oracles.reference_preimage_cleanness."""
+    def dirty(key):
+        return not any(ok for _, ok in oracles.reference_preimage_cleanness(
+            h, len(key[0]), key))
+    return dirty
 
 
-def test_low_index_prune_key_reads_the_assignments():
-    """The key the callback gets at the last table before each yield,
-    the complete one, is the yielded assignment's images of the watched
-    generators, with the identity for None: every generator but those
-    that read the last kept one is watched."""
+def test_low_index_prune_cuts_only_classes_without_a_clean_component():
+    """On every hyperplane of torus, bad_vh and mixed_carrier to degree
+    4, a prune watching the carrier with a dirty callback from the
+    oracle keeps, in the order the same watch gives with a callback
+    that never cuts, exactly the classes with a clean preimage
+    component, for `least` 1 (the full-key cut) and for the least degree
+    of a clean carrier class (oracles.least_clean_carrier_degree; 1 when
+    the trivial one is clean, d + 1 when none is), in no more
+    definitions, and fewer for the second on some carriers: a closed
+    orbit is cut before all d cosets exist.  With least 0 nothing is
+    cut, though the callback is asked.  A carrier that reads every kept
+    generator, as bad_vh's do, is never asked, and nothing is cut."""
+    early = 0
+    for name in ("torus", "bad_vh", "mixed_carrier"):
+        cx = helpers.load_complex(name)
+        pres = pi1_presentation(cx, 0)
+        kept = oracles.reference_eliminate_generators(
+            len(pres.generators), pres.relators)[0]
+        for h in hyperplanes(cx):
+            watch, first = oracles.carrier_watch(cx, h)
+            # a watch that reads every kept generator is never asked
+            uncut = len(first) == 2 * len(kept)
+            dirty = _oracle_dirty(h)
+            trivial_clean = not dirty(tuple((0,) for _ in watch))
+            for d in range(2, 5):
+                full = perm.NodeBudget()
+                everything = list(pres.tables.low_index(
+                    d, full, prune=(watch, _never, 1)))
+                clean = [a for a in everything if not dirty(
+                    tuple(perm.identity(d) if k is None else a[k]
+                          for k in watch))]
+                least = 1 if trivial_clean else (
+                    oracles.least_clean_carrier_degree(cx, h, d) or d + 1)
+                nodes = []
+                for bound in (0, 1, least):
+                    budget = perm.NodeBudget()
+                    got = list(pres.tables.low_index(
+                        d, budget, prune=(watch, dirty, bound)))
+                    assert got == (everything if bound == 0 or uncut
+                                   else clean), (name, h.id, d, bound)
+                    nodes.append(budget.nodes)
+                assert nodes[0] == full.nodes >= nodes[1] >= nodes[2], \
+                    (name, h.id, d)
+                early += nodes[2] < nodes[1]
+    assert early > 0
+
+
+def test_low_index_prune_asks_about_each_closed_orbit():
+    """The callback is asked about each carrier orbit the fill closes,
+    as a transitive action of its own degree, its rows renumbered from
+    0.  The rows of each orbit are consecutive, and a complete table's
+    last orbit, that of coset d - 1, is the last key asked before it is
+    yielded.  Run with a callback that calls every orbit dirty and
+    least 0, so nothing is cut, watching every generator but those that
+    read the last kept one."""
     cases = [(helpers.load_complex(name), 4)
              for name in helpers.GOOD_FIXTURES + ("bad_vh",)]
     cases.append((helpers.doubled_complex(), 2))
+    asked = 0
     for cx, max_degree in cases:
         n, relators = _pi1(cx)
         kept, _, images = perm.eliminate_generators(n, relators)
         watch = (None,) + tuple(k for k in range(n)
                                 if abs(images[k]) != len(kept))
+        gens = [k for k in watch if k is not None]
+        # the watch reads a kept generator, but not every one
+        active = any(images[k] for k in gens)
         for d in range(1, max_degree + 1):
             keys = []
 
             def record(key):
+                m = len(key[0])
+                assert 1 <= m <= d and all(
+                    perm.is_permutation(p, m) for p in key), key
+                assert perm.is_transitive(key, m), key
                 keys.append(key)
-                return False
+                return True
+            got = []
             for a in perm.iter_low_index(n, relators, d,
-                                         prune=(watch, record)):
-                assert keys and keys[-1] == tuple(
-                    perm.identity(d) if k is None else a[k]
-                    for k in watch), (cx, d)
-            assert keys or not kept
+                                         prune=(watch, record, 0)):
+                got.append(a)
+                if not active:
+                    continue
+                lo = min(perm.orbit([a[k] for k in gens], d - 1))
+                assert perm.orbit([a[k] for k in gens], d - 1) \
+                    == frozenset(range(lo, d))
+                assert keys[-1] == tuple(
+                    perm.identity(d - lo) if k is None
+                    else tuple(x - lo for x in a[k][lo:]) for k in watch)
+            assert got == list(perm.iter_low_index(
+                n, relators, d, prune=(watch, _never, 1))), (cx, d)
+            assert bool(keys) == (active and bool(got)), (cx, d)
+            asked += len(keys)
+    assert asked > 100
 
 
-def test_low_index_prune_fills_the_point_left():
-    """On the free group of rank 2 at degree 2, watching generator 1,
-    the first call comes after 3 definitions: a(0) = 0, then b(0) = 0,
-    undone, and b(0) = 1, which makes coset 1.  a(1) is still unset,
-    so the key reads the point left, 1."""
-    calls = []
-    budget = perm.NodeBudget()
+def test_low_index_prune_cuts_a_dirty_orbit_that_leaves_no_room():
+    """On the free group of rank 2 at degree 2, watching generator a:
+    a(0) = 0 closes the orbit {0} at the first definition.  Called dirty
+    with least 2, it is cut there, since the coset left cannot hold an
+    orbit of degree 2; a(0) = 1 then makes coset 1, and A(0) = 1 closes
+    the orbit {0, 1} at the third definition, which is cut too.  With
+    least 1 the orbit {0} stays, b(0) = 1 makes coset 1, and its orbit
+    {1} closes at the fourth definition and is cut, as is {0, 1} at the
+    sixth.  Called clean, the orbit {0} stops the calls below it, and
+    the three classes of the unpruned search come in its order."""
+    unpruned = list(perm.iter_low_index(2, [], 2))
+    for least, cut, want, classes in (
+            (2, True, [(((0,), (0,)), 1), (((1, 0), (0, 1)), 3)], []),
+            (1, True, [(((0,), (0,)), 1), (((0,), (0,)), 4),
+                       (((1, 0), (0, 1)), 6)], []),
+            (1, False, [(((0,), (0,)), 1), (((1, 0), (0, 1)), 7)],
+             unpruned)):
+        calls = []
+        budget = perm.NodeBudget()
 
-    def record(key):
-        calls.append((key, budget.nodes))
-        return False
-    for _ in perm.iter_low_index(2, [], 2, budget=budget,
-                                 prune=((0, None), record)):
-        pass
-    assert calls[0] == (((0, 1), (0, 1)), 3)
+        def record(key):
+            calls.append((key, budget.nodes))
+            return cut
+        got = list(perm.iter_low_index(2, [], 2, budget=budget,
+                                       prune=((0, None), record, least)))
+        assert (calls, got) == (want, classes)
+    assert len(unpruned) == 3
 
 
 @pytest.mark.parametrize("name", ["torus", "bad_vh"])
 def test_low_index_prune_calls_only_while_an_unwatched_generator_is_open(
         name):
     """A watch that reads every kept generator, in any order, with
-    repeats and None, gets no callback, and the search is the unpruned
-    one."""
+    repeats and None, or none of them, gets no callback, and the search
+    is the unpruned one."""
     n, relators = _pi1(helpers.load_complex(name))
     assert n == 2 and perm.eliminate_generators(n, relators)[0] == (1, 2)
     for d in range(1, 5):
         full = perm.NodeBudget()
         everything = list(perm.iter_low_index(n, relators, d, budget=full))
-        for watch in ((0, 1), (1, None, 0, 1)):
+        for watch in ((0, 1), (1, None, 0, 1), (), (None,)):
             budget = perm.NodeBudget()
 
             def never(key):
                 raise AssertionError("called with %r" % (key,))
             got = list(perm.iter_low_index(n, relators, d, budget=budget,
-                                           prune=(watch, never)))
+                                           prune=(watch, never, d + 1)))
             assert (got, budget.nodes) == (everything, full.nodes)
 
 

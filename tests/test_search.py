@@ -402,12 +402,14 @@ def test_vclean_outcomes_do_not_depend_on_the_memos(monkeypatch):
     documents, equal to the per-cover reference but for statistics no
     larger than its own.  The first run compiles D's tables and the
     carrier presentations of the 5 hyperplanes that reach degree 2, and
-    decides 33 carrier keys, whatever its order: the two modes share
+    decides 32 carrier keys, whatever its order: the two modes share
     each verdict and each degree.  A run on hyperplanes that have run
     decides none, and a deep copy carries its own verdicts and degrees.
     With its verdicts cleared, a carrier still replays its kept degrees,
-    so only the 21 keys of the scanned covers are decided again; with
-    its degrees cleared too, all 33."""
+    so only the 20 keys of the scanned covers and their closed orbits
+    are decided again: the 13 trivial covers' and 7 of the rung's at
+    degree 2, where the orbit {0} of one carrier action is cut before a
+    second coset exists; with its degrees cleared too, all 32."""
     compiles = []
     decided = []
     real_init = perm.CosetTables.__init__
@@ -442,12 +444,12 @@ def test_vclean_outcomes_do_not_depend_on_the_memos(monkeypatch):
 
     runs = []
     hyps = hyperplanes(cx)
-    assert run(1, hyps) == (6, 33)
+    assert run(1, hyps) == (6, 32)
     assert {h.id for h in hyps if h.carrier.degrees} == {13, 28, 46, 61, 67}
     assert run(2, hyps) == (0, 0)
     fresh = hyperplanes(helpers.doubled_complex())
     assert fresh == hyps and not any(f is h for f, h in zip(fresh, hyps))
-    assert run(3, fresh) == (5, 33)
+    assert run(3, fresh) == (5, 32)
     copies = copy.deepcopy(hyps)
     for c, h in zip(copies, hyps):
         for name in ("verdicts", "degrees"):
@@ -457,12 +459,12 @@ def test_vclean_outcomes_do_not_depend_on_the_memos(monkeypatch):
     assert run(4, copies) == (0, 0)
     for c in copies:
         c.carrier.verdicts.clear()
-    assert run(5, copies) == (0, 21)
+    assert run(5, copies) == (0, 20)
     for c in copies:
         c.carrier.verdicts.clear()
         c.carrier.degrees.clear()
-    assert run(6, copies) == (0, 33)
-    assert sum(len(h.carrier.verdicts) for h in hyps) == 33
+    assert run(6, copies) == (0, 32)
+    assert sum(len(h.carrier.verdicts) for h in hyps) == 32
     assert all(r == runs[0] for r in runs) and len(runs[0]) == 26
     for h in hyps:
         for mode in ("some", "each"):
@@ -611,17 +613,22 @@ def test_vclean_prunes_the_dirty_carrier_keys_of_the_rung():
     rung hyperplane 67 is the 148th in row-major order, and the 147
     before it read the other 7 carrier keys, all dirty: the row-major
     scan checks 149 classes, the trivial cover included, in 997
-    definitions.  The carrier's columns are filled first, and every
-    table below a fixed dirty key is cut, which leaves 2 classes in 55.
-    Before that scan, the carrier presentation's low-index search meets
-    a clean class of degree 2 in 31 definitions: 86 in all."""
+    definitions.  The carrier's columns are filled first, and a closed
+    carrier orbit that is dirty is cut when no clean carrier class fits
+    in the cosets left: the orbit {0}, dirty like the trivial cover,
+    as soon as it closes, since the least clean carrier class has
+    degree 2, and at degree 2 a dirty orbit on both cosets.  That
+    leaves 2 classes in 52 definitions, where the cut of the fixed full
+    key took 55.  Before that scan, the carrier presentation's
+    low-index search meets a clean class of degree 2 in 31 definitions:
+    83 in all."""
     cx = helpers.load_complex("doubled")
     h = hyperplane_of_edge(hyperplanes(cx), 67)
     for mode in ("some", "each"):
         out = semi_decide_virtually_clean(cx, h, mode, SearchBudget(2))
         assert out.found and out.witness.cover.degree == 2
         assert out.stats == SearchStats(homs_tried=2, covers_realized=2,
-                                        nodes=86, cap_hit=False)
+                                        nodes=83, cap_hit=False)
         assert h.carrier.degrees == {2: (31, True)}
 
 
@@ -690,16 +697,50 @@ def test_vclean_exhausts_doubled_hyperplanes_13_and_46_to_degree_4():
             assert fresh.carrier.degrees == {2: (11, False), 3: (55, False)}
 
 
-def test_vclean_certificate_keeps_status_least_degree_and_witness():
-    """Skipping the degrees with no clean carrier class keeps the
-    outcome of the scan that scans them (oracles.reference_pruned_vclean)
-    but for the statistics: status, and on every FOUND the witness, its
-    degree and its component id, byte for byte.  Run in both modes on
-    every hyperplane of the connected seeded random complexes 0-44 to
-    degree 4 under a 20,000-definition cap and of D to degree 2, on the
-    rung of each of the seven rung doubles to degree 3, and on bad_vh's
-    hyperplane 1 to degree 6.  The certificate, Carrier.has_clean_class, agrees
-    with oracles.least_clean_carrier_degree, and both of its directions
+def test_vclean_finds_doubled_hyperplanes_13_28_46_61_at_degree_5():
+    """Hyperplanes 13, 28, 46 and 61 of D have no clean carrier class of
+    degree 2 to 4, and a clean one of degree 5, which the carrier
+    presentation's search meets in 231 definitions for 13 and 46 and in
+    504 for 28 and 61.  So the scan of degree 5 cuts every carrier orbit
+    of fewer than 5 cosets as it closes, and the first class it yields
+    has a clean component: FOUND at degree 5 in 870, 1,415, 868 and
+    1,414 definitions, 376 of them for degrees 1 to 4, where the cut of
+    the fixed full key met a 60 M cap after about 10 minutes on
+    hyperplane 13.  In "each" mode the witness is the degree-5 cover's
+    regular closure, of degree 120.  Every witness revalidates."""
+    for hid, nodes in ((13, 870), (28, 1415), (46, 868), (61, 1414)):
+        for mode in ("some", "each"):
+            cx = helpers.load_complex("doubled")
+            h = hyperplane_of_edge(hyperplanes(cx), hid)
+            out = semi_decide_virtually_clean(cx, h, mode, SearchBudget(5))
+            assert out.found, (hid, mode)
+            assert out.stats == SearchStats(
+                homs_tried=2, covers_realized=2 if mode == "some" else 3,
+                nodes=nodes, cap_hit=False), (hid, mode)
+            assert out.witness.cover.degree == (5 if mode == "some"
+                                                else 120)
+            assert [clean for _, (_, clean)
+                    in sorted(h.carrier.degrees.items())] \
+                == [False, False, False, True]
+            assert revalidate_witness(out.witness, complex=cx, hyperplane=h)
+
+
+def test_vclean_certificate_keeps_status_least_degree_and_witness(
+        monkeypatch):
+    """Skipping the degrees with no clean carrier class, and cutting
+    each dirty closed carrier orbit that leaves no room for a clean
+    one, keep the outcome of the scan that scans every degree and cuts
+    only a fixed full key (oracles.reference_pruned_vclean) but for the
+    statistics: status, and on every FOUND the witness, its degree and
+    its component id, byte for byte.  The scan of pi1 spends no more
+    definitions than the reference's on any task, and fewer in all;
+    the carrier classes' definitions (has_clean_class) come on top.
+    Run in both modes on every hyperplane of the connected seeded random
+    complexes 0-44 to degree 4 under a 20,000-definition cap and of D
+    to degree 2, on the rung of each of the seven rung doubles to degree
+    3, and on bad_vh's hyperplane 1 to degree 6.  The certificate,
+    Carrier.has_clean_class, agrees with
+    oracles.least_clean_carrier_degree, and both of its directions
     hold: where no carrier class of degree 1 up to the bound is clean,
     the scan finds nothing; and a witness of degree d comes with a clean
     carrier class of degree at most d.  No task hits its cap.  The rung
@@ -719,7 +760,17 @@ def test_vclean_certificate_keeps_status_least_degree_and_witness():
     tasks += [(cx, h, SearchBudget(2)) for h in hyperplanes(cx)]
     cx = helpers.load_complex("bad_vh")
     tasks.append((cx, hyperplanes(cx)[0], SearchBudget(6)))
-    certified = found = 0
+    spent = []    # the definitions of each has_clean_class call
+
+    def certifying(self, d, node_budget):
+        start = node_budget.nodes
+        try:
+            return real(self, d, node_budget)
+        finally:
+            spent.append(node_budget.nodes - start)
+    real = Carrier.has_clean_class
+    monkeypatch.setattr(Carrier, "has_clean_class", certifying)
+    certified = found = scan_nodes = ref_nodes = 0
     for cx, h, budget in tasks:
         carrier = h.carrier
         least = next((d for d in range(2, budget.max_degree + 1)
@@ -732,9 +783,14 @@ def test_vclean_certificate_keeps_status_least_degree_and_witness():
                 tuple((0,) for _ in carrier.edges))):
             least = 1
         for mode in ("some", "each"):
+            del spent[:]
             out = semi_decide_virtually_clean(cx, h, mode, budget)
             ref = oracles.reference_pruned_vclean(cx, h, mode, budget)
             assert not out.stats.cap_hit and not ref.stats.cap_hit
+            # the scan of pi1 spends no more than the full-key cut
+            assert out.stats.nodes - sum(spent) <= ref.stats.nodes
+            scan_nodes += out.stats.nodes - sum(spent)
+            ref_nodes += ref.stats.nodes
             doc, ref_doc = outcome_to_doc(out), outcome_to_doc(ref)
             for name in ("status", "witness"):
                 assert canonical_json(doc[name]) == \
@@ -749,6 +805,7 @@ def test_vclean_certificate_keeps_status_least_degree_and_witness():
                                           hyperplane=h)
                 found += 1
     assert (certified, found) == (22, 266)
+    assert scan_nodes < ref_nodes
 
     # the paper's non-locality in miniature: the rung of double75 has a
     # clean carrier class of degree 2, so degree 2 is scanned, and yet
@@ -761,7 +818,7 @@ def test_vclean_certificate_keeps_status_least_degree_and_witness():
         ref = oracles.reference_pruned_vclean(cx, h, mode, SearchBudget(2))
         assert out.status == ref.status == "EXHAUSTED"
         assert out.stats == SearchStats(homs_tried=1, covers_realized=1,
-                                        nodes=80, cap_hit=False)
+                                        nodes=78, cap_hit=False)
         assert h.carrier.degrees == {2: (31, True)}
 
 
