@@ -1,9 +1,10 @@
 """Permutations of {0..d-1} as tuples, and one coset-table search with
 two fills over a presentation compiled once (CosetTables): Sims'
 low-index search for transitive actions up to conjugacy (low_index),
-which drives every search and fills a watched carrier's columns first
-when it prunes, cutting tables by their closed carrier orbits, and a
-labelled fill that yields every
+which drives every search, runs degree after degree as one stream that
+resumes each degree where the one before stopped (classes), and fills
+a watched carrier's columns first when it prunes, cutting tables by
+their closed carrier orbits, and a labelled fill that yields every
 relator-respecting homomorphism to S_d in lexicographic order (homs),
 behind the other cover modes.  iter_low_index and iter_homs run them on
 relators given as plain data.
@@ -330,9 +331,53 @@ class CosetTables:
 
         Without `prune`, degree 1 spends trivial_definitions nodes at once
         (NodeBudget.replay), then yields the trivial assignment: under
-        every cap, the yields, nodes and cap_hit of the fill.
+        every cap, the yields, nodes and cap_hit of the fill.  Each call
+        searches from the root; `classes` runs consecutive degrees
+        without searching the lower ones again.
         """
         return self._search(d, budget, False, prune)
+
+    def classes(self, first: int, last: int,
+                budget: Optional[NodeBudget] = None):
+        """(d, assignment) for each class low_index(d) yields, for d =
+        first..last in turn: the yields, order, nodes and cap_hit of
+        those calls one after another on one budget, under every cap,
+        ending after the degree whose search the cap stops.
+
+        The search tree of degree d holds that of degree d - 1, in the
+        same depth-first order: the two part only where a table with
+        d - 1 cosets would open coset d - 1, which degree d - 1 refuses
+        and degree d does.  Those refusals are the frontier of degree
+        d - 1, and degree d runs only the subtrees below them, from
+        copies of their tables (_fill), charging the definitions of
+        degree d - 1 between them at once (NodeBudget.replay).  So the
+        stream makes as many definitions as a search of degree `last`
+        alone, where the calls make those of every degree.  A frontier
+        of more than FRONTIER_ENTRIES table entries is dropped, and the
+        next degree searches from the root.  A degree with an empty
+        frontier leaves every later one the same tree, without a class,
+        so the stream charges all of them at once and ends.  A first
+        degree that check_degree rejects, or a last one that is not an
+        int, raises ValueError; last below first yields nothing.
+        """
+        check_degree(first)
+        if isinstance(last, bool) or not isinstance(last, int):
+            raise ValueError("last degree must be an int, not %r" % (last,))
+        return self._classes(first, last, budget)
+
+    def _classes(self, first: int, last: int, budget: Optional[NodeBudget]):
+        carry = _Frontier()
+        for d in range(first, last + 1):
+            for a in _fill(self, d, budget, False, carry=carry):
+                yield d, a
+            if budget is not None and budget.cap_hit:
+                return
+            if carry.points is None:
+                carry = _Frontier()
+            elif not carry.points:
+                if budget is not None:
+                    budget.replay((last - d) * carry.total)
+                return
 
     def homs(self, d: int, budget: Optional[NodeBudget] = None):
         """All assignments of permutations in S_d to the generators
@@ -364,6 +409,33 @@ class CosetTables:
         if budget is not None and not budget.replay(self.trivial_definitions):
             return
         yield (identity(1),) * len(self.columns)
+
+
+# The most table entries the frontier of one degree may hold
+# (CosetTables.classes, _Frontier): 8 MiB of list slots in CPython.
+FRONTIER_ENTRIES = 1 << 20
+
+
+class _Frontier:
+    """Where _fill resumes a degree, and what it leaves for the next.
+
+    points: the frontier of the previous degree, in the order the fill
+        met it, each point (count, entries, entry, n): the definitions
+        a search from the root had made before it, a copy of the n
+        rows of its table, the entry where coset n would be
+        opened, and n.  The root is the one point (0, (), 0, 1), with
+        no rows copied.  After a degree's fill, its frontier: an empty
+        list when it has none, and None when it held more than
+        FRONTIER_ENTRIES entries and was dropped.
+    total: the definitions a search from the root makes in the degree
+        the points come from, 0 for the root.
+    """
+
+    __slots__ = ("points", "total")
+
+    def __init__(self):
+        self.points = [(0, (), 0, 1)]
+        self.total = 0
 
 
 def _rebased_is_smaller(table, ncols: int, d: int, base: int, reads):
@@ -457,7 +529,7 @@ def iter_homs(num_gens: int, relators: Sequence[Sequence[int]], d: int,
 
 
 def _fill(tables: CosetTables, d: int, budget: Optional[NodeBudget],
-          labelled: bool, prune=None):
+          labelled: bool, prune=None, carry: Optional[_Frontier] = None):
     """Complete coset tables of the compiled relators with d rows, each
     yielded as its assignment to the generators: standard tables for
     low_index, labelled ones for homs.
@@ -499,6 +571,17 @@ def _fill(tables: CosetTables, d: int, budget: Optional[NodeBudget],
     generator or none of them, dirty is never called and the fill is
     row-major: a fixed key there leaves the table nothing to branch on,
     or reads no column.
+
+    `carry`, a _Frontier, is given only without prune and labels.  The
+    fill then searches below each of its points in turn, the frontier of
+    degree d - 1 or the root, and charges what a search from the root
+    does between them at once (NodeBudget.replay): the definitions of
+    degree d - 1 outside every subtree.  So the yields, nodes and
+    cap_hit are a search's from the root.  A frame with d cosets that
+    has tried every other coset would open coset d: degree d refuses
+    that, and records the frame as a point of its own frontier, to
+    leave in carry with its definitions when the fill ends; past
+    FRONTIER_ENTRIES stored entries it drops them.
 
     Definitions are undone from a trail, and the frames sit on an
     explicit stack, so the recursion limit does not bound the table.
@@ -588,8 +671,15 @@ def _fill(tables: CosetTables, d: int, budget: Optional[NodeBudget],
                     queue.append(forward)
         return True
 
+    if carry is None:
+        root = (0, (), first[0] if first else 0, d if labelled else 1)
+        points, total, found = [root], 0, None
+    else:
+        points, total, found = carry.points, carry.total, []
     if not ncols:
         # no generators left: the table is already complete
+        if carry is not None:
+            carry.points, carry.total = [], 0
         if labelled or d == 1:
             yield assignment()
         return
@@ -599,64 +689,90 @@ def _fill(tables: CosetTables, d: int, budget: Optional[NodeBudget],
         fill = [c * ncols + x for x in range(0, ncols, 2) for c in range(d)]
         fill.append(d * ncols)
     reads = range(d * ncols)
-    # a frame: entry, next coset to try, trail mark, cosets, and the
-    # rows in closed watched orbits, d once dirty has passed one
-    stack = [[first[0] if first else 0, 0, 0, d if labelled else 1, 0]]
-    while stack:
-        frame = stack[-1]
-        entry, v, mark, n, closed = frame
-        while len(trail) > mark:
-            table[trail.pop()] = -1
-        c, x = divmod(entry, ncols)
-        y = x ^ 1
-        while v < n and table[v * ncols + y] >= 0:
-            v += 1
-        if v > n or v == d:
-            # every free coset tried, and no new one fits
-            stack.pop()
-            continue
-        frame[1] = v + 1
-        if budget is not None and not budget.spend():
+    spent = 0     # the definitions a search from the root would have made
+    done = 0      # the previous degree's definitions accounted for
+    stored = 0    # the table entries copied into found
+    for count, entries, entry, n in points:
+        # what the previous degree did between its frontier points is
+        # done alike here, and charged at once
+        if budget is not None and not budget.replay(count - done):
             return
-        if v == n:
-            n += 1
-        mirror = v * ncols + y
-        table[entry] = v
-        table[mirror] = c
-        trail.append(entry)
-        trail.append(mirror)
-        if not deduce(entry):
-            continue
-        if labelled:
-            i = (x >> 1) * d + c + 1    # the place after entry's in fill
-            while table[fill[i]] >= 0:
-                i += 1
-            after = fill[i]
-        elif first:
-            # the entries of `first` before entry's are set, and so are
-            # those of every row but the last when entry is in another
-            # column; the other entries before entry's are set too
-            i = rank.get(x, -1)
-            start = c * k + i + 1 if i >= 0 else (n - 1) * k
-            after = next((e for e in ahead[start:n * k] if table[e] < 0),
-                         None)
-            if after is None:
-                if n > closed:
-                    # the rows made since the last closure, closed..n-1,
-                    # are one watched orbit, and its action is fixed
-                    if not orbit_dirty(closed, n):
-                        closed = d
-                    elif d - n < least:
-                        continue
+        spent += count - done
+        done = count
+        table[:len(entries)] = entries
+        # a frame: entry, next coset to try, trail mark, cosets, and the
+        # rows in closed watched orbits, d once dirty has passed one.  A
+        # frontier point tries only the new coset, the root every one.
+        stack = [[entry, len(entries) // ncols, 0, n, 0]]
+        while stack:
+            frame = stack[-1]
+            entry, v, mark, n, closed = frame
+            while len(trail) > mark:
+                table[trail.pop()] = -1
+            c, x = divmod(entry, ncols)
+            y = x ^ 1
+            while v < n and table[v * ncols + y] >= 0:
+                v += 1
+            if v > n or v == d:
+                # every free coset tried, and no new one fits
+                if found is not None and v == n:
+                    # coset d would be opened here: a frontier point
+                    stored += size
+                    if stored > FRONTIER_ENTRIES:
+                        found = None
                     else:
-                        closed = n
-                after = table.index(-1, 0 if i >= 0 else entry + 1)
-        else:
-            after = table.index(-1, entry + 1)
-        if after < n * ncols:
-            stack.append([after, 0, len(trail), n, closed])
-        elif n == d:
-            if first:
-                reads = _read_order(table, ncols, d, first)
-            if labelled or _is_least(table, ncols, d, reads):
-                yield assignment()
+                        found.append((spent, table[:size], entry, n))
+                stack.pop()
+                continue
+            frame[1] = v + 1
+            if budget is not None and not budget.spend():
+                return
+            spent += 1
+            if v == n:
+                n += 1
+            mirror = v * ncols + y
+            table[entry] = v
+            table[mirror] = c
+            trail.append(entry)
+            trail.append(mirror)
+            if not deduce(entry):
+                continue
+            if labelled:
+                i = (x >> 1) * d + c + 1    # the place after entry's in fill
+                while table[fill[i]] >= 0:
+                    i += 1
+                after = fill[i]
+            elif first:
+                # the entries of `first` before entry's are set, and so
+                # are those of every row but the last when entry is in
+                # another column; the other entries before entry's are
+                # set too
+                i = rank.get(x, -1)
+                start = c * k + i + 1 if i >= 0 else (n - 1) * k
+                after = next((e for e in ahead[start:n * k] if table[e] < 0),
+                             None)
+                if after is None:
+                    if n > closed:
+                        # the rows made since the last closure,
+                        # closed..n-1, are one watched orbit, and its
+                        # action is fixed
+                        if not orbit_dirty(closed, n):
+                            closed = d
+                        elif d - n < least:
+                            continue
+                        else:
+                            closed = n
+                    after = table.index(-1, 0 if i >= 0 else entry + 1)
+            else:
+                after = table.index(-1, entry + 1)
+            if after < n * ncols:
+                stack.append([after, 0, len(trail), n, closed])
+            elif n == d:
+                if first:
+                    reads = _read_order(table, ncols, d, first)
+                if labelled or _is_least(table, ncols, d, reads):
+                    yield assignment()
+    if budget is not None and not budget.replay(total - done):
+        return
+    if carry is not None:
+        carry.points, carry.total = found, spent + total - done

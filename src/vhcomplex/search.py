@@ -11,19 +11,25 @@ by transporting the certified loop, a cleanness witness by realizing the
 cover and re-running the cleanness test.  The revalidate_* functions do
 exactly that and nothing else.
 
-Every search scans Sims' low-index search (perm.CosetTables.low_index,
-on the tables its presentation holds) in one thread through one loop,
-_scan: by ascending degree, one transitive action per conjugacy class,
-each as its least standard coset table, in the order that search
-completes them.  The budget's nodes are its definitions, and homs_tried
-counts the classes checked.  The quotient and loop searches start at
-degree 2, and scanning only transitive actions changes none of their
-verdicts or least degrees: a word with nontrivial image in some action
+Every search scans Sims' low-index search (perm.CosetTables, on the
+tables its presentation holds) in one thread through one loop, _scan:
+by ascending degree, one transitive action per conjugacy class, each as
+its least standard coset table, in the order that search completes
+them.  The budget's nodes are its definitions, and homs_tried counts
+the classes checked.  The quotient and loop searches start at degree 2
+and take every degree from one stream (perm.CosetTables.classes), which
+resumes each degree from where the one before stopped short of a new
+coset, and charges the definitions below as a search from the root
+would make them, so nodes and cap_hit do not depend on the carry.
+Scanning only transitive actions changes none of their verdicts or
+least degrees: a word with nontrivial image in some action
 of degree d moves a point of some orbit, so it acts nontrivially in a
 transitive action of degree at most d, and every transitive action of
 degree 2 or more has a generator that is not the identity.  The
 virtual-cleanness search starts at degree 1 and reads each class as a
-cover with identity tree edges.  Whether a preimage component of the
+cover with identity tree edges; its prune cuts by a bound that depends
+on the degree, so its trees do not nest, and each degree it scans is
+searched from the root.  Whether a preimage component of the
 hyperplane is clean depends only on the permutations on the hyperplane's
 carrier edges, and far fewer carrier restrictions occur than classes, so
 the hyperplane's compiled carrier keeps the cleanness of the preimage
@@ -125,27 +131,25 @@ def _first_moved(p) -> Optional[int]:
 
 
 def _scan(candidates: Callable[[int, perm.NodeBudget], Iterable],
-          check: Callable, first_degree: int, budget: SearchBudget,
+          check: Callable, budget: SearchBudget,
           stats: SearchStats) -> SearchOutcome:
-    """Check candidates degree by degree, from first_degree up to the
-    bound, until check returns a witness.
+    """Check candidates in the order given until check returns a
+    witness.
 
-    candidates(d, node_budget) yields the degree-d candidates and spends
-    the node budget; check(d, candidate) returns a witness or None.  The
-    scan stops after the degree where the node cap is hit.  homs_tried
-    counts the candidates checked.  Raises ValueError without a budget.
+    candidates(last, node_budget) yields (d, candidate) by ascending
+    degree d up to last, the bound, spends the node budget, and ends
+    after the degree where the node cap is hit; check(d, candidate)
+    returns a witness or None.  homs_tried counts the candidates
+    checked.  Raises ValueError without a budget.
     """
     if budget is None:
         raise ValueError("a search needs a SearchBudget, not None")
     node_budget = perm.NodeBudget(budget.max_nodes)
     witness = None
-    for d in range(first_degree, budget.max_degree + 1):
-        for c in candidates(d, node_budget):
-            stats.homs_tried += 1
-            witness = check(d, c)
-            if witness is not None:
-                break
-        if witness is not None or node_budget.cap_hit:
+    for d, c in candidates(budget.max_degree, node_budget):
+        stats.homs_tried += 1
+        witness = check(d, c)
+        if witness is not None:
             break
     stats.nodes = node_budget.nodes
     stats.cap_hit = node_budget.cap_hit
@@ -153,20 +157,18 @@ def _scan(candidates: Callable[[int, perm.NodeBudget], Iterable],
                          budget, stats)
 
 
-def _no_candidates(d, node_budget):
+def _no_candidates(last, node_budget):
     """Candidates for _scan when a trivial word or loop leaves nothing
     to look for."""
     return ()
 
 
-def _quotients(pres: GroupPresentation, prune=None):
-    """Candidates for _scan: one transitive action of each degree per
-    conjugacy class, as a tuple of generator images.  prune, when
-    given, is low_index's at every degree but 1, whose one class, the
-    trivial action, is never cut."""
-    def candidates(d, node_budget):
-        return pres.tables.low_index(d, node_budget,
-                                     prune=prune if d > 1 else None)
+def _quotients(pres: GroupPresentation):
+    """Candidates for _scan: one transitive action per conjugacy class,
+    as a tuple of generator images, of each degree from 2 up to the
+    bound, as one stream (perm.CosetTables.classes)."""
+    def candidates(last, node_budget):
+        return pres.tables.classes(2, last, node_budget)
     return candidates
 
 
@@ -199,7 +201,7 @@ def element_survives(pres: GroupPresentation, word,
         return None
 
     candidates = _quotients(pres) if free_reduce(word) else _no_candidates
-    return _scan(candidates, check, 2, budget, SearchStats())
+    return _scan(candidates, check, budget, SearchStats())
 
 
 def probe_profinite_triviality(pres: GroupPresentation, word=None,
@@ -222,7 +224,7 @@ def probe_profinite_triviality(pres: GroupPresentation, word=None,
                 return QuotientWitness(d, a, (k,))
         return None
 
-    return _scan(_quotients(pres), check, 2, budget, SearchStats())
+    return _scan(_quotients(pres), check, budget, SearchStats())
 
 
 def loop_survives(cx: SquareComplex, loop: EdgePath,
@@ -249,7 +251,7 @@ def loop_survives(cx: SquareComplex, loop: EdgePath,
                            sheet)
 
     candidates = _quotients(pres) if word else _no_candidates
-    return _scan(candidates, check, 2, budget, stats)
+    return _scan(candidates, check, budget, stats)
 
 
 def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
@@ -353,20 +355,24 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
             return VCleanWitness(mode, h.id, closure, None)
         return None
 
-    least = None    # the least degree >= 2 of a clean carrier class
+    def candidates(last, node_budget):
+        """The classes of degree 1 up to last, none of a degree d >= 2
+        while no carrier class of degree 2..d is clean, each degree's
+        search pruned with its own `least` (see above), so the degrees'
+        trees do not nest and each starts from the root."""
+        least = None    # the least degree >= 2 of a clean carrier class
+        for d in range(1, last + 1):
+            if d > 1 and least is None \
+                    and carrier.has_clean_class(d, node_budget):
+                least = d
+            if d == 1 or least is not None:
+                prune = (carrier.key_pos, dirty, least) if d > 1 else None
+                for a in pres.tables.low_index(d, node_budget, prune=prune):
+                    yield d, a
+            if node_budget.cap_hit:
+                return
 
-    def candidates(d, node_budget):
-        """The classes of degree d, none while no carrier class of
-        degree 2..d is clean (see above)."""
-        nonlocal least
-        if d > 1 and least is None:
-            if not carrier.has_clean_class(d, node_budget):
-                return ()
-            least = d
-        return _quotients(pres, prune=(carrier.key_pos, dirty, least))(
-            d, node_budget)
-
-    return _scan(candidates, check, 1, budget, stats)
+    return _scan(candidates, check, budget, stats)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import re
@@ -341,23 +342,31 @@ def test_connected_covers_up_to_conjugacy_match_brute_force():
 
 def test_covers_up_to_conjugacy_are_the_euler_transform_of_the_classes():
     """A homomorphism to S_d up to conjugacy is a multiset of transitive
-    classes whose degrees sum to d, so iter_covers(up_to_conjugacy=True)
-    yields as many covers as the Euler transform of the low-index class
-    counts (oracles.euler_transform) gives: 39, 92 and 170 for the torus
-    at d = 5, 6 and 7.  Checked on the torus to degree 7 and the other
-    valid fixtures to degree 5."""
-    for name in VALID_FIXTURES:
-        cx = helpers.load_complex(name)
-        top = 7 if name == "torus" else 5
-        tables = pi1_presentation(cx, 0).tables
-        classes = [sum(1 for _ in tables.low_index(d))
-                   for d in range(1, top + 1)]
+    classes whose degrees sum to d, so iter_covers(up_to_conjugacy=True),
+    which keeps the homomorphisms is_canonical passes, yields as many
+    covers as the Euler transform of the low-index class counts
+    (oracles.euler_transform) gives: 39, 92 and 170 for the torus at
+    d = 5, 6 and 7.  The class counts of each degree come from one
+    stream (CosetTables.classes).  Checked on the torus to degree 7, the
+    other valid fixtures to degree 5 and the connected seeded random
+    complexes to degree 4."""
+    cases = [(name, helpers.load_complex(name), 7 if name == "torus" else 5)
+             for name in VALID_FIXTURES]
+    for seed in range(12):
+        cx = helpers.random_vh_complex(random.Random(seed))
+        if is_connected_complex(cx):
+            cases.append((seed, cx, 4))
+    for name, cx, top in cases:
+        per_degree = collections.Counter(
+            d for d, _ in pi1_presentation(cx, 0).tables.classes(1, top))
+        classes = [per_degree[d] for d in range(1, top + 1)]
         counts = [sum(1 for _ in iter_covers(cx, d, up_to_conjugacy=True))
                   for d in range(1, top + 1)]
         assert counts == [oracles.euler_transform(classes, d)
                           for d in range(1, top + 1)], name
         if name == "torus":
             assert counts[4:] == [39, 92, 170]
+    assert len(cases) > 12
 
 
 def test_pullback_along_identity():

@@ -645,3 +645,147 @@ def test_degree_one_replays_the_fill():
         counts.append(full.nodes)
     by_name = dict(zip(complexes, counts))
     assert by_name["torus"] == 2 and by_name["doubled"] == 9
+
+
+class _CountingBudget(perm.NodeBudget):
+    """A node budget that counts its spend calls: the definitions the
+    search makes, where nodes also counts those it replays."""
+
+    def __init__(self, cap=None):
+        super().__init__(cap)
+        self.spends = 0
+
+    def spend(self):
+        self.spends += 1
+        return super().spend()
+
+
+def _consecutive_low_index(tables, first, last, budget):
+    """What CosetTables.classes streams: low_index(d) called for d =
+    first..last on one budget, up to the degree the cap stops."""
+    out = []
+    for d in range(first, last + 1):
+        out += [(d, a) for a in tables.low_index(d, budget)]
+        if budget.cap_hit:
+            break
+    return out
+
+
+def _stream_cases():
+    """(tables, first, last): the trivial group to 12, Higman's group to
+    6, the torus to 7, pi1 of every valid fixture to 4, and seeded random
+    presentations to 4 from degree 1 or 2, some left by the Tietze moves
+    with no generator."""
+    for name, last in (("trivial_group", 12), ("higman", 6)):
+        yield helpers.load_presentation(name).tables, 2, last
+    yield pi1_presentation(helpers.load_complex("torus"), 0).tables, 2, 7
+    for name in helpers.GOOD_FIXTURES + ("bad_vh",):
+        yield pi1_presentation(helpers.load_complex(name), 0).tables, 1, 4
+    rng = random.Random(30)
+    for i in range(24):
+        yield helpers.random_presentation(rng).tables, 1 + i % 2, 4
+
+
+def test_classes_match_consecutive_low_index_calls():
+    """classes(first, last) gives the yields, order, nodes and cap_hit
+    of low_index(first), ..., low_index(last) called one after another
+    on one budget, under every cap from 0 to the total plus 2 where the
+    total is at most 600 definitions, else under 12 caps spread over
+    that range, and uncapped.  Under cap c the calls yield the classes
+    they had yielded by node c uncapped, and end with min(c, total)
+    nodes, having hit the cap when c < total; the calls themselves are
+    run under the spread caps."""
+    tables_without_columns = starts_at_one = 0
+    for tables, first, last in _stream_cases():
+        full = perm.NodeBudget()
+        log = []    # (nodes spent by the yield, (d, assignment))
+        for d in range(first, last + 1):
+            log += [(full.nodes, (d, a)) for a in tables.low_index(d, full)]
+        total = full.nodes
+        spread = {0, 1, total - 1, total, total + 1, total + 2} \
+            | set(range(0, total, total // 6 or 1))
+        for cap in [None, *(range(total + 3) if total <= 600 else spread)]:
+            budget = perm.NodeBudget(cap)
+            got = list(tables.classes(first, last, budget))
+            if cap is None:
+                assert got == [item for _, item in log] and not full.cap_hit
+                assert budget.nodes == total and not budget.cap_hit
+                continue
+            assert got == [item for k, item in log if k <= cap], cap
+            assert (budget.nodes, budget.cap_hit) \
+                == (min(cap, total), cap < total), (first, cap)
+            if cap in spread:
+                reference = perm.NodeBudget(cap)
+                assert got == _consecutive_low_index(tables, first, last,
+                                                     reference)
+                assert (budget.nodes, budget.cap_hit) \
+                    == (reference.nodes, reference.cap_hit), (first, cap)
+        tables_without_columns += tables.ncols == 0
+        starts_at_one += first == 1
+    assert tables_without_columns >= 2 and starts_at_one >= 12
+
+
+def test_classes_make_only_the_definitions_of_the_last_degree(monkeypatch):
+    """Each degree resumes from where the one before refused a new coset,
+    and replays the definitions below, so the stream spends one node per
+    definition of the last degree's search alone: the trivial group to
+    degree 6 in 42 spend calls for 119 nodes and to 12 in 71 for 512,
+    Higman's group to 6 in 14,506 for 18,259.  With the frontier bound
+    at 0 every degree starts from the root, with the same yields and
+    nodes, and spends them all; only the empty frontier of the trivial
+    group at degree 10 still replays degrees 11 and 12."""
+    trivial = helpers.load_presentation("trivial_group").tables
+    higman = helpers.load_presentation("higman").tables
+    cases = ((trivial, 6, 42, 119), (trivial, 12, 71, 512),
+             (higman, 6, 14_506, 18_259))
+    streams = []
+    for tables, last, spends, nodes in cases:
+        budget, alone = _CountingBudget(), perm.NodeBudget()
+        streams.append(list(tables.classes(2, last, budget)))
+        assert (budget.spends, budget.nodes) == (spends, nodes)
+        assert list(tables.low_index(last, alone)) == [] \
+            and alone.nodes == spends
+    monkeypatch.setattr(perm, "FRONTIER_ENTRIES", 0)
+    for (tables, last, _, nodes), stream in zip(cases, streams):
+        budget = _CountingBudget()
+        assert list(tables.classes(2, last, budget)) == stream
+        assert budget.nodes == nodes
+        assert budget.spends == (nodes - 2 * 71 if last == 12 else nodes)
+
+
+def test_an_empty_frontier_ends_the_stream():
+    """From degree 10 on the trivial group's search tree no longer grows:
+    no table with d cosets is left open, so every later degree searches
+    the same 71 definitions and finds no class.  The stream charges
+    them all at once, as the calls would spend them one degree after
+    another, also under a cap that the replayed degrees meet, and ends:
+    to degree 10^6 that is 512 + (10^6 - 12) * 71 definitions, of which
+    it makes 71."""
+    tables = helpers.load_presentation("trivial_group").tables
+    last = 30
+    full = perm.NodeBudget()
+    assert _consecutive_low_index(tables, 2, last, full) == []
+    assert full.nodes == 512 + (last - 12) * 71
+    for cap in (512, 600, 1000, full.nodes - 1, full.nodes, None):
+        budget, reference = _CountingBudget(cap), perm.NodeBudget(cap)
+        assert list(tables.classes(2, last, budget)) == []
+        _consecutive_low_index(tables, 2, last, reference)
+        assert (budget.nodes, budget.cap_hit) \
+            == (reference.nodes, reference.cap_hit), cap
+        assert budget.spends == 71
+    budget = _CountingBudget()
+    assert list(tables.classes(2, 10 ** 6, budget)) == []
+    assert (budget.nodes, budget.spends) == (70_999_660, 71)
+    assert not budget.cap_hit
+
+
+def test_classes_check_their_degrees():
+    tables = perm.CosetTables(2, [])
+    for first in (0, -1, True, 2.0):
+        with pytest.raises(ValueError, match="degree must be positive"):
+            tables.classes(first, 3)
+    for last in (True, 3.0, None):
+        with pytest.raises(ValueError, match="last degree must be an int"):
+            tables.classes(1, last)
+    assert list(tables.classes(3, 2)) == []
+    assert [d for d, _ in tables.classes(1, 3)] == [1] + [2] * 3 + [3] * 7

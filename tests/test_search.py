@@ -138,6 +138,52 @@ def test_probe_profinite_triviality():
     assert revalidate_witness(w, pres=z2)
 
 
+def _probe_degree_by_degree(pres, budget):
+    """The probe as it scanned before the stream: low_index(d) from the
+    root for d = 2 up to the bound on one node budget, to the first
+    class with a generator that is not the identity, stopping after the
+    degree where the cap is hit.  (witness, homs_tried, nodes,
+    cap_hit)."""
+    node_budget = perm.NodeBudget(budget.max_nodes)
+    tried = 0
+    for d in range(2, budget.max_degree + 1):
+        for a in pres.tables.low_index(d, node_budget):
+            tried += 1
+            moved = [k for k, p in enumerate(a, 1) if p != perm.identity(d)]
+            if moved:
+                return (QuotientWitness(d, a, (moved[0],)), tried,
+                        node_budget.nodes, node_budget.cap_hit)
+        if node_budget.cap_hit:
+            break
+    return None, tried, node_budget.nodes, node_budget.cap_hit
+
+
+def test_probe_matches_the_degree_by_degree_scan_under_node_caps():
+    """The quotient searches take every degree from one stream that
+    resumes each degree from the frontier of the one before, and their
+    witness, homs_tried, nodes and cap_hit are those of searching each
+    degree from the root: on the trivial group to degree 12 (EXHAUSTED
+    in 512 definitions), A_5 to degree 6 (FOUND at degree 5, its least
+    transitive action) and Higman's group to degree 5, uncapped and
+    under caps spread over the definitions."""
+    a5 = GroupPresentation.make(["a", "b"], ["aa", "bbb", "ababababab"])
+    cases = ((helpers.load_presentation("trivial_group"), 12, 512),
+             (a5, 6, None), (helpers.load_presentation("higman"), 5, None))
+    for pres, max_degree, pinned in cases:
+        total = _probe_degree_by_degree(pres, SearchBudget(max_degree))[2]
+        assert pinned in (None, total)
+        for cap in [None, 0, 1, total - 1, total, total + 1,
+                    *range(2, total, total // 25)]:
+            budget = SearchBudget(max_degree, max_nodes=cap)
+            out = probe_profinite_triviality(pres, budget=budget)
+            assert (out.witness, out.stats.homs_tried, out.stats.nodes,
+                    out.stats.cap_hit) \
+                == _probe_degree_by_degree(pres, budget), (max_degree, cap)
+            if cap is None:
+                assert out.found == (pres is a5)
+                assert pres is not a5 or out.witness.degree == 5
+
+
 def test_quotient_witness_images_must_be_int_permutations():
     z2 = helpers.load_presentation("z_squared")
     assert revalidate_witness(QuotientWitness(2, ((1, 0),), (1,)), pres=z2)
@@ -298,17 +344,15 @@ def _count_checked_covers(monkeypatch):
     """Count the covers the vclean scan is handed, one per class its
     low-index search yields."""
     checked = [0]
-    real = search._quotients
+    real = search._scan
 
-    def counting(pres, **kwargs):
-        quotients = real(pres, **kwargs)
-
-        def candidates(d, node_budget):
-            for assignment in quotients(d, node_budget):
+    def counting(candidates, *args):
+        def counted(last, node_budget):
+            for d, assignment in candidates(last, node_budget):
                 checked[0] += 1
-                yield assignment
-        return candidates
-    monkeypatch.setattr(search, "_quotients", counting)
+                yield d, assignment
+        return real(counted, *args)
+    monkeypatch.setattr(search, "_scan", counting)
     return checked
 
 
@@ -551,18 +595,14 @@ def test_vclean_checks_a_subsequence_of_the_classes_skipping_dirty_ones(
     22.9 M definitions, and the scan checks none of them."""
     scanned = []    # the degrees the scan asks for
     checked = []    # (degree, assignment) handed to the scan's check
-    real = search._quotients
 
-    def recording(pres, **kwargs):
-        quotients = real(pres, **kwargs)
-
-        def candidates(d, node_budget):
+    def recording(real):
+        def low_index(d, budget=None, *, prune=None):
             scanned.append(d)
-            for assignment in quotients(d, node_budget):
+            for assignment in real(d, budget, prune=prune):
                 checked.append((d, assignment))
                 yield assignment
-        return candidates
-    monkeypatch.setattr(search, "_quotients", recording)
+        return low_index
     tasks = [(cx, h, mode, budget)
              for _, cx, h, mode, budget in _vclean_tasks()]
     for seed in range(45):
@@ -573,7 +613,10 @@ def test_vclean_checks_a_subsequence_of_the_classes_skipping_dirty_ones(
     skipped = capped = 0
     for cx, h, mode, budget in tasks:
         del scanned[:], checked[:]
-        out = semi_decide_virtually_clean(cx, h, mode, budget)
+        tables = pi1_presentation(cx, 0).tables
+        with monkeypatch.context() as patch:
+            patch.setattr(tables, "low_index", recording(tables.low_index))
+            out = semi_decide_virtually_clean(cx, h, mode, budget)
         assert not out.stats.cap_hit
         reached = max(scanned) if out.found else budget.max_degree
         first = oracles.least_clean_carrier_degree(cx, h, reached)
