@@ -61,12 +61,10 @@ class Carrier:
         bounded or evicted: it grows with every new key until the
         hyperplane is dropped or it is cleared (verdicts.clear()), after
         which keys are decided afresh with the same verdicts.
-    degrees: d -> (definitions, clean) for every degree d >= 2 that
-        has_clean_class has searched without meeting a node cap: the
-        definitions the carrier presentation's low_index(d) spent, up
-        to its first clean class or in all, and whether it met one.
-        Kept, like verdicts, as long as the hyperplane; at most one
-        entry per degree asked.
+    degrees: last -> (definitions, least) for every bound `last` that
+        least_clean_degree has answered without meeting a node cap: the
+        definitions its stream spent and its answer.  Kept, like
+        verdicts, as long as the hyperplane; one entry per bound asked.
 
     The carrier presentation (`tables`) has one letter per carrier edge
     that key_pos names a generator (`letters`), and one relator per
@@ -76,10 +74,10 @@ class Carrier:
     permutations, and its verdict reads only their action on that
     orbit, which is a transitive action of the carrier presentation.
     So a cover of degree d with a clean component has a clean carrier
-    class of degree at most d: where none exists, no cover of degree
-    at most d has a clean component, in either mode.  The converse
-    fails (the paper's non-locality): a clean carrier class need not
-    extend to a cover of the whole complex.
+    class of degree at most d: where none exists (least_clean_degree),
+    no cover of degree at most d has a clean component, in either mode.
+    The converse fails (the paper's non-locality): a clean carrier class
+    need not extend to a cover of the whole complex.
 
     Carrier position k is the k-th entry of `edges`, and dual index j
     the j-th entry of `_dual`.  _squares: per crossed square: (darts,
@@ -163,32 +161,29 @@ class Carrier:
         return perm.CosetTables(len(letters) - letters.count(None),
                                 relators)
 
-    def has_clean_class(self, d: int, budget: perm.NodeBudget):
-        """Whether some transitive action of degree d >= 2 of the carrier
-        presentation has a clean component: True or False, or None when
-        the budget's cap stops the search first.
-
-        Runs tables.low_index(d, budget) and decides each class's key,
-        the identity on tree edges and the letter's image elsewhere (the
-        key Carrier.key gives a cover with that carrier action), with
-        cleanness, up to the first clean one.  A search that meets no
-        cap is kept in `degrees`; a kept degree spends its definitions
-        at once (NodeBudget.replay), so the answer, nodes and cap_hit are
-        the fresh search's under every cap."""
-        kept = self.degrees.get(d)
+    def least_clean_degree(self, last: int, budget: perm.NodeBudget):
+        """The least degree 2..last of a transitive action of the carrier
+        presentation with a clean component, or None when there is none
+        or the budget's cap stops the stream tables.classes(2, last)
+        first.  Each class's key is the identity on tree edges and the
+        letter's image elsewhere, as Carrier.key gives a cover with that
+        carrier action.  An answer met under no cap is kept in `degrees`,
+        and replayed (NodeBudget.replay) with the fresh stream's answer,
+        nodes and cap_hit under every cap."""
+        kept = self.degrees.get(last)
         if kept is not None:
-            spent, clean = kept
-            return clean if budget.replay(spent) else None
+            spent, least = kept
+            return least if budget.replay(spent) else None
         start = budget.nodes
-        clean = False
-        for a in self.tables.low_index(d, budget):
+        least = None
+        for d, a in self.tables.classes(2, last, budget):
             if any(ok for _, ok in self.cleanness(_key(self.letters, d, a))):
-                clean = True
+                least = d
                 break
-        if not clean and budget.cap_hit:
+        if least is None and budget.cap_hit:
             return None
-        self.degrees[d] = (budget.nodes - start, clean)
-        return clean
+        self.degrees[last] = (budget.nodes - start, least)
+        return least
 
     def cleanness(self, key: tuple) -> tuple:
         """((component id, clean), ...) for the components of the

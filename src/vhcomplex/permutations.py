@@ -352,13 +352,14 @@ class CosetTables:
         copies of their tables (_fill), charging the definitions of
         degree d - 1 between them at once (NodeBudget.replay).  So the
         stream makes as many definitions as a search of degree `last`
-        alone, where the calls make those of every degree.  A frontier
-        of more than FRONTIER_ENTRIES table entries is dropped, and the
-        next degree searches from the root.  A degree with an empty
-        frontier leaves every later one the same tree, without a class,
-        so the stream charges all of them at once and ends.  A first
-        degree that check_degree rejects, or a last one that is not an
-        int, raises ValueError; last below first yields nothing.
+        alone, where the calls make those of every degree.  Degree
+        `last` keeps no frontier, and one of more than FRONTIER_ENTRIES
+        table entries is dropped: the next degree searches from the
+        root.  A degree with an empty frontier leaves every later one
+        the same tree, without a class, so the stream charges all of
+        them at once and ends.  A first degree that check_degree
+        rejects, or a last one that is not an int, raises ValueError;
+        last below first yields nothing.
         """
         check_degree(first)
         if isinstance(last, bool) or not isinstance(last, int):
@@ -368,7 +369,8 @@ class CosetTables:
     def _classes(self, first: int, last: int, budget: Optional[NodeBudget]):
         carry = _Frontier()
         for d in range(first, last + 1):
-            for a in _fill(self, d, budget, False, carry=carry):
+            for a in _fill(self, d, budget, False, carry=carry,
+                           record=d < last):
                 yield d, a
             if budget is not None and budget.cap_hit:
                 return
@@ -426,7 +428,7 @@ class _Frontier:
         opened, and n.  The root is the one point (0, (), 0, 1), with
         no rows copied.  After a degree's fill, its frontier: an empty
         list when it has none, and None when it held more than
-        FRONTIER_ENTRIES entries and was dropped.
+        FRONTIER_ENTRIES entries and was dropped, or was not recorded.
     total: the definitions a search from the root makes in the degree
         the points come from, 0 for the root.
     """
@@ -529,7 +531,8 @@ def iter_homs(num_gens: int, relators: Sequence[Sequence[int]], d: int,
 
 
 def _fill(tables: CosetTables, d: int, budget: Optional[NodeBudget],
-          labelled: bool, prune=None, carry: Optional[_Frontier] = None):
+          labelled: bool, prune=None, carry: Optional[_Frontier] = None,
+          record: bool = True):
     """Complete coset tables of the compiled relators with d rows, each
     yielded as its assignment to the generators: standard tables for
     low_index, labelled ones for homs.
@@ -581,7 +584,8 @@ def _fill(tables: CosetTables, d: int, budget: Optional[NodeBudget],
     has tried every other coset would open coset d: degree d refuses
     that, and records the frame as a point of its own frontier, to
     leave in carry with its definitions when the fill ends; past
-    FRONTIER_ENTRIES stored entries it drops them.
+    FRONTIER_ENTRIES stored entries it drops them.  Without `record`,
+    the last degree `classes` runs, it records none and leaves None.
 
     Definitions are undone from a trail, and the frames sit on an
     explicit stack, so the recursion limit does not bound the table.
@@ -675,7 +679,8 @@ def _fill(tables: CosetTables, d: int, budget: Optional[NodeBudget],
         root = (0, (), first[0] if first else 0, d if labelled else 1)
         points, total, found = [root], 0, None
     else:
-        points, total, found = carry.points, carry.total, []
+        points, total = carry.points, carry.total
+        found = [] if record else None
     if not ncols:
         # no generators left: the table is already complete
         if carry is not None:

@@ -17,10 +17,11 @@ by ascending degree, one transitive action per conjugacy class, each as
 its least standard coset table, in the order that search completes
 them.  The budget's nodes are its definitions, and homs_tried counts
 the classes checked.  The quotient and loop searches start at degree 2
-and take every degree from one stream (perm.CosetTables.classes), which
-resumes each degree from where the one before stopped short of a new
-coset, and charges the definitions below as a search from the root
-would make them, so nodes and cap_hit do not depend on the carry.
+and take every degree from one stream (perm.CosetTables.classes),
+which resumes each degree from where the one before stopped short of a
+new coset, and charges the definitions below as a search from the root
+would make them, so nodes and cap_hit do not depend on the carry.  The
+virtual-cleanness search's degree certificate is one such stream too.
 Scanning only transitive actions changes none of their verdicts or
 least degrees: a word with nontrivial image in some action
 of degree d moves a point of some orbit, so it acts nontrivially in a
@@ -39,10 +40,10 @@ low-index search watch the carrier generators, whose columns it then
 fills first, so that the carrier's orbits close one at a time, and cuts
 a partial coset table once its closed orbits are dirty and the cosets
 left are too few for a clean carrier class: no class below it could
-give a witness.  Before that, while no carrier class of a lower degree
-has been clean, it skips every degree in which no transitive action of
-the carrier presentation has a clean component
-(hyperplanes.Carrier.has_clean_class): no cover of that degree has one.
+give a witness.  It scans no degree from 2 below the least degree of a
+transitive action of the carrier presentation with a clean component
+(hyperplanes.Carrier.least_clean_degree), and none at all when there is
+none up to the bound: no cover of such a degree has a clean component.
 """
 
 from __future__ import annotations
@@ -301,19 +302,17 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
     Degree certificate.  A clean component of a cover lives on one
     orbit of the carrier edges' permutations, and restricts there to a
     clean transitive action of the carrier presentation (see
-    hyperplanes.Carrier) of degree at most d.  So before the scan of a
-    degree d >= 2, while no clean carrier class of degree 2..d-1 has
-    been met, h.carrier.has_clean_class(d) is asked, and a degree
-    without one is skipped: no cover of it has a clean component, in
-    either mode.  Once a clean carrier class is met, every later degree
-    is scanned as above.  Degree 1 is always scanned: its one class is
-    the trivial cover, whose one component is the hyperplane, so it is
-    the trivial carrier class, and no witness there means it is dirty.
-    The carrier's answer for each degree is kept in h.carrier.degrees
-    with the definitions it cost, which a later call spends again at
-    once, so the outcome does not depend on what was kept.  A clean
-    carrier class does not make a witness: the local data can say
-    "maybe" where the whole complex says "no".
+    hyperplanes.Carrier) of degree at most d.  So after degree 1,
+    h.carrier.least_clean_degree(bound) is asked once, and only the
+    degrees from its answer up to the bound are scanned, as above, or
+    none when it has no answer: no cover of a degree skipped has a
+    clean component, in either mode.  Degree 1, scanned first, needs no
+    certificate: its one class is the trivial cover, whose one component
+    is the hyperplane, the trivial carrier class.  The carrier keeps
+    its answer per bound, and replays it (see hyperplanes.Carrier), so
+    the outcome does not depend on what was kept.  A clean carrier class
+    does not make a witness: the local data can say "maybe" where the
+    whole complex says "no".
 
     Status, least degree and witness are those of the uncut scan in
     that order.  homs_tried counts the covers checked, and
@@ -356,19 +355,19 @@ def semi_decide_virtually_clean(cx: SquareComplex, h: Hyperplane, mode: str,
         return None
 
     def candidates(last, node_budget):
-        """The classes of degree 1 up to last, none of a degree d >= 2
-        while no carrier class of degree 2..d is clean, each degree's
-        search pruned with its own `least` (see above), so the degrees'
-        trees do not nest and each starts from the root."""
-        least = None    # the least degree >= 2 of a clean carrier class
-        for d in range(1, last + 1):
-            if d > 1 and least is None \
-                    and carrier.has_clean_class(d, node_budget):
-                least = d
-            if d == 1 or least is not None:
-                prune = (carrier.key_pos, dirty, least) if d > 1 else None
-                for a in pres.tables.low_index(d, node_budget, prune=prune):
-                    yield d, a
+        """Degree 1, then degrees `least`..last, each pruned and searched
+        from the root (see above)."""
+        if last < 1:
+            return
+        for a in pres.tables.low_index(1, node_budget):
+            yield 1, a
+        least = carrier.least_clean_degree(last, node_budget)
+        if least is None:
+            return
+        prune = (carrier.key_pos, dirty, least)
+        for d in range(least, last + 1):
+            for a in pres.tables.low_index(d, node_budget, prune=prune):
+                yield d, a
             if node_budget.cap_hit:
                 return
 

@@ -8,7 +8,7 @@ from vhcomplex import (Edge, EdgePath, GroupPresentation, SquareComplex,
                        pointed_pair, validate)
 from vhcomplex.covers import Cover, cover_from_assignment, is_connected
 from vhcomplex import formats
-from vhcomplex.permutations import identity, word_image
+from vhcomplex.permutations import NodeBudget, identity, word_image
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -23,6 +23,19 @@ RUNG_DOUBLES = ((12, (-2, 1), 2055), (40, (3, 2), 8923),
                 (60, (1, -2), 1304), (75, (2, 3), 8788),
                 (131, (1, 2), 1331), (134, (2, -3), 2396),
                 (148, (1, 3), 2532))
+
+
+class CountingBudget(NodeBudget):
+    """A node budget that counts its spend calls: the definitions the
+    search makes, where nodes also counts those it replays."""
+
+    def __init__(self, cap=None):
+        super().__init__(cap)
+        self.spends = 0
+
+    def spend(self):
+        self.spends += 1
+        return super().spend()
 
 
 def fixture_path(name):

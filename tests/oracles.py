@@ -815,6 +815,24 @@ def least_clean_carrier_degree(cx, h, max_degree):
     return None
 
 
+def per_degree_least_clean_degree(carrier, last, budget):
+    """What Carrier.least_clean_degree answers, searched degree by
+    degree: the carrier presentation's low_index(d) from the root for
+    d = 2..last on one budget, up to the first class with a clean
+    component, whose degree it returns, or to the degree whose search
+    the cap stops, returning None then and when no class is clean."""
+    for d in range(2, last + 1):
+        ident = perm.identity(d)
+        for a in carrier.tables.low_index(d, budget):
+            key = tuple(ident if k is None else a[k]
+                        for k in carrier.letters)
+            if any(ok for _, ok in carrier.cleanness(key)):
+                return d
+        if budget.cap_hit:
+            return None
+    return None
+
+
 # ---------------------------------------------------------------------------
 # virtual cleanness, one cleanness check per cover
 

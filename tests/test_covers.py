@@ -369,6 +369,29 @@ def test_covers_up_to_conjugacy_are_the_euler_transform_of_the_classes():
     assert len(cases) > 12
 
 
+def test_carrier_presentations_obey_the_euler_transform():
+    """The Euler transform of the class counts of a hyperplane's carrier
+    presentation (Carrier.tables, from one CosetTables.classes stream)
+    counts the homomorphisms that is_canonical passes among all of
+    tables.homs(d): D's hyperplanes 13 and 67 to degree 3, bad_vh's
+    hyperplane 1 and mixed_carrier's 2 and 4 to degree 4."""
+    cases = (("doubled", 13, [1, 3, 7], [1, 4, 11]),
+             ("doubled", 67, [1, 7, 41], [1, 8, 49]),
+             ("bad_vh", 1, [1, 3, 7, 26], [1, 4, 11, 43]),
+             ("mixed_carrier", 2, [1, 3, 7, 26], [1, 4, 11, 43]),
+             ("mixed_carrier", 4, [1, 3, 7, 26], [1, 4, 11, 43]))
+    for name, hid, classes, homs in cases:
+        h = hyperplane_of_edge(hyperplanes(helpers.load_complex(name)), hid)
+        tables = h.carrier.tables
+        top = len(classes)
+        per_degree = collections.Counter(d for d, _ in tables.classes(1, top))
+        assert [per_degree[d] for d in range(1, top + 1)] == classes, name
+        assert [sum(1 for a in tables.homs(d) if perm.is_canonical(a))
+                for d in range(1, top + 1)] == homs, name
+        assert homs == [oracles.euler_transform(classes, d)
+                        for d in range(1, top + 1)]
+
+
 def test_pullback_along_identity():
     t = helpers.load_complex("torus")
     c = torus_cover([1, 2, 0], [2, 0, 1])

@@ -647,19 +647,6 @@ def test_degree_one_replays_the_fill():
     assert by_name["torus"] == 2 and by_name["doubled"] == 9
 
 
-class _CountingBudget(perm.NodeBudget):
-    """A node budget that counts its spend calls: the definitions the
-    search makes, where nodes also counts those it replays."""
-
-    def __init__(self, cap=None):
-        super().__init__(cap)
-        self.spends = 0
-
-    def spend(self):
-        self.spends += 1
-        return super().spend()
-
-
 def _consecutive_low_index(tables, first, last, budget):
     """What CosetTables.classes streams: low_index(d) called for d =
     first..last on one budget, up to the degree the cap stops."""
@@ -740,17 +727,42 @@ def test_classes_make_only_the_definitions_of_the_last_degree(monkeypatch):
              (higman, 6, 14_506, 18_259))
     streams = []
     for tables, last, spends, nodes in cases:
-        budget, alone = _CountingBudget(), perm.NodeBudget()
+        budget, alone = helpers.CountingBudget(), perm.NodeBudget()
         streams.append(list(tables.classes(2, last, budget)))
         assert (budget.spends, budget.nodes) == (spends, nodes)
         assert list(tables.low_index(last, alone)) == [] \
             and alone.nodes == spends
     monkeypatch.setattr(perm, "FRONTIER_ENTRIES", 0)
     for (tables, last, _, nodes), stream in zip(cases, streams):
-        budget = _CountingBudget()
+        budget = helpers.CountingBudget()
         assert list(tables.classes(2, last, budget)) == stream
         assert budget.nodes == nodes
         assert budget.spends == (nodes - 2 * 71 if last == 12 else nodes)
+
+
+def test_classes_keep_no_frontier_for_the_last_degree(monkeypatch):
+    """Only the next degree reads a degree's frontier, so the stream
+    stores none for its last: the torus to degree 4 stores the points
+    of degrees 1 to 3, each a copy of a table with that many rows, and
+    none of degree 4, with the yields and nodes of the calls."""
+    tables = pi1_presentation(helpers.load_complex("torus"), 0).tables
+    stored = set()    # the row counts of the points stored
+
+    class Spy(perm._Frontier):
+        @property
+        def points(self):
+            return self._points
+
+        @points.setter
+        def points(self, value):
+            self._points = value
+            stored.update(len(p[1]) // tables.ncols for p in value or ())
+    monkeypatch.setattr(perm, "_Frontier", Spy)
+    budget, reference = perm.NodeBudget(), perm.NodeBudget()
+    assert list(tables.classes(1, 4, budget)) \
+        == _consecutive_low_index(tables, 1, 4, reference)
+    assert budget.nodes == reference.nodes
+    assert stored == {0, 1, 2, 3}
 
 
 def test_an_empty_frontier_ends_the_stream():
@@ -767,13 +779,13 @@ def test_an_empty_frontier_ends_the_stream():
     assert _consecutive_low_index(tables, 2, last, full) == []
     assert full.nodes == 512 + (last - 12) * 71
     for cap in (512, 600, 1000, full.nodes - 1, full.nodes, None):
-        budget, reference = _CountingBudget(cap), perm.NodeBudget(cap)
+        budget, reference = helpers.CountingBudget(cap), perm.NodeBudget(cap)
         assert list(tables.classes(2, last, budget)) == []
         _consecutive_low_index(tables, 2, last, reference)
         assert (budget.nodes, budget.cap_hit) \
             == (reference.nodes, reference.cap_hit), cap
         assert budget.spends == 71
-    budget = _CountingBudget()
+    budget = helpers.CountingBudget()
     assert list(tables.classes(2, 10 ** 6, budget)) == []
     assert (budget.nodes, budget.spends) == (70_999_660, 71)
     assert not budget.cap_hit

@@ -370,7 +370,8 @@ def test_vclean_counts_covers_checked(monkeypatch):
     # 11 classes of degree 1 to 3, and no carrier class of degree 2 or 3
     # of its hyperplane 1 is clean, so only the trivial cover is checked.
     # Its carrier presentation is pi1's, free on two letters, so the
-    # carrier classes cost the definitions the scan of pi1 cost: 68
+    # carrier classes cost the definitions the scan of pi1 cost: 68, of
+    # which the certificate, kept for the bound 3, takes 66
     checked[0] = 0
     cx = helpers.load_complex("bad_vh")
     h = hyperplanes(cx)[0]
@@ -381,7 +382,7 @@ def test_vclean_counts_covers_checked(monkeypatch):
         for d in (1, 2, 3))
     assert out.stats.homs_tried == checked[0] == 1
     assert out.stats.covers_realized == 1 and out.stats.nodes == 68
-    assert h.carrier.degrees == {2: (11, False), 3: (55, False)}
+    assert h.carrier.degrees == {3: (66, None)}
 
 
 def _vclean_tasks():
@@ -672,7 +673,7 @@ def test_vclean_prunes_the_dirty_carrier_keys_of_the_rung():
         assert out.found and out.witness.cover.degree == 2
         assert out.stats == SearchStats(homs_tried=2, covers_realized=2,
                                         nodes=83, cap_hit=False)
-        assert h.carrier.degrees == {2: (31, True)}
+        assert h.carrier.degrees == {2: (31, 2)}
 
 
 def test_vclean_on_the_rung_doubles_finds_the_least_degree_of_the_loop():
@@ -709,7 +710,7 @@ def test_vclean_exhausts_doubled_hyperplane_13_to_degree_3():
         assert out.status == "EXHAUSTED" and out.witness is None
         assert out.stats == SearchStats(homs_tried=1, covers_realized=1,
                                         nodes=75, cap_hit=False)
-        assert h.carrier.degrees == {2: (11, False), 3: (55, False)}
+        assert h.carrier.degrees == {3: (66, None)}
 
 
 def test_vclean_exhausts_doubled_hyperplanes_13_and_46_to_degree_4():
@@ -717,8 +718,9 @@ def test_vclean_exhausts_doubled_hyperplanes_13_and_46_to_degree_4():
     2 to 4 either, so vclean to degree 4 is EXHAUSTED after the trivial
     cover, in 9 + 11 + 55 + 301 = 376 definitions, where the scan of pi1
     took 15.2 M (about 2 minutes) for hyperplane 13.  Both modes, on a
-    fresh hyperplane and on one that kept its degrees, under a cap of
-    376 and not under one of 375."""
+    fresh hyperplane and on one that kept its certificate, under a cap
+    of 376 and not under one of 375.  A fresh hyperplane under a cap of
+    375 keeps no certificate: the cap stops it."""
     for hid in (13, 46):
         for mode in ("some", "each"):
             h = hyperplane_of_edge(
@@ -730,28 +732,29 @@ def test_vclean_exhausts_doubled_hyperplanes_13_and_46_to_degree_4():
                 assert out.stats == SearchStats(
                     homs_tried=1, covers_realized=1,
                     nodes=376 if cap is None else cap, cap_hit=cap == 375)
-                assert h.carrier.degrees == {2: (11, False), 3: (55, False),
-                                             4: (301, False)}
+                assert h.carrier.degrees == {4: (367, None)}
             fresh = hyperplane_of_edge(
                 hyperplanes(helpers.load_complex("doubled")), hid)
             out = semi_decide_virtually_clean(
                 fresh.complex, fresh, mode, SearchBudget(4, max_nodes=375))
             assert out.stats.cap_hit and out.stats.nodes == 375
-            assert fresh.carrier.degrees == {2: (11, False), 3: (55, False)}
+            assert fresh.carrier.degrees == {}
 
 
 def test_vclean_finds_doubled_hyperplanes_13_28_46_61_at_degree_5():
     """Hyperplanes 13, 28, 46 and 61 of D have no clean carrier class of
     degree 2 to 4, and a clean one of degree 5, which the carrier
     presentation's search meets in 231 definitions for 13 and 46 and in
-    504 for 28 and 61.  So the scan of degree 5 cuts every carrier orbit
-    of fewer than 5 cosets as it closes, and the first class it yields
-    has a clean component: FOUND at degree 5 in 870, 1,415, 868 and
-    1,414 definitions, 376 of them for degrees 1 to 4, where the cut of
-    the fixed full key met a 60 M cap after about 10 minutes on
-    hyperplane 13.  In "each" mode the witness is the degree-5 cover's
-    regular closure, of degree 120.  Every witness revalidates."""
-    for hid, nodes in ((13, 870), (28, 1415), (46, 868), (61, 1414)):
+    504 for 28 and 61, after the 367 of degrees 2 to 4.  So the scan of
+    degree 5 cuts every carrier orbit of fewer than 5 cosets as it
+    closes, and the first class it yields has a clean component: FOUND
+    at degree 5 in 870, 1,415, 868 and 1,414 definitions, 376 of them
+    for degrees 1 to 4, where the cut of the fixed full key met a 60 M
+    cap after about 10 minutes on hyperplane 13.  In "each" mode the
+    witness is the degree-5 cover's regular closure, of degree 120.
+    Every witness revalidates."""
+    for hid, nodes, carrier in ((13, 870, 598), (28, 1415, 871),
+                                (46, 868, 598), (61, 1414, 871)):
         for mode in ("some", "each"):
             cx = helpers.load_complex("doubled")
             h = hyperplane_of_edge(hyperplanes(cx), hid)
@@ -762,14 +765,11 @@ def test_vclean_finds_doubled_hyperplanes_13_28_46_61_at_degree_5():
                 nodes=nodes, cap_hit=False), (hid, mode)
             assert out.witness.cover.degree == (5 if mode == "some"
                                                 else 120)
-            assert [clean for _, (_, clean)
-                    in sorted(h.carrier.degrees.items())] \
-                == [False, False, False, True]
+            assert h.carrier.degrees == {5: (carrier, 5)}
             assert revalidate_witness(out.witness, complex=cx, hyperplane=h)
 
 
-def test_vclean_certificate_keeps_status_least_degree_and_witness(
-        monkeypatch):
+def test_vclean_certificate_keeps_status_least_degree_and_witness():
     """Skipping the degrees with no clean carrier class, and cutting
     each dirty closed carrier orbit that leaves no room for a clean
     one, keep the outcome of the scan that scans every degree and cuts
@@ -777,13 +777,14 @@ def test_vclean_certificate_keeps_status_least_degree_and_witness(
     statistics: status, and on every FOUND the witness, its degree and
     its component id, byte for byte.  The scan of pi1 spends no more
     definitions than the reference's on any task, and fewer in all;
-    the carrier classes' definitions (has_clean_class) come on top.
+    the carrier classes' definitions (Carrier.least_clean_degree, kept
+    per bound in Carrier.degrees) come on top.
     Run in both modes on every hyperplane of the connected seeded random
     complexes 0-44 to degree 4 under a 20,000-definition cap and of D
     to degree 2, on the rung of each of the seven rung doubles to degree
-    3, and on bad_vh's hyperplane 1 to degree 6.  The certificate,
-    Carrier.has_clean_class, agrees with
-    oracles.least_clean_carrier_degree, and both of its directions
+    3, and on bad_vh's hyperplane 1 to degree 6.  The certificate
+    agrees with oracles.least_clean_carrier_degree, and both of its
+    directions
     hold: where no carrier class of degree 1 up to the bound is clean,
     the scan finds nothing; and a witness of degree d comes with a clean
     carrier class of degree at most d.  No task hits its cap.  The rung
@@ -803,36 +804,27 @@ def test_vclean_certificate_keeps_status_least_degree_and_witness(
     tasks += [(cx, h, SearchBudget(2)) for h in hyperplanes(cx)]
     cx = helpers.load_complex("bad_vh")
     tasks.append((cx, hyperplanes(cx)[0], SearchBudget(6)))
-    spent = []    # the definitions of each has_clean_class call
-
-    def certifying(self, d, node_budget):
-        start = node_budget.nodes
-        try:
-            return real(self, d, node_budget)
-        finally:
-            spent.append(node_budget.nodes - start)
-    real = Carrier.has_clean_class
-    monkeypatch.setattr(Carrier, "has_clean_class", certifying)
     certified = found = scan_nodes = ref_nodes = 0
     for cx, h, budget in tasks:
         carrier = h.carrier
-        least = next((d for d in range(2, budget.max_degree + 1)
-                      if carrier.has_clean_class(d, perm.NodeBudget())),
-                     None)
+        least = carrier.least_clean_degree(budget.max_degree,
+                                           perm.NodeBudget())
         assert least == oracles.least_clean_carrier_degree(
             cx, h, budget.max_degree)
-        # the one component of the trivial cover decides degree 1
+        # the definitions the certificate spends in the search
+        spent = carrier.degrees[budget.max_degree][0]
+        # the one component of the trivial cover decides degree 1, and
+        # a witness there leaves the certificate unasked
         if any(ok for _, ok in carrier.cleanness(
                 tuple((0,) for _ in carrier.edges))):
-            least = 1
+            least, spent = 1, 0
         for mode in ("some", "each"):
-            del spent[:]
             out = semi_decide_virtually_clean(cx, h, mode, budget)
             ref = oracles.reference_pruned_vclean(cx, h, mode, budget)
             assert not out.stats.cap_hit and not ref.stats.cap_hit
             # the scan of pi1 spends no more than the full-key cut
-            assert out.stats.nodes - sum(spent) <= ref.stats.nodes
-            scan_nodes += out.stats.nodes - sum(spent)
+            assert out.stats.nodes - spent <= ref.stats.nodes
+            scan_nodes += out.stats.nodes - spent
             ref_nodes += ref.stats.nodes
             doc, ref_doc = outcome_to_doc(out), outcome_to_doc(ref)
             for name in ("status", "witness"):
@@ -862,7 +854,70 @@ def test_vclean_certificate_keeps_status_least_degree_and_witness(
         assert out.status == ref.status == "EXHAUSTED"
         assert out.stats == SearchStats(homs_tried=1, covers_realized=1,
                                         nodes=78, cap_hit=False)
-        assert h.carrier.degrees == {2: (31, True)}
+        assert h.carrier.degrees == {2: (31, 2)}
+
+
+def test_certificate_streams_the_per_degree_search():
+    """Carrier.least_clean_degree takes the carrier presentation's
+    degrees 2..last from one stream (CosetTables.classes), and gives the
+    answer, nodes and cap_hit of the search it replaced, low_index(d)
+    from the root for each degree up to the first clean class
+    (oracles.per_degree_least_clean_degree), under every cap from 0 to
+    one past its definitions, on a carrier that has kept no answer and
+    on one that keeps the uncapped one: D's hyperplane 13 to degree 5,
+    the rung 67 of D to 2 and the rung 15 of double75 to 3.  bad_vh's
+    hyperplane 1 to degree 5 spends 2,278 definitions, so it runs under
+    every cap near its ends and every 37th between them.  Only an
+    uncapped answer is kept.  The stream makes fewer definitions than
+    it is charged: 301 of 367 for hyperplane 13 to degree 4, where the
+    search by degree made all 11 + 55 + 301."""
+    cases = (("doubled", 13, 5, 5, 598), ("doubled", 67, 2, 2, 31),
+             ("double75", 15, 3, 2, 31), ("bad_vh", 1, 5, None, 2278))
+    for name, hid, last, least, total in cases:
+        h = hyperplane_of_edge(hyperplanes(helpers.load_complex(name)), hid)
+        reference = perm.NodeBudget()
+        assert oracles.per_degree_least_clean_degree(
+            h.carrier, last, reference) == least
+        assert (reference.nodes, reference.cap_hit) == (total, False)
+        caps = set(range(total + 2)) if total <= 600 else \
+            set(range(40)) | set(range(0, total, 37)) \
+            | set(range(total - 40, total + 2))
+        fresh, kept = Carrier(h), Carrier(h)
+        assert kept.least_clean_degree(last, perm.NodeBudget()) == least
+        for cap in sorted(caps):
+            reference = perm.NodeBudget(cap)
+            want = (oracles.per_degree_least_clean_degree(
+                h.carrier, last, reference),
+                reference.nodes, reference.cap_hit)
+            fresh.degrees.clear()
+            for carrier in (fresh, kept):
+                budget = perm.NodeBudget(cap)
+                assert (carrier.least_clean_degree(last, budget),
+                        budget.nodes, budget.cap_hit) == want, (name, cap)
+            assert fresh.degrees == ({} if cap < total
+                                     else {last: (total, least)})
+            assert kept.degrees == {last: (total, least)}
+    h = hyperplane_of_edge(hyperplanes(helpers.load_complex("doubled")), 13)
+    budget = helpers.CountingBudget()
+    assert h.carrier.least_clean_degree(4, budget) is None
+    assert (budget.spends, budget.nodes) == (301, 367)
+
+
+def test_vclean_scans_nothing_to_degree_0_and_the_trivial_cover_to_1():
+    """A bound of 0 scans nothing, not even degree 1, and a bound of 1
+    only the trivial cover, in the 9 definitions of D's degree-1 fill;
+    neither runs the degree certificate's search.  D's hyperplane 13,
+    both modes."""
+    cx = helpers.load_complex("doubled")
+    h = hyperplane_of_edge(hyperplanes(cx), 13)
+    for mode in ("some", "each"):
+        for bound, nodes, tried in ((0, 0, 0), (1, 9, 1)):
+            out = semi_decide_virtually_clean(cx, h, mode,
+                                              SearchBudget(bound))
+            assert out.status == "EXHAUSTED" and out.witness is None
+            assert out.stats == SearchStats(homs_tried=tried,
+                                            covers_realized=tried,
+                                            nodes=nodes, cap_hit=False)
 
 
 def test_vclean_exhausts_bad_vh_to_degree_5():
