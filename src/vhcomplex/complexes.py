@@ -184,6 +184,11 @@ def is_signed_index(x, n: int) -> bool:
             and 0 < abs(x) <= n)
 
 
+def is_index(x, n: int) -> bool:
+    """Whether x is an int, not a bool, in 0..n-1: a vertex or a sheet."""
+    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
+
+
 def dart_out_end(d: int) -> int:
     """End index (0=tail, 1=head) at which the dart leaves its start vertex."""
     return 0 if d > 0 else 1
@@ -375,7 +380,7 @@ def trace(cx: SquareComplex, p: EdgePath) -> list:
     """Vertex itinerary of a path; raises ValueError if it does not run."""
     ne = cx.num_edges
     at = p.start
-    if not (0 <= at < cx.num_vertices):
+    if not is_index(at, cx.num_vertices):
         raise ValueError("path starts at missing vertex %r" % (at,))
     verts = [at]
     for d in p.word:
@@ -447,10 +452,11 @@ def free_reduce(word: Sequence[int]) -> tuple:
 
 
 def cyclic_reduce(word: Sequence[int]) -> tuple:
-    w = list(free_reduce(word))
-    while len(w) > 1 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return tuple(w)
+    w, k = free_reduce(word), 0
+    # count the conjugating pairs, then cut them all with one slice
+    while 2 * k + 1 < len(w) and w[k] == -w[-1 - k]:
+        k += 1
+    return w[k:len(w) - k]
 
 
 def freely_trivial(word: Sequence[int]) -> bool:
@@ -520,7 +526,7 @@ def is_connected_complex(cx: SquareComplex) -> bool:
 
 def subgraph_component(cx: SquareComplex, v: int, labels=None):
     """(vertices, edge ids) of the labelled subgraph component through v."""
-    if not (0 <= v < cx.num_vertices):
+    if not is_index(v, cx.num_vertices):
         raise ValueError("no vertex %r" % (v,))
     incident = {}
     for eid, e in enumerate(cx.edges, start=1):
@@ -686,9 +692,9 @@ def subdivide_edges(cx: SquareComplex, factors) -> Subdivision:
         raise ValueError("cannot subdivide a structurally invalid complex")
     req = {eid: 1 for eid in range(1, cx.num_edges + 1)}
     for eid, k in dict(factors).items():
-        if eid not in req:
+        if not is_signed_index(eid, cx.num_edges) or eid < 0:
             raise ValueError("no edge %r" % (eid,))
-        if not isinstance(k, int) or k < 1:
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
             raise ValueError("factor for edge %d must be a positive integer"
                              % eid)
         req[eid] = k

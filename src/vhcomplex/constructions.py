@@ -16,7 +16,7 @@ import math
 from typing import Iterable, Optional
 
 from .complexes import (CellularMap, Edge, EdgePath, H_LABEL, PointedVHPair,
-                        Record, SquareComplex, V_LABEL, free_reduce,
+                        Record, SquareComplex, V_LABEL, free_reduce, is_index,
                         is_simple_loop, pointed_pair, subdivide_edges,
                         subdivide_path, trace, validate)
 from .hyperplanes import Hyperplane, hyperplane_of_edge, hyperplanes
@@ -338,7 +338,7 @@ def enumerate_simple_loops(cx: SquareComplex, basepoint: int,
     No vertex repeats except the basepoint at the two ends, and no edge
     repeats; `labels` restricts the edges considered.
     """
-    if not (0 <= basepoint < cx.num_vertices):
+    if not is_index(basepoint, cx.num_vertices):
         raise ValueError("no vertex %r" % (basepoint,))
     out_darts = {}
     for eid, e in enumerate(cx.edges, start=1):

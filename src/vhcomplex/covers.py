@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from . import permutations as perm
 from .complexes import (CellularMap, DisjointSet, Edge, EdgePath, Record,
-                        SquareComplex, is_signed_index, trace)
+                        SquareComplex, is_index, is_signed_index, trace)
 from .hyperplanes import Hyperplane, hyperplanes
 from .presentations import Pi1Presentation, pi1_presentation
 
@@ -190,7 +190,7 @@ def lift_path(c: Cover, p: EdgePath, start_sheet: int = 0):
     lifts closed iff the end sheet equals the start sheet.
     """
     _check_shape(c)
-    if not (0 <= start_sheet < c.degree):
+    if not is_index(start_sheet, c.degree):
         raise ValueError("no sheet %r" % (start_sheet,))
     trace(c.base, p)   # reject invalid base paths
     d = c.degree

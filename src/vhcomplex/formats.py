@@ -328,8 +328,8 @@ def witness_from_doc(doc, pres: Optional[GroupPresentation] = None,
             return VCleanWitness(
                 _need(certified, "mode", str, "witness"),
                 _need(certified, "hyperplane", int, "witness"),
-                cover,
-                certified.get("component"))
+                cover, None if certified.get("component") is None
+                else _need(certified, "component", int, "witness"))
         raise ValueError("witness: unrecognized certificate")
     raise ValueError("witness: unknown kind %r" % kind)
 

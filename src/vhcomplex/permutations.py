@@ -269,10 +269,10 @@ class CosetTables:
         reads that one's inverse column.
     rotations: _relator_rotations of the relators eliminate_generators
         keeps.
-    trivial_definitions: the number of definitions the degree-1 fill of
-        low_index makes.  That fill has one class, the trivial action,
-        and no conflict, so it runs here once, uncapped, and low_index(1)
-        only replays its count.
+    degree_one: the _Frontier of the degree-1 fill of low_index, run
+        here once, uncapped, as it has one class, the trivial action,
+        and no conflict: low_index(1) and classes(1, ...) replay its
+        count, and higher degrees without `prune` resume from its points.
     """
 
     def __init__(self, num_gens: int, relators: Sequence[Sequence[int]]):
@@ -287,10 +287,9 @@ class CosetTables:
         self.columns = tuple(None if not x else 2 * x - 2 if x > 0
                              else -2 * x - 1 for x in images)
         self.rotations = _relator_rotations(rels, self.ncols)
-        budget = NodeBudget()
-        for _ in _fill(self, 1, budget, False):
+        self.degree_one = _Frontier()
+        for _ in _fill(self, 1, None, self.degree_one, record=True):
             pass
-        self.trivial_definitions = budget.nodes
 
     def low_index(self, d: int, budget: Optional[NodeBudget] = None, *,
                   prune=None):
@@ -329,13 +328,17 @@ class CosetTables:
         only complete tables, and 0 cuts none.  The classes kept come in
         the order they have with a callback that never cuts.
 
-        Without `prune`, degree 1 spends trivial_definitions nodes at once
-        (NodeBudget.replay), then yields the trivial assignment: under
-        every cap, the yields, nodes and cap_hit of the fill.  Each call
-        searches from the root; `classes` runs consecutive degrees
-        without searching the lower ones again.
+        Without `prune`, degree 1 is classes(1, 1), a replay of the
+        degree_one fill, and a higher degree resumes from degree_one's
+        points: under every cap, the yields, nodes and cap_hit of a
+        search from the root.  A pruned fill starts at the root.
         """
-        return self._search(d, budget, False, prune)
+        check_degree(d)
+        if prune is not None:
+            return _fill(self, d, budget, _Frontier(), prune=prune)
+        if d == 1:
+            return (a for _, a in self._classes(1, 1, budget))
+        return _fill(self, d, budget, _Frontier(self.degree_one))
 
     def classes(self, first: int, last: int,
                 budget: Optional[NodeBudget] = None):
@@ -344,22 +347,23 @@ class CosetTables:
         those calls one after another on one budget, under every cap,
         ending after the degree whose search the cap stops.
 
-        The search tree of degree d holds that of degree d - 1, in the
-        same depth-first order: the two part only where a table with
-        d - 1 cosets would open coset d - 1, which degree d - 1 refuses
-        and degree d does.  Those refusals are the frontier of degree
-        d - 1, and degree d runs only the subtrees below them, from
-        copies of their tables (_fill), charging the definitions of
-        degree d - 1 between them at once (NodeBudget.replay).  So the
-        stream makes as many definitions as a search of degree `last`
-        alone, where the calls make those of every degree.  Degree
-        `last` keeps no frontier, and one of more than FRONTIER_ENTRIES
-        table entries is dropped: the next degree searches from the
-        root.  A degree with an empty frontier leaves every later one
-        the same tree, without a class, so the stream charges all of
-        them at once and ends.  A first degree that check_degree
-        rejects, or a last one that is not an int, raises ValueError;
-        last below first yields nothing.
+        The search tree of degree d holds that of every lower degree k,
+        in the same depth-first order: the two part only where a table
+        with k cosets would open coset k, which degree k refuses and
+        degree d does.  Those refusals are the frontier of degree k, and
+        degree d runs only the subtrees below them, from copies of their
+        tables (_fill), charging the definitions of degree k between
+        them at once (NodeBudget.replay).  Degree 1 replays the
+        degree_one fill, and each later degree resumes from the frontier
+        of the one before, degree_one's for the first, so the stream
+        makes the definitions of low_index(last) alone.  Degree `last`
+        keeps no frontier, and one of more than FRONTIER_ENTRIES table
+        entries is dropped: the next degree searches from the root.  A
+        degree with an empty frontier leaves every later one the same
+        tree, without a class, so the stream charges all of them at once
+        and ends.  A first degree that check_degree rejects, or a last
+        one that is not an int, raises ValueError; last below first
+        yields nothing.
         """
         check_degree(first)
         if isinstance(last, bool) or not isinstance(last, int):
@@ -367,16 +371,19 @@ class CosetTables:
         return self._classes(first, last, budget)
 
     def _classes(self, first: int, last: int, budget: Optional[NodeBudget]):
-        carry = _Frontier()
-        for d in range(first, last + 1):
-            for a in _fill(self, d, budget, False, carry=carry,
-                           record=d < last):
+        if first == 1 <= last:
+            if budget is not None and \
+                    not budget.replay(self.degree_one.total):
+                return
+            yield 1, (identity(1),) * len(self.columns)
+        carry = self.degree_one
+        for d in range(max(first, 2), last + 1):
+            carry = _Frontier(carry)
+            for a in _fill(self, d, budget, carry, record=d < last):
                 yield d, a
             if budget is not None and budget.cap_hit:
                 return
-            if carry.points is None:
-                carry = _Frontier()
-            elif not carry.points:
+            if carry.points == []:
                 if budget is not None:
                     budget.replay((last - d) * carry.total)
                 return
@@ -396,21 +403,8 @@ class CosetTables:
         generators too.  The table, deductions, budget (one node per
         definition tried) and errors are those of _fill.
         """
-        return self._search(d, budget, True)
-
-    def _search(self, d: int, budget: Optional[NodeBudget], labelled: bool,
-                prune=None):
-        """The one entry of both fills, which checks the degree."""
         check_degree(d)
-        if d == 1 and not labelled and prune is None:
-            return self._trivial_class(budget)
-        return _fill(self, d, budget, labelled, prune)
-
-    def _trivial_class(self, budget: Optional[NodeBudget]):
-        """low_index(1) without a prune callback."""
-        if budget is not None and not budget.replay(self.trivial_definitions):
-            return
-        yield (identity(1),) * len(self.columns)
+        return _fill(self, d, budget, _Frontier(n=d), labelled=True)
 
 
 # The most table entries the frontier of one degree may hold
@@ -419,25 +413,29 @@ FRONTIER_ENTRIES = 1 << 20
 
 
 class _Frontier:
-    """Where _fill resumes a degree, and what it leaves for the next.
+    """Where _fill starts a degree, and what it leaves for the next:
+    _Frontier(after) refers to what the fill of `after` left, or is a
+    root when it left no points; _fill overwrites its carry.
 
-    points: the frontier of the previous degree, in the order the fill
-        met it, each point (count, entries, entry, n): the definitions
-        a search from the root had made before it, a copy of the n
-        rows of its table, the entry where coset n would be
-        opened, and n.  The root is the one point (0, (), 0, 1), with
-        no rows copied.  After a degree's fill, its frontier: an empty
-        list when it has none, and None when it held more than
+    points: the points the fill searches below, in the order a search
+        from the root meets them, each point (count, entries, entry, n):
+        the definitions that search had made before it, a copy of the n
+        rows of its table, the entry where coset n would be opened, and
+        n.  A root is the one point (0, (), 0, n), no rows copied, with
+        n = 1, or d for the labelled fill.  After a fill, its frontier:
+        an empty list when it has none, and None when it held more than
         FRONTIER_ENTRIES entries and was dropped, or was not recorded.
     total: the definitions a search from the root makes in the degree
-        the points come from, 0 for the root.
+        the points come from, 0 for a root.
     """
 
     __slots__ = ("points", "total")
 
-    def __init__(self):
-        self.points = [(0, (), 0, 1)]
-        self.total = 0
+    def __init__(self, after: Optional[_Frontier] = None, n: int = 1):
+        if after is not None and after.points is not None:
+            self.points, self.total = after.points, after.total
+        else:
+            self.points, self.total = [(0, (), 0, n)], 0
 
 
 def _rebased_is_smaller(table, ncols: int, d: int, base: int, reads):
@@ -531,8 +529,8 @@ def iter_homs(num_gens: int, relators: Sequence[Sequence[int]], d: int,
 
 
 def _fill(tables: CosetTables, d: int, budget: Optional[NodeBudget],
-          labelled: bool, prune=None, carry: Optional[_Frontier] = None,
-          record: bool = True):
+          carry: _Frontier, labelled: bool = False, prune=None,
+          record: bool = False):
     """Complete coset tables of the compiled relators with d rows, each
     yielded as its assignment to the generators: standard tables for
     low_index, labelled ones for homs.
@@ -575,17 +573,17 @@ def _fill(tables: CosetTables, d: int, budget: Optional[NodeBudget],
     row-major: a fixed key there leaves the table nothing to branch on,
     or reads no column.
 
-    `carry`, a _Frontier, is given only without prune and labels.  The
-    fill then searches below each of its points in turn, the frontier of
-    degree d - 1 or the root, and charges what a search from the root
-    does between them at once (NodeBudget.replay): the definitions of
-    degree d - 1 outside every subtree.  So the yields, nodes and
-    cap_hit are a search's from the root.  A frame with d cosets that
+    `carry`, a _Frontier, holds the points the fill starts from: the
+    root for the labelled and the pruned fills, and otherwise a root or
+    the frontier of a lower degree k.  The fill searches below each
+    point in turn and charges what a search from the root does between
+    them at once (NodeBudget.replay): the definitions of degree k
+    outside every subtree.  So the yields, nodes and cap_hit are a
+    search's from the root.  With `record`, a frame with d cosets that
     has tried every other coset would open coset d: degree d refuses
-    that, and records the frame as a point of its own frontier, to
-    leave in carry with its definitions when the fill ends; past
-    FRONTIER_ENTRIES stored entries it drops them.  Without `record`,
-    the last degree `classes` runs, it records none and leaves None.
+    that, and records the frame as a point of its own frontier; past
+    FRONTIER_ENTRIES stored entries it drops them.  When the fill ends
+    it leaves in carry that frontier, or None, and its definitions.
 
     Definitions are undone from a trail, and the frames sit on an
     explicit stack, so the recursion limit does not bound the table.
@@ -606,6 +604,7 @@ def _fill(tables: CosetTables, d: int, budget: Optional[NodeBudget],
         return tuple(trivial if k is None else tuple(table[k:size:ncols])
                      for k in picks)
 
+    points, total = carry.points, carry.total
     if prune is not None:
         watch, dirty, least = prune
         key_cols = [None if k is None else picks[k] for k in watch]
@@ -619,6 +618,8 @@ def _fill(tables: CosetTables, d: int, budget: Optional[NodeBudget],
             rank = {x: i for i, x in enumerate(first)}
             # the entries of the `first` columns, row by row
             ahead = [r * ncols + x for r in range(d) for x in first]
+            # from the root, at the first watched entry
+            points = [(0, (), first[0], 1)]
 
         def orbit_dirty(lo: int, hi: int) -> bool:
             """Whether dirty rejects the orbit on rows lo..hi-1, each
@@ -675,16 +676,10 @@ def _fill(tables: CosetTables, d: int, budget: Optional[NodeBudget],
                     queue.append(forward)
         return True
 
-    if carry is None:
-        root = (0, (), first[0] if first else 0, d if labelled else 1)
-        points, total, found = [root], 0, None
-    else:
-        points, total = carry.points, carry.total
-        found = [] if record else None
+    found = [] if record else None
     if not ncols:
         # no generators left: the table is already complete
-        if carry is not None:
-            carry.points, carry.total = [], 0
+        carry.points, carry.total = [], 0
         if labelled or d == 1:
             yield assignment()
         return
@@ -779,5 +774,4 @@ def _fill(tables: CosetTables, d: int, budget: Optional[NodeBudget],
                     yield assignment()
     if budget is not None and not budget.replay(total - done):
         return
-    if carry is not None:
-        carry.points, carry.total = found, spent + total - done
+    carry.points, carry.total = found, spent + total - done

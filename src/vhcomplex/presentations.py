@@ -12,8 +12,8 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .complexes import (EdgePath, Record, SquareComplex, cyclic_reduce,
-                        free_reduce, is_connected_complex, is_signed_index,
-                        require_structure, trace)
+                        free_reduce, is_connected_complex, is_index,
+                        is_signed_index, require_structure, trace)
 from .permutations import CosetTables
 
 
@@ -148,8 +148,7 @@ def pi1_presentation(cx: SquareComplex, basepoint: int = 0) -> Pi1Presentation:
     (SquareComplex._pi1), so it lives as long as the complex does.
     Errors are not kept.
     """
-    if (isinstance(basepoint, bool) or not isinstance(basepoint, int)
-            or not 0 <= basepoint < cx.num_vertices):
+    if not is_index(basepoint, cx.num_vertices):
         raise ValueError("no vertex %r" % (basepoint,))
     pres = cx._pi1.get(basepoint)
     if pres is not None:

@@ -52,7 +52,7 @@ from typing import Callable, Iterable, Optional, Union
 
 from . import permutations as perm
 from .complexes import (EdgePath, Record, SquareComplex, free_reduce,
-                        is_signed_index, trace)
+                        is_index, is_signed_index, trace)
 from .constructions import DoubledComplex
 from .covers import (Cover, cover_from_assignment, is_connected,
                      preimage_cleanness, preimage_hyperplane_components,
@@ -401,7 +401,7 @@ def revalidate_loop_witness(cx: SquareComplex, w: LoopWitness) -> bool:
         trace(cx, w.loop)
     except ValueError:
         return False
-    if not (0 <= w.sheet < w.cover.degree):
+    if not is_index(w.sheet, w.cover.degree):
         return False
     return transport(w.cover, w.loop.word)[w.sheet] != w.sheet
 
@@ -465,7 +465,7 @@ def clean_cover_from_survival(double: DoubledComplex, base_cover: Cover,
         sheet = _first_moved(p)
         if sheet is None:
             raise ValueError("loop does not survive in this cover")
-    elif not (0 <= sheet < base_cover.degree):
+    elif not is_index(sheet, base_cover.degree):
         raise ValueError("no sheet %r" % (sheet,))
     elif p[sheet] == sheet:
         raise ValueError("sheet %d is not moved by the loop" % sheet)

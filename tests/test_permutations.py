@@ -616,8 +616,8 @@ def test_degree_one_replays_the_fill():
     """low_index(1) without a prune callback spends the count of
     definitions the fill made when the tables were compiled, then
     yields the trivial class: under every cap it gives the yields,
-    nodes and cap_hit of the table fill itself.  The torus fills its
-    table in 2 definitions and D in 9."""
+    nodes and cap_hit of the table fill itself, run from a root.  The
+    torus fills its table in 2 definitions and D in 9."""
     complexes = helpers.GOOD_FIXTURES + ("bad_vh", "mixed_carrier", "doubled")
     presentations = [_pi1(helpers.load_complex(name)) for name in complexes]
     for name in ("trivial_group", "z_squared"):
@@ -631,15 +631,15 @@ def test_degree_one_replays_the_fill():
     for n, relators in presentations:
         tables = perm.CosetTables(n, relators)
         full = perm.NodeBudget()
-        fill = list(perm._fill(tables, 1, full, False))
+        fill = list(perm._fill(tables, 1, full, perm._Frontier()))
         assert fill == [(perm.identity(1),) * n] and not full.cap_hit
-        assert tables.trivial_definitions == full.nodes
+        assert tables.degree_one.total == full.nodes
         assert list(tables.low_index(1)) == fill
         assert list(perm.iter_low_index(n, relators, 1)) == fill
         for cap in [None, *range(full.nodes + 2)]:
             budget, reference = perm.NodeBudget(cap), perm.NodeBudget(cap)
             assert list(tables.low_index(1, budget)) \
-                == list(perm._fill(tables, 1, reference, False))
+                == list(perm._fill(tables, 1, reference, perm._Frontier()))
             assert (budget.nodes, budget.cap_hit) \
                 == (reference.nodes, reference.cap_hit), (n, relators, cap)
         counts.append(full.nodes)
@@ -647,12 +647,55 @@ def test_degree_one_replays_the_fill():
     assert by_name["torus"] == 2 and by_name["doubled"] == 9
 
 
+def test_degree_one_is_filled_once_per_compiled_tables(monkeypatch):
+    """Compiling the tables runs the one degree-1 fill; low_index(1),
+    classes(1, 4), classes(2, 4) and low_index(2) then run none: degree
+    1 replays its count, and degree 2 resumes from its frontier."""
+    degrees = []
+    fill = perm._fill
+
+    def spy(tables, d, *args, **kwargs):
+        degrees.append(d)
+        return fill(tables, d, *args, **kwargs)
+    monkeypatch.setattr(perm, "_fill", spy)
+    n, relators = _pi1(helpers.load_complex("torus"))
+    tables = perm.CosetTables(n, relators)
+    assert degrees == [1]
+    budget = perm.NodeBudget()
+    assert len(list(tables.low_index(1, budget))) == 1
+    assert len(list(tables.classes(1, 4, budget))) \
+        == 1 + len(list(tables.classes(2, 4, budget)))
+    next(tables.low_index(2, budget))
+    assert degrees == [1, 2, 3, 4, 2, 3, 4, 2]
+
+
+def test_streams_from_degree_one_and_two_make_the_same_definitions():
+    """classes(1, last) replays degree 1, making no definition there,
+    and from degree 2 on makes the definitions of classes(2, last), with
+    the degree-1 fill's count more nodes: the fixtures' pi1 to degree 4,
+    the trivial and Higman's groups to 6."""
+    cases = [(pi1_presentation(helpers.load_complex(name), 0).tables, 4)
+             for name in helpers.GOOD_FIXTURES + ("bad_vh",)]
+    cases += [(helpers.load_presentation(name).tables, 6)
+              for name in ("trivial_group", "higman")]
+    for tables, last in cases:
+        one, two = helpers.CountingBudget(), helpers.CountingBudget()
+        stream = tables.classes(1, last, one)
+        assert next(stream) == (1, (perm.identity(1),) * len(tables.columns))
+        assert (one.spends, one.nodes) == (0, tables.degree_one.total)
+        assert list(stream) == list(tables.classes(2, last, two))
+        assert one.spends == two.spends > 0
+        assert one.nodes == two.nodes + tables.degree_one.total
+
+
 def _consecutive_low_index(tables, first, last, budget):
-    """What CosetTables.classes streams: low_index(d) called for d =
-    first..last on one budget, up to the degree the cap stops."""
+    """What CosetTables.classes streams: the search of low_index(d) from
+    the root for d = first..last on one budget, up to the degree the cap
+    stops."""
     out = []
     for d in range(first, last + 1):
-        out += [(d, a) for a in tables.low_index(d, budget)]
+        root = perm._Frontier()
+        out += [(d, a) for a in perm._fill(tables, d, budget, root)]
         if budget.cap_hit:
             break
     return out
@@ -714,26 +757,34 @@ def test_classes_match_consecutive_low_index_calls():
 
 def test_classes_make_only_the_definitions_of_the_last_degree(monkeypatch):
     """Each degree resumes from where the one before refused a new coset,
-    and replays the definitions below, so the stream spends one node per
-    definition of the last degree's search alone: the trivial group to
-    degree 6 in 42 spend calls for 119 nodes and to 12 in 71 for 512,
-    Higman's group to 6 in 14,506 for 18,259.  With the frontier bound
-    at 0 every degree starts from the root, with the same yields and
-    nodes, and spends them all; only the empty frontier of the trivial
-    group at degree 10 still replays degrees 11 and 12."""
-    trivial = helpers.load_presentation("trivial_group").tables
-    higman = helpers.load_presentation("higman").tables
-    cases = ((trivial, 6, 42, 119), (trivial, 12, 71, 512),
-             (higman, 6, 14_506, 18_259))
+    degree 2 from the frontier of the degree-1 fill the tables ran when
+    compiled, and replays the definitions below, so the stream spends
+    one node per definition of the last degree's search alone, which
+    resumes from that frontier too, and replays the 2 definitions of
+    degree 1 for the trivial group and the 4 for Higman's group: the
+    trivial group to degree 6 in 40 spend calls for 119 nodes and to 12
+    in 69 for 512, Higman's group to 6 in 14,502 for 18,259.  With the
+    frontier bound at 0 when the tables are compiled, every degree
+    starts from the root, with the same yields and nodes, and spends
+    them all; only the empty frontier of the trivial group at degree 10
+    still replays degrees 11 and 12."""
+    names = ("trivial_group", "trivial_group", "higman")
+    cases = ((6, 40, 119), (12, 69, 512), (6, 14_502, 18_259))
     streams = []
-    for tables, last, spends, nodes in cases:
-        budget, alone = helpers.CountingBudget(), perm.NodeBudget()
+    for name, (last, spends, nodes) in zip(names, cases):
+        tables = helpers.load_presentation(name).tables
+        budget, alone = helpers.CountingBudget(), helpers.CountingBudget()
         streams.append(list(tables.classes(2, last, budget)))
         assert (budget.spends, budget.nodes) == (spends, nodes)
-        assert list(tables.low_index(last, alone)) == [] \
-            and alone.nodes == spends
+        assert list(tables.low_index(last, alone)) == []
+        assert (alone.spends, alone.nodes) \
+            == (spends, spends + tables.degree_one.total)
+        assert tables.degree_one.total == (2 if name == "trivial_group"
+                                           else 4)
     monkeypatch.setattr(perm, "FRONTIER_ENTRIES", 0)
-    for (tables, last, _, nodes), stream in zip(cases, streams):
+    for name, (last, _, nodes), stream in zip(names, cases, streams):
+        tables = helpers.load_presentation(name).tables
+        assert tables.degree_one.points is None
         budget = helpers.CountingBudget()
         assert list(tables.classes(2, last, budget)) == stream
         assert budget.nodes == nodes
@@ -744,8 +795,10 @@ def test_classes_keep_no_frontier_for_the_last_degree(monkeypatch):
     """Only the next degree reads a degree's frontier, so the stream
     stores none for its last: the torus to degree 4 stores the points
     of degrees 1 to 3, each a copy of a table with that many rows, and
-    none of degree 4, with the yields and nodes of the calls."""
-    tables = pi1_presentation(helpers.load_complex("torus"), 0).tables
+    none of degree 4, with the yields and nodes of the calls.  The
+    points of degree 1 are stored once, when the tables are compiled."""
+    n, relators = _pi1(helpers.load_complex("torus"))
+    ncols = perm.CosetTables(n, relators).ncols
     stored = set()    # the row counts of the points stored
 
     class Spy(perm._Frontier):
@@ -756,8 +809,10 @@ def test_classes_keep_no_frontier_for_the_last_degree(monkeypatch):
         @points.setter
         def points(self, value):
             self._points = value
-            stored.update(len(p[1]) // tables.ncols for p in value or ())
+            stored.update(len(p[1]) // ncols for p in value or ())
     monkeypatch.setattr(perm, "_Frontier", Spy)
+    tables = perm.CosetTables(n, relators)
+    assert stored == {0, 1}
     budget, reference = perm.NodeBudget(), perm.NodeBudget()
     assert list(tables.classes(1, 4, budget)) \
         == _consecutive_low_index(tables, 1, 4, reference)
@@ -772,7 +827,8 @@ def test_an_empty_frontier_ends_the_stream():
     them all at once, as the calls would spend them one degree after
     another, also under a cap that the replayed degrees meet, and ends:
     to degree 10^6 that is 512 + (10^6 - 12) * 71 definitions, of which
-    it makes 71."""
+    it makes 69: degree 2 resumes from the frontier of the 2 definitions
+    of degree 1 that the tables made when compiled."""
     tables = helpers.load_presentation("trivial_group").tables
     last = 30
     full = perm.NodeBudget()
@@ -784,10 +840,10 @@ def test_an_empty_frontier_ends_the_stream():
         _consecutive_low_index(tables, 2, last, reference)
         assert (budget.nodes, budget.cap_hit) \
             == (reference.nodes, reference.cap_hit), cap
-        assert budget.spends == 71
+        assert budget.spends == 69
     budget = helpers.CountingBudget()
     assert list(tables.classes(2, 10 ** 6, budget)) == []
-    assert (budget.nodes, budget.spends) == (70_999_660, 71)
+    assert (budget.nodes, budget.spends) == (70_999_660, 69)
     assert not budget.cap_hit
 
 
